@@ -21,14 +21,7 @@ from .fillcurve import (
     predicted_decomposition,
     rcf_similarity,
 )
-from .gf import (
-    FieldElement,
-    FieldSpec,
-    arith,
-    enumerate_elements,
-    field_for_order,
-    make_field,
-)
+from .gf import FieldElement, FieldSpec, field_for_order, make_field
 from .homog import HomogPoly, ProjPoint, divide_exact, linear_substitute, partials
 from .poly import UniPoly, cubic_shape, divrem, is_irreducible, quad_shape, roots
 from .verify import (

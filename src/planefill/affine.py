@@ -18,7 +18,6 @@ from .poly import (
     QUAD_DOUBLE,
     QUAD_IRREDUCIBLE,
     QUAD_TWO_DISTINCT,
-    QUAD_ZERO,
     QuadShape,
     quad_shape,
 )
@@ -358,31 +357,36 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
     return cur, total
 
 
+def affine_tag(M: Matrix23) -> str:
+    """Case tag of a nonzero matrix, from the root shape of the left-block
+    quadratic, the invertibility of the left block and the rank."""
+    if M.is_zero():
+        raise ValueError("the zero matrix defines no curve")
+    shape = left_quad_shape(M)
+    if shape.tag == QUAD_IRREDUCIBLE:
+        return AFFINE_FILLING
+    det = _det2(M.left_block(), M.spec)
+    rank = M.rank()
+    if shape.tag == QUAD_TWO_DISTINCT:
+        return AFFINE_I1 if det else (AFFINE_I2 if rank == 2 else AFFINE_I3)
+    if shape.tag == QUAD_DOUBLE:
+        return AFFINE_II1 if det else (AFFINE_II2 if rank == 2 else AFFINE_II3)
+    if det == 0 and rank == 2:
+        raise AssertionError(
+            "no matrix has a zero left-block quadratic, singular left block and rank 2"
+        )
+    return AFFINE_III1 if det else AFFINE_III3
+
+
 def classify_affine(M: Matrix23) -> AffineLabel:
-    """Tag a nonzero matrix by (root shape of the left-block quadratic,
-    invertibility of the left block, rank), with the canonical form and
-    the transformation reaching it.
+    """Tag a nonzero matrix with :func:`affine_tag`, with the canonical
+    form and the transformation reaching it.
 
     Matrices with an irreducible left-block quadratic are tagged as
     filling curves, with an identity witness.
     """
-    if M.is_zero():
-        raise ValueError("the zero matrix defines no curve")
-    spec = M.spec
-    shape = left_quad_shape(M)
-    if shape.tag == QUAD_IRREDUCIBLE:
-        return AffineLabel(AFFINE_FILLING, M, BTransform.identity(spec))
-    det = _det2(M.left_block(), spec)
-    rank = M.rank()
-    if shape.tag == QUAD_TWO_DISTINCT:
-        tag = AFFINE_I1 if det else (AFFINE_I2 if rank == 2 else AFFINE_I3)
-    elif shape.tag == QUAD_DOUBLE:
-        tag = AFFINE_II1 if det else (AFFINE_II2 if rank == 2 else AFFINE_II3)
-    else:
-        if det == 0 and rank == 2:
-            raise AssertionError(
-                "no matrix has a zero left-block quadratic, singular left block and rank 2"
-            )
-        tag = AFFINE_III1 if det else AFFINE_III3
+    tag = affine_tag(M)
+    if tag == AFFINE_FILLING:
+        return AffineLabel(AFFINE_FILLING, M, BTransform.identity(M.spec))
     canonical, witness = reduce_to_canonical(M)
     return AffineLabel(tag, canonical, witness)

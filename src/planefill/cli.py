@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import affine as aff
@@ -25,6 +26,16 @@ def _parse_matrix(text: str) -> list[int]:
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"matrix entries must be integers: {exc}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _emit(payload, out_path):
@@ -85,8 +96,8 @@ def _affine_atlas(spec) -> list[dict]:
     populations: dict[str, int] = {}
     representatives: dict[str, aff.Matrix23] = {}
     for n in range(1, q**6):
-        m = verify._matrix23_at(spec, n)
-        tag = _affine_tag(m)
+        m = verify._matrix_at(aff.Matrix23, 6, spec, n)
+        tag = aff.affine_tag(m)
         populations[tag] = populations.get(tag, 0) + 1
         representatives.setdefault(tag, m)
     order = (
@@ -117,21 +128,6 @@ def _affine_atlas(spec) -> list[dict]:
             }
         )
     return entries
-
-
-def _affine_tag(m: aff.Matrix23) -> str:
-    shape = aff.left_quad_shape(m)
-    from .poly import QUAD_DOUBLE, QUAD_IRREDUCIBLE, QUAD_TWO_DISTINCT
-
-    if shape.tag == QUAD_IRREDUCIBLE:
-        return aff.AFFINE_FILLING
-    det = aff._det2(m.left_block(), m.spec)
-    rank = m.rank()
-    if shape.tag == QUAD_TWO_DISTINCT:
-        return aff.AFFINE_I1 if det else (aff.AFFINE_I2 if rank == 2 else aff.AFFINE_I3)
-    if shape.tag == QUAD_DOUBLE:
-        return aff.AFFINE_II1 if det else (aff.AFFINE_II2 if rank == 2 else aff.AFFINE_II3)
-    return aff.AFFINE_III1 if det else aff.AFFINE_III3
 
 
 def cmd_atlas(args) -> int:
@@ -188,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--q", type=int, required=True)
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--samples", type=int, default=200)
+    p_verify.add_argument("--jobs", type=_positive_int, default=1)
+    p_verify.add_argument("--samples", type=_positive_int, default=200)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser
@@ -199,13 +195,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit2 as exc:
+        code = args.func(args)
+        # flush here so a closed pipe is reported inside this block
+        sys.stdout.flush()
+        return code
+    except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull so
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -333,7 +333,13 @@ def _coerce(spec: "FieldSpec", c) -> int:
 
 def max_field_size() -> int:
     """Configured bound on q; FILLCURVE_MAX_Q overrides the default of 64."""
-    return int(os.environ.get("FILLCURVE_MAX_Q", DEFAULT_MAX_Q))
+    raw = os.environ.get("FILLCURVE_MAX_Q")
+    if raw is None:
+        return DEFAULT_MAX_Q
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FILLCURVE_MAX_Q must be an integer, got {raw!r}") from None
 
 
 def make_field(p: int, e: int = 1) -> FieldSpec:
@@ -372,20 +378,3 @@ def field_for_order(q: int) -> FieldSpec:
             return make_field(p, e)
     raise ValueError(f"{q} is not a prime power")
 
-
-def enumerate_elements(spec: FieldSpec) -> tuple[FieldElement, ...]:
-    """All q elements in base-p counting order on coordinates."""
-    return spec.elements()
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """String-dispatched field arithmetic; the operators do the work."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldElement, FieldSpec, _coerce
+from .gf import FieldElement, FieldSpec, _coerce, _is_prime
 
 CUBIC_IRREDUCIBLE = "irreducible"
 CUBIC_LINEAR_TIMES_QUADRATIC = "linear_times_irreducible_quadratic"
@@ -36,10 +36,6 @@ class UniPoly:
             cs.pop()
         self.spec = spec
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_ints(cls, spec: FieldSpec, coeffs) -> "UniPoly":
-        return cls(spec, coeffs)
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "UniPoly":
@@ -256,8 +252,9 @@ def is_irreducible(f: UniPoly) -> bool:
         return all(f.eval_int(v) != 0 for v in range(spec.q))
     fm = f.monic()
     t = UniPoly(spec, (0, 1))
-    primes = [r for r in (2, 3, 5, 7) if n % r == 0]
-    for r in primes:
+    for r in range(2, n + 1):
+        if n % r or not _is_prime(r):
+            continue
         h = _pow_mod(t, spec.q ** (n // r), fm)
         if gcd(h - t, fm).degree != 0:
             return False

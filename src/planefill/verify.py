@@ -12,10 +12,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from . import affine as aff
 from . import fillcurve as fc
-from .gf import FieldSpec, make_field
+from .gf import FieldSpec, field_for_order, make_field
 from .homog import (
     HomogPoly,
     ProjPoint,
@@ -89,11 +90,6 @@ def enumerate_P2(spec: FieldSpec) -> list[ProjPoint]:
     return list(_plane_for(spec).points)
 
 
-def enumerate_lines(spec: FieldSpec) -> list[HomogPoly]:
-    """All q^2+q+1 rational lines as normalized linear forms."""
-    return list(_plane_for(spec).lines)
-
-
 # ---------------------------------------------------------------------------
 # elementary oracle operations
 
@@ -115,52 +111,36 @@ class LineComponentSet:
     residual_degree: int
 
 
-def _rows_lead_x(terms: dict, d: int):
-    """Row form of a degree-d polynomial as sum_i x^i P_i(y, z); row i is
-    the dense (y, z)-coefficient list of P_i, indexed by the y exponent."""
+def _rows(terms: dict, d: int, lead: int):
+    """Row form of a degree-d polynomial as sum_i v^i P_i, where v is x
+    (lead 0) or y (lead 1); row i is the dense coefficient list of P_i,
+    indexed by the exponent of the other of x and y."""
+    other = 1 - lead
     rows = [None] * (d + 1)
-    for (i, j, _k), v in terms.items():
+    for key, v in terms.items():
+        i = key[lead]
         row = rows[i]
         if row is None:
             row = rows[i] = [0] * (d - i + 1)
-        row[j] = v
+        row[key[other]] = v
     return rows
 
 
-def _rows_lead_y(terms: dict, d: int):
-    rows = [None] * (d + 1)
-    for (i, j, _k), v in terms.items():
-        row = rows[j]
-        if row is None:
-            row = rows[j] = [0] * (d - j + 1)
-        row[i] = v
-    return rows
-
-
-def _terms_from_rows_x(rows, d: int) -> dict:
+def _terms_from_rows(rows, d: int, lead: int) -> dict:
     terms = {}
     for i, row in enumerate(rows):
         if row:
             for j, v in enumerate(row):
                 if v:
-                    terms[(i, j, d - i - j)] = v
+                    terms[(j, i, d - i - j) if lead else (i, j, d - i - j)] = v
     return terms
 
 
-def _terms_from_rows_y(rows, d: int) -> dict:
-    terms = {}
-    for j, row in enumerate(rows):
-        if row:
-            for i, v in enumerate(row):
-                if v:
-                    terms[(i, j, d - i - j)] = v
-    return terms
+def _divline(rows, d: int, b: int, c: int, spec: FieldSpec):
+    """Synthetic division of sum_i v^i P_i by v + b w + c z, where w is
+    the other of x and y.
 
-
-def _divline_x(rows, d: int, b: int, c: int, spec: FieldSpec):
-    """Synthetic division of sum_i x^i P_i by x + b y + c z.
-
-    Horner in x with the substitution x -> -(b y + c z); returns the
+    Horner in v with the substitution v -> -(b w + c z); returns the
     quotient rows, or None when the remainder is nonzero.
     """
     add, mul, neg = spec._add, spec._mul, spec._neg
@@ -171,10 +151,15 @@ def _divline_x(rows, d: int, b: int, c: int, spec: FieldSpec):
         out[d - 1] = cur
     for i in range(d - 1, -1, -1):
         nxt = [0] * (d - i + 1)
-        for j, v in enumerate(cur):
-            if v:
-                nxt[j + 1] = add[nxt[j + 1]][mrb[v]]
-                nxt[j] = add[nxt[j]][mrc[v]]
+        if b:
+            for j, v in enumerate(cur):
+                if v:
+                    nxt[j + 1] = add[nxt[j + 1]][mrb[v]]
+                    nxt[j] = add[nxt[j]][mrc[v]]
+        else:
+            for j, v in enumerate(cur):
+                if v:
+                    nxt[j] = mrc[v]
         pi = rows[i]
         if pi:
             for j, v in enumerate(pi):
@@ -188,37 +173,12 @@ def _divline_x(rows, d: int, b: int, c: int, spec: FieldSpec):
     return out
 
 
-def _divline_y(rows, d: int, c: int, spec: FieldSpec):
-    """Synthetic division of sum_j y^j P_j(x, z) by y + c z."""
-    add, mul = spec._add, spec._mul
-    mrc = mul[spec._neg[c]]
-    cur = rows[d] if rows[d] else [0]
-    out = [None] * d
-    if d:
-        out[d - 1] = cur
-    for j in range(d - 1, -1, -1):
-        nxt = [0] * (d - j + 1)
-        for i, v in enumerate(cur):
-            if v:
-                nxt[i] = mrc[v]
-        pj = rows[j]
-        if pj:
-            for i, v in enumerate(pj):
-                if v:
-                    nxt[i] = add[nxt[i]][v]
-        if j:
-            out[j - 1] = nxt
-            cur = nxt
-        elif any(nxt):
-            return None
-    return out
-
-
 def find_linear_components(f: HomogPoly) -> LineComponentSet:
     """Divide out every rational line with multiplicity.
 
     Tries each of the q^2+q+1 lines in enumeration order; the residual is
-    divisible by no rational linear form.
+    divisible by no rational linear form.  Lines x + by + cz are divided
+    with x leading, then lines y + cz with y leading, then z.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
@@ -226,43 +186,30 @@ def find_linear_components(f: HomogPoly) -> LineComponentSet:
     q = spec.q
     plane = _plane_for(spec)
     deg = f.degree
+    terms = f.terms
     found = []
 
-    rows = _rows_lead_x(f.terms, deg)
-    for b in range(q):
-        for c in range(q):
-            if deg == 0:
-                break
-            mult = 0
-            while deg > 0:
-                quot = _divline_x(rows, deg, b, c, spec)
-                if quot is None:
-                    break
-                rows = quot
-                deg -= 1
-                mult += 1
-            if mult:
-                found.append((plane.lines[b * q + c], mult))
+    for lead, bs in ((0, range(q)), (1, (0,))):
         if deg == 0:
             break
-    terms = _terms_from_rows_x(rows, deg)
-
-    if deg:
-        rows = _rows_lead_y(terms, deg)
-        for c in range(q):
+        rows = _rows(terms, deg, lead)
+        for b in bs:
+            for c in range(q):
+                mult = 0
+                while deg > 0:
+                    quot = _divline(rows, deg, b, c, spec)
+                    if quot is None:
+                        break
+                    rows = quot
+                    deg -= 1
+                    mult += 1
+                if mult:
+                    found.append((plane.lines[lead * q * q + b * q + c], mult))
+                if deg == 0:
+                    break
             if deg == 0:
                 break
-            mult = 0
-            while deg > 0:
-                quot = _divline_y(rows, deg, c, spec)
-                if quot is None:
-                    break
-                rows = quot
-                deg -= 1
-                mult += 1
-            if mult:
-                found.append((plane.lines[q * q + c], mult))
-        terms = _terms_from_rows_y(rows, deg)
+        terms = _terms_from_rows(rows, deg, lead)
 
     mult = 0
     while deg > 0 and all(k for (_i, _j, k) in terms):
@@ -275,12 +222,14 @@ def find_linear_components(f: HomogPoly) -> LineComponentSet:
     return LineComponentSet(found, HomogPoly._raw(spec, deg, terms), deg)
 
 
-def singular_Fq_points(f: HomogPoly) -> list[ProjPoint]:
-    """Rational points where f and all three partials vanish."""
+def singular_Fq_points(f: HomogPoly, fvals=None) -> list[ProjPoint]:
+    """Rational points where f and all three partials vanish; fvals, if
+    given, are the values of f at the points of the plane."""
     if f.degree < 1:
         raise ValueError("needs degree at least 1")
     plane = _plane_for(f.spec)
-    fvals = plane.values(f)
+    if fvals is None:
+        fvals = plane.values(f)
     fx, fy, fz = partials(f)
     fxvals = plane.values(fx)
     out = []
@@ -290,20 +239,6 @@ def singular_Fq_points(f: HomogPoly) -> list[ProjPoint]:
         if fy.eval(pt).val == 0 and fz.eval(pt).val == 0:
             out.append(pt)
     return out
-
-
-def _has_singular_point(f: HomogPoly, fvals=None) -> bool:
-    plane = _plane_for(f.spec)
-    if fvals is None:
-        fvals = plane.values(f)
-    fx, fy, fz = partials(f)
-    fxvals = plane.values(fx)
-    for i, pt in enumerate(plane.points):
-        if fvals[i] or fxvals[i]:
-            continue
-        if fy.eval(pt).val == 0 and fz.eval(pt).val == 0:
-            return True
-    return False
 
 
 def _cross(u, v, spec: FieldSpec):
@@ -469,6 +404,84 @@ def _pencil_structure(forms, spec: FieldSpec):
     return best, best_n
 
 
+class _Prediction(NamedTuple):
+    """A predicted decomposition, transported to the curve's coordinates."""
+
+    lines: list  # (normalized line coefficients, multiplicity)
+    residual_degree: int
+    residual: HomogPoly | None  # the residual equation, up to a scalar
+    kind: str | None
+    points: int | None  # rational points on the residual
+    singulars: int | None  # singular rational points on the residual
+    concurrency: str | None
+
+    def to_json(self) -> dict:
+        return {
+            "lines": _serialize_lines(self.lines),
+            "residual_degree": self.residual_degree,
+            "residual_kind": self.kind,
+            "expected_points": self.points,
+            "concurrency": self.concurrency,
+        }
+
+
+def _audit(f: HomogPoly, pred: _Prediction, disc: list) -> dict:
+    """Recompute the linear components of f and compare them with the
+    prediction: line set with multiplicity, residual degree, residual
+    equation up to a scalar, residual point and singular-point counts, and
+    concurrency.  Mismatches are appended to disc; returns the observed
+    fields both report families share."""
+    spec = f.spec
+    comps = find_linear_components(f)
+    obs_lines = [(l.line_coeffs(), mult) for l, mult in comps.lines]
+    forms = [l for l, _ in comps.lines]
+    if sorted(obs_lines) != sorted(pred.lines):
+        disc.append(
+            f"lines differ: observed {_serialize_lines(obs_lines)}, predicted {_serialize_lines(pred.lines)}"
+        )
+    if comps.residual_degree != pred.residual_degree:
+        disc.append(
+            f"residual degree {comps.residual_degree}, predicted {pred.residual_degree}"
+        )
+
+    residual_points = None
+    singular_count = None
+    if pred.residual_degree > 0 and comps.residual_degree == pred.residual_degree:
+        if pred.residual is not None and scalar_ratio(comps.residual, pred.residual) is None:
+            disc.append("residual equation is not a scalar multiple of the transported prediction")
+        residual_points = _plane_for(spec).values(comps.residual).count(0)
+        if pred.points is not None and residual_points != pred.points:
+            disc.append(f"residual has {residual_points} points, expected {pred.points}")
+        singular_count = len(singular_Fq_points(comps.residual))
+        if pred.singulars is not None and singular_count != pred.singulars:
+            disc.append(
+                f"residual has {singular_count} singular rational points, expected {pred.singulars}"
+            )
+
+    concurrent_point = None
+    if len(forms) >= 2:
+        meet = concurrency_check(forms)
+        concurrent_point = list(meet.key) if meet else None
+    if pred.concurrency == fc.NOT_CONCURRENT and concurrent_point is not None:
+        disc.append("lines unexpectedly share a common point")
+    elif pred.concurrency == fc.CONCURRENT_ALL and concurrent_point is None:
+        disc.append("lines were predicted to be concurrent but are not")
+    elif pred.concurrency == fc.CONCURRENT_ALL_BUT_ONE:
+        point, through = _pencil_structure(forms, spec)
+        if point is None or through != len(forms) - 1:
+            disc.append(
+                f"expected all lines but one through a common point, widest pencil has {through}"
+            )
+
+    return {
+        "lines": _serialize_lines(obs_lines),
+        "residual_degree": comps.residual_degree,
+        "residual_points": residual_points,
+        "singular_points": singular_count,
+        "concurrent": concurrent_point,
+    }
+
+
 def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
     """Run the oracle against the predicted splitting of the curve of A.
 
@@ -480,23 +493,31 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
     """
     spec = A.spec
     q = spec.q
-    plane = _plane_for(spec)
     f_a = fc.build_FA(A)
     cp = fc.charpoly(A)
     mp = fc.minpoly(A)
     label = fc.classify(A, f=cp, mp=mp)
     disc: list[str] = []
 
-    if A.is_scalar():
-        if not f_a.is_zero():
+    def report(predicted, observed):
+        return DecompositionReport(
+            q, "projective", A.to_ints(), label.tag, cp.to_ints(), mp.to_ints(),
+            predicted, observed, not disc, disc,
+        )
+
+    scalar = A.is_scalar()
+    if scalar or f_a.is_zero():
+        if not scalar:
+            disc.append("non-scalar matrix gave the zero polynomial")
+        elif not f_a.is_zero():
             disc.append("scalar matrix gave a nonzero polynomial")
         predicted = {
             "lines": [],
-            "residual_degree": 0,
+            "residual_degree": 0 if scalar else None,
             "residual_kind": None,
             "expected_points": None,
             "concurrency": None,
-            "zero_polynomial": True,
+            "zero_polynomial": scalar,
         }
         observed = {
             "lines": [],
@@ -508,134 +529,39 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
             "curve_singular": None,
             "zero_polynomial": f_a.is_zero(),
         }
-        return DecompositionReport(
-            q, "projective", A.to_ints(), label.tag, cp.to_ints(), mp.to_ints(),
-            predicted, observed, not disc, disc,
-        )
-
-    if f_a.is_zero():
-        disc.append("non-scalar matrix gave the zero polynomial")
-        observed = {
-            "lines": [], "residual_degree": 0, "residual_points": None,
-            "singular_points": None, "concurrent": None, "curve_points": None,
-            "curve_singular": None, "zero_polynomial": True,
-        }
-        predicted = {"lines": [], "residual_degree": None, "residual_kind": None,
-                     "expected_points": None, "concurrency": None,
-                     "zero_polynomial": False}
-        return DecompositionReport(
-            q, "projective", A.to_ints(), label.tag, cp.to_ints(), mp.to_ints(),
-            predicted, observed, False, disc,
-        )
-
-    fvals = plane.values(f_a)
-    curve_points = fvals.count(0)
-    comps = find_linear_components(f_a)
-    obs_lines = [(l.line_coeffs(), mult) for l, mult in comps.lines]
-    distinct_forms = [l for l, _ in comps.lines]
+        return report(predicted, observed)
 
     if label.tag == fc.CASE_NONSINGULAR:
-        predicted = {
-            "lines": [],
-            "residual_degree": q + 2,
-            "residual_kind": "plane_filling",
-            "expected_points": q * q + q + 1,
-            "concurrency": None,
-            "zero_polynomial": False,
-        }
-        pred_lines: list = []
-        expected_rdeg = q + 2
-        expected_points = q * q + q + 1
-        expected_singulars = 0
-        residual_pred = f_a
-        concurrency = None
+        pred = _Prediction(
+            lines=[], residual_degree=q + 2, residual=f_a, kind="plane_filling",
+            points=q * q + q + 1, singulars=0, concurrency=None,
+        )
     else:
         plan = fc.predicted_decomposition(A, label=label, f=cp)
-        s_rows = plan.transform.rows_int
-        t_inv = _mat3_transpose(_mat3_inv(s_rows, spec))
-        pred_lines = [
-            (_transport_line(l.line_coeffs(), t_inv, spec), m) for l, m in plan.lines
-        ]
-        predicted = {
-            "lines": _serialize_lines(pred_lines),
-            "residual_degree": plan.residual.degree if plan.residual else 0,
-            "residual_kind": plan.residual.kind if plan.residual else None,
-            "expected_points": plan.residual.expected_points if plan.residual else None,
-            "concurrency": plan.concurrency,
-            "zero_polynomial": False,
-        }
-        expected_rdeg = plan.residual.degree if plan.residual else 0
-        expected_points = plan.residual.expected_points if plan.residual else None
-        expected_singulars = (
-            None
-            if plan.residual is None
-            else (1 if plan.residual.kind == fc.RESIDUAL_AFFINE_FILLING else 0)
+        t_inv = _mat3_transpose(_mat3_inv(plan.transform.rows_int, spec))
+        res = plan.residual
+        pred = _Prediction(
+            lines=[(_transport_line(l.line_coeffs(), t_inv, spec), m) for l, m in plan.lines],
+            residual_degree=res.degree if res else 0,
+            residual=linear_substitute(res.equation, t_inv) if res else None,
+            kind=res.kind if res else None,
+            points=res.expected_points if res else None,
+            singulars=None if res is None else (1 if res.kind == fc.RESIDUAL_AFFINE_FILLING else 0),
+            concurrency=plan.concurrency,
         )
-        residual_pred = (
-            linear_substitute(plan.residual.equation, t_inv) if plan.residual else None
-        )
-        concurrency = plan.concurrency
+    observed = _audit(f_a, pred, disc)
 
-    if sorted(obs_lines) != sorted(pred_lines):
-        disc.append(
-            f"lines differ: observed {_serialize_lines(obs_lines)}, predicted {_serialize_lines(pred_lines)}"
-        )
-    if comps.residual_degree != expected_rdeg:
-        disc.append(
-            f"residual degree {comps.residual_degree}, predicted {expected_rdeg}"
-        )
-
-    residual_points = None
-    singular_count = None
-    if expected_rdeg > 0 and comps.residual_degree == expected_rdeg:
-        if residual_pred is not None and scalar_ratio(comps.residual, residual_pred) is None:
-            disc.append("residual equation is not a scalar multiple of the transported prediction")
-        residual_points = _plane_for(spec).values(comps.residual).count(0)
-        if expected_points is not None and residual_points != expected_points:
-            disc.append(
-                f"residual has {residual_points} points, expected {expected_points}"
-            )
-        singular_count = len(singular_Fq_points(comps.residual))
-        if expected_singulars is not None and singular_count != expected_singulars:
-            disc.append(
-                f"residual has {singular_count} singular rational points, expected {expected_singulars}"
-            )
-
-    concurrent_point = None
-    if len(distinct_forms) >= 2:
-        meet = concurrency_check(distinct_forms)
-        concurrent_point = list(meet.key) if meet else None
-    if concurrency == fc.NOT_CONCURRENT and concurrent_point is not None:
-        disc.append("lines unexpectedly share a common point")
-    elif concurrency == fc.CONCURRENT_ALL and concurrent_point is None:
-        disc.append("lines were predicted to be concurrent but are not")
-    elif concurrency == fc.CONCURRENT_ALL_BUT_ONE:
-        point, through = _pencil_structure(distinct_forms, spec)
-        if point is None or through != len(distinct_forms) - 1:
-            disc.append(
-                f"expected all lines but one through a common point, widest pencil has {through}"
-            )
-
-    curve_singular = (
-        (singular_count or 0) > 0
-        if label.tag == fc.CASE_NONSINGULAR
-        else _has_singular_point(f_a, fvals)
+    fvals = _plane_for(spec).values(f_a)
+    if label.tag == fc.CASE_NONSINGULAR:
+        curve_singular = (observed["singular_points"] or 0) > 0
+    else:
+        curve_singular = bool(singular_Fq_points(f_a, fvals))
+    observed.update(
+        curve_points=fvals.count(0),
+        curve_singular=curve_singular,
+        zero_polynomial=False,
     )
-
-    observed = {
-        "lines": _serialize_lines(obs_lines),
-        "residual_degree": comps.residual_degree,
-        "residual_points": residual_points,
-        "singular_points": singular_count,
-        "concurrent": concurrent_point,
-        "curve_points": curve_points,
-        "curve_singular": curve_singular,
-        "zero_polynomial": False,
-    }
-    return DecompositionReport(
-        q, "projective", A.to_ints(), label.tag, cp.to_ints(), mp.to_ints(),
-        predicted, observed, not disc, disc,
-    )
+    return report({**pred.to_json(), "zero_polynomial": False}, observed)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +663,6 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
     for a nonlinear component.
     """
     spec = M.spec
-    q = spec.q
     plane = _plane_for(spec)
     g_m = aff.build_GM(M)
     label = aff.classify_affine(M)
@@ -757,30 +682,20 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
     else:
         t_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    pred_lines = [
-        (_transport_line(l.line_coeffs(), t_rows, spec), m) for l, m in lines_c
-    ]
-    residual_pred = (
-        linear_substitute(residual_c, t_rows) if residual_c is not None else None
+    pred = _Prediction(
+        lines=[(_transport_line(l.line_coeffs(), t_rows, spec), m) for l, m in lines_c],
+        residual_degree=residual_c.degree if residual_c is not None else 0,
+        residual=linear_substitute(residual_c, t_rows) if residual_c is not None else None,
+        kind=kind,
+        points=expected_points,
+        singulars=expected_singulars,
+        concurrency=concurrency,
     )
-    expected_rdeg = residual_c.degree if residual_c is not None else 0
-
-    comps = find_linear_components(g_m)
-    obs_lines = [(l.line_coeffs(), mult) for l, mult in comps.lines]
-    distinct_forms = [l for l, _ in comps.lines]
-
-    if sorted(obs_lines) != sorted(pred_lines):
-        disc.append(
-            f"lines differ: observed {_serialize_lines(obs_lines)}, predicted {_serialize_lines(pred_lines)}"
-        )
-    if comps.residual_degree != expected_rdeg:
-        disc.append(f"residual degree {comps.residual_degree}, predicted {expected_rdeg}")
+    observed = _audit(g_m, pred, disc)
 
     vals = plane.values(g_m)
-    curve_points = vals.count(0)
     if any(vals[i] for i in plane.affine_idx):
         disc.append("curve misses an affine rational point")
-
     inf_observed = sum(1 for i in plane.infinity_idx if vals[i] == 0)
     if inf_observed != inf_expected:
         disc.append(f"{inf_observed} points at infinity, expected {inf_expected}")
@@ -788,36 +703,9 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
     if {p.key for p in aff.points_at_infinity(M)} != inf_set:
         disc.append("points at infinity disagree with the left-block quadratic roots")
 
-    residual_points = None
-    singular_count = None
-    if expected_rdeg > 0 and comps.residual_degree == expected_rdeg:
-        if residual_pred is not None and scalar_ratio(comps.residual, residual_pred) is None:
-            disc.append("residual equation is not a scalar multiple of the transported prediction")
-        residual_points = plane.values(comps.residual).count(0)
-        if expected_points is not None and residual_points != expected_points:
-            disc.append(f"residual has {residual_points} points, expected {expected_points}")
-        singular_count = len(singular_Fq_points(comps.residual))
-        if expected_singulars is not None and singular_count != expected_singulars:
-            disc.append(
-                f"residual has {singular_count} singular rational points, expected {expected_singulars}"
-            )
-
-    concurrent_point = None
-    if len(distinct_forms) >= 2:
-        meet = concurrency_check(distinct_forms)
-        concurrent_point = list(meet.key) if meet else None
-    if concurrency == fc.CONCURRENT_ALL and concurrent_point is None:
-        disc.append("lines were predicted to be concurrent but are not")
-    elif concurrency == fc.CONCURRENT_ALL_BUT_ONE:
-        point, through = _pencil_structure(distinct_forms, spec)
-        if point is None or through != len(distinct_forms) - 1:
-            disc.append(
-                f"expected all lines but one through a common point, widest pencil has {through}"
-            )
-
     # a component of degree >= 2 survives the line sieve iff the matrix
     # has rank 2 and a nonzero left-block quadratic
-    has_nonlinear = comps.residual_degree >= 2
+    has_nonlinear = observed["residual_degree"] >= 2
     rank2_nonzero_quad = M.rank() == 2 and any(aff.quad_form_triple(M))
     if has_nonlinear != rank2_nonzero_quad:
         disc.append("nonlinear component does not follow the rank criterion")
@@ -830,24 +718,12 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
             "b": list(label.witness.shift),
             "lam": label.witness.lam,
         },
-        "lines": _serialize_lines(pred_lines),
-        "residual_degree": expected_rdeg,
-        "residual_kind": kind,
-        "expected_points": expected_points,
-        "concurrency": concurrency,
+        **pred.to_json(),
         "infinity_points": inf_expected,
     }
-    observed = {
-        "lines": _serialize_lines(obs_lines),
-        "residual_degree": comps.residual_degree,
-        "residual_points": residual_points,
-        "singular_points": singular_count,
-        "concurrent": concurrent_point,
-        "curve_points": curve_points,
-        "infinity_points": inf_observed,
-    }
+    observed.update(curve_points=vals.count(0), infinity_points=inf_observed)
     return DecompositionReport(
-        q, "affine", M.to_ints(), label.tag, None, None,
+        spec.q, "affine", M.to_ints(), label.tag, None, None,
         predicted, observed, not disc, disc,
     )
 
@@ -856,22 +732,15 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
 # sweeps and suites
 
 
-def _matrix3_at(spec: FieldSpec, n: int) -> fc.Matrix3:
+def _matrix_at(cls, size: int, spec: FieldSpec, n: int):
+    """The n-th matrix with size entries in base-q counting order, first
+    entry least significant."""
     q = spec.q
     vals = []
-    for _ in range(9):
+    for _ in range(size):
         vals.append(n % q)
         n //= q
-    return fc.Matrix3.from_ints(spec, vals)
-
-
-def _matrix23_at(spec: FieldSpec, n: int) -> aff.Matrix23:
-    q = spec.q
-    vals = []
-    for _ in range(6):
-        vals.append(n % q)
-        n //= q
-    return aff.Matrix23.from_ints(spec, vals)
+    return cls.from_ints(spec, vals)
 
 
 def _merge(counters: list[dict]) -> dict:
@@ -896,6 +765,24 @@ def _note_failure(counters: dict, key: str, message: str):
         counters["first_discrepancy"] = message
 
 
+def _audit_residual_bound(counters: dict, r: DecompositionReport):
+    """Point-count bound N <= (d-1)q + 1 on a report's residual curve: tight
+    for the maximal kinds, strict for the affine-filling residual."""
+    kind = r.predicted["residual_kind"]
+    if kind in MAXIMAL_KINDS or kind == fc.RESIDUAL_AFFINE_FILLING:
+        counters["audit_checked"] += 1
+        npts = r.observed["residual_points"]
+        bound = (r.predicted["residual_degree"] - 1) * r.q + 1
+        ok = npts is not None and npts <= bound and (
+            (npts == bound) == (kind in MAXIMAL_KINDS)
+        )
+        if not ok:
+            _note_failure(
+                counters, "audit_failures",
+                f"matrix {r.matrix}: residual point bound violated",
+            )
+
+
 def _fill_range(args) -> dict:
     p, e, lo, hi = args
     spec = make_field(p, e)
@@ -908,7 +795,7 @@ def _fill_range(args) -> dict:
         "first_discrepancy": None,
     }
     for n in range(lo, hi):
-        a = _matrix3_at(spec, n)
+        a = _matrix_at(fc.Matrix3, 9, spec, n)
         f = fc.build_FA(a)
         counters["checked"] += 1
         scalar = a.is_scalar()
@@ -943,7 +830,7 @@ def _case_range(args) -> dict:
         "first_discrepancy": None,
     }
     for n in range(lo, hi):
-        a = _matrix3_at(spec, n)
+        a = _matrix_at(fc.Matrix3, 9, spec, n)
         r = decomposition_report(a)
         counters["checked"] += 1
         counters["cases"][r.case] = counters["cases"].get(r.case, 0) + 1
@@ -977,19 +864,7 @@ def _case_range(args) -> dict:
                 f"matrix {a.to_ints()}: minimal==characteristic is {min_is_char} "
                 f"but nonlinear component is {has_nonlinear}",
             )
-        kind = r.predicted["residual_kind"]
-        if kind in MAXIMAL_KINDS or kind == fc.RESIDUAL_AFFINE_FILLING:
-            counters["audit_checked"] += 1
-            npts = r.observed["residual_points"]
-            bound = (r.predicted["residual_degree"] - 1) * spec.q + 1
-            ok = npts is not None and npts <= bound and (
-                (npts == bound) == (kind in MAXIMAL_KINDS)
-            )
-            if not ok:
-                _note_failure(
-                    counters, "audit_failures",
-                    f"matrix {a.to_ints()}: residual point bound violated",
-                )
+        _audit_residual_bound(counters, r)
     return counters
 
 
@@ -1070,7 +945,7 @@ def sweep_affine_filling(spec: FieldSpec) -> dict:
         "first_discrepancy": None,
     }
     for n in range(1, q**6):
-        m = _matrix23_at(spec, n)
+        m = _matrix_at(aff.Matrix23, 6, spec, n)
         g = aff.build_GM(m)
         vals = plane.values(g)
         counters["checked"] += 1
@@ -1121,7 +996,7 @@ def sweep_affine_reports(spec: FieldSpec) -> dict:
         "first_discrepancy": None,
     }
     for n in range(1, q**6):
-        m = _matrix23_at(spec, n)
+        m = _matrix_at(aff.Matrix23, 6, spec, n)
         if aff.left_quad_shape(m).tag == QUAD_IRREDUCIBLE:
             continue
         r = affine_report(m)
@@ -1132,19 +1007,7 @@ def sweep_affine_reports(spec: FieldSpec) -> dict:
                 counters, "match_failures",
                 f"matrix {m.to_ints()} ({r.case}): {r.discrepancies[0]}",
             )
-        kind = r.predicted["residual_kind"]
-        if kind is not None:
-            counters["audit_checked"] += 1
-            npts = r.observed["residual_points"]
-            bound = (r.predicted["residual_degree"] - 1) * q + 1
-            ok = npts is not None and npts <= bound and (
-                (npts == bound) == (kind in MAXIMAL_KINDS)
-            )
-            if not ok:
-                _note_failure(
-                    counters, "audit_failures",
-                    f"matrix {m.to_ints()}: residual point bound violated",
-                )
+        _audit_residual_bound(counters, r)
     counters["pass"] = counters["match_failures"] == 0 and counters["audit_failures"] == 0
     return counters
 
@@ -1191,7 +1054,7 @@ def sweep_missing_point_images(spec: FieldSpec, samples: int = 200, seed: int = 
 
 def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:
     """Named verification suites behind the command-line front end."""
-    spec = _spec_for_order(q)
+    spec = field_for_order(q)
     if name == "plane-filling":
         out = sweep_plane_filling(spec, jobs)
     elif name == "theorem-2.4":
@@ -1236,8 +1099,3 @@ def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:
         raise ValueError(f"unknown suite {name!r}")
     return out
 
-
-def _spec_for_order(q: int) -> FieldSpec:
-    from .gf import field_for_order
-
-    return field_for_order(q)

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from planefill import cli
 from planefill.cli import main
 
 
@@ -99,3 +101,53 @@ def test_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(target.read_text())["case"] == "4.1"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--samples", "0"), ("--samples", "-4"), ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "x"),
+])
+def test_counts_below_one_are_usage_errors(capsys, monkeypatch, flag, value):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a rejected count must not start a suite")
+
+    monkeypatch.setattr(cli.verify, "run_suite", no_suite)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--q", "2", "--suite", "collinear", flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_bad_max_q_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("FILLCURVE_MAX_Q", "abc")
+    code = main(["classify", "--q", "2", "--matrix", "0,1,0,0,0,1,0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "FILLCURVE_MAX_Q" in captured.err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+        code = main(["atlas", "--q", "2", "--family", "projective"])
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert capsys.readouterr().err == ""

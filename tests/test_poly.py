@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from planefill.gf import make_field
 from planefill.poly import (
     CUBIC_DOUBLE_PLUS_SIMPLE,
     CUBIC_IRREDUCIBLE,
@@ -98,6 +99,13 @@ def test_irreducibility_examples():
     assert is_irreducible(poly(3, (2, 2, 0, 1)))  # t^3 - t - 1
     with pytest.raises(ValueError):
         is_irreducible(poly(3, (2,)))
+
+
+def test_irreducibility_checks_every_prime_divisor_of_the_degree():
+    # t^11 - t vanishes on all of GF(11); only the prime 11 divides the degree
+    f = UniPoly(make_field(11), (0, 10) + (0,) * 9 + (1,))
+    assert f.degree == 11
+    assert not is_irreducible(f)
 
 
 def test_irreducibility_degree_four_against_trial_division():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -227,3 +228,78 @@ def test_affine_report_transported_instance():
         m = aff.apply_transform(base, t)
         r = vf.affine_report(m)
         assert r.match, r.discrepancies
+
+
+# ---------------------------------------------------------------------------
+# the audit must report a wrong prediction, not only pass a right one
+
+
+def _drop_first_line(real):
+    def wrong(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        return dataclasses.replace(plan, lines=plan.lines[1:])
+
+    return wrong
+
+
+def test_projective_report_flags_a_missing_line(monkeypatch):
+    monkeypatch.setattr(fc, "predicted_decomposition", _drop_first_line(fc.predicted_decomposition))
+    a = fc.Matrix3.from_ints(field(3), [1, 1, 0, 1, 0, 0, 0, 0, 0])  # case 1
+    r = vf.decomposition_report(a)
+    assert r.match is False
+    assert r.discrepancies[0].startswith("lines differ: observed [[[0, 0, 1], 1]], predicted []")
+    assert r.observed["lines"] == [[[0, 0, 1], 1]] and r.predicted["lines"] == []
+
+
+def test_sweep_counts_report_mismatches(monkeypatch):
+    monkeypatch.setattr(fc, "predicted_decomposition", _drop_first_line(fc.predicted_decomposition))
+    out = vf.sweep_case_reports(field(2))
+    assert out["pass"] is False
+    assert out["match_failures"] > 0
+    assert "lines differ" in out["first_discrepancy"]
+
+
+def test_affine_report_flags_a_missing_line(monkeypatch):
+    real = vf._affine_canonical_structure
+
+    def wrong(label):
+        lines, *rest = real(label)
+        return (lines[1:], *rest)
+
+    monkeypatch.setattr(vf, "_affine_canonical_structure", wrong)
+    r = vf.affine_report(aff.Matrix23.from_ints(field(3), [0, 0, 1, 1, 0, 0]))  # I-2
+    assert r.case == aff.AFFINE_I2
+    assert r.match is False
+    assert any(d.startswith("lines differ") for d in r.discrepancies)
+    assert len(r.observed["lines"]) == 1 and r.predicted["lines"] == []
+
+
+def test_report_flags_zero_polynomial_of_a_non_scalar(monkeypatch):
+    monkeypatch.setattr(fc, "build_FA", lambda A: HomogPoly.zero(A.spec, A.spec.q + 2))
+    r = vf.decomposition_report(fc.Matrix3.from_ints(field(3), [0, 1, 0, 0, 0, 1, 0, 0, 0]))
+    assert r.match is False
+    assert r.discrepancies == ["non-scalar matrix gave the zero polynomial"]
+    assert r.observed["zero_polynomial"] is True
+    assert r.predicted["zero_polynomial"] is False
+
+
+def test_report_flags_nonzero_polynomial_of_a_scalar(monkeypatch):
+    spec = field(3)
+    monkeypatch.setattr(fc, "build_FA", lambda A: fc.build_UVW(spec)[2])
+    r = vf.decomposition_report(fc.Matrix3.identity(spec))
+    assert r.match is False
+    assert r.discrepancies == ["scalar matrix gave a nonzero polynomial"]
+    assert r.observed["zero_polynomial"] is False
+
+
+def test_residual_bound_audit_flags_too_many_points():
+    spec = field(3)
+    r = vf.decomposition_report(fc.Matrix3.from_ints(spec, [0, 0, 1, 1, 0, 0, 0, 0, 0]))
+    assert r.predicted["residual_kind"] == fc.RESIDUAL_MAX_Q_PLUS_1
+    counters = {"audit_checked": 0, "audit_failures": 0, "first_discrepancy": None}
+    vf._audit_residual_bound(counters, r)
+    assert counters == {"audit_checked": 1, "audit_failures": 0, "first_discrepancy": None}
+    r.observed["residual_points"] += 1
+    vf._audit_residual_bound(counters, r)
+    assert counters["audit_checked"] == 2 and counters["audit_failures"] == 1
+    assert counters["first_discrepancy"].endswith("residual point bound violated")

@@ -8,6 +8,7 @@ scratch and compares them with the transported canonical predictions.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -783,38 +784,6 @@ def _audit_residual_bound(counters: dict, r: DecompositionReport):
             )
 
 
-def _fill_range(args) -> dict:
-    p, e, lo, hi = args
-    spec = make_field(p, e)
-    plane = _plane_for(spec)
-    counters = {
-        "checked": 0,
-        "scalars": 0,
-        "fill_failures": 0,
-        "kernel_failures": 0,
-        "first_discrepancy": None,
-    }
-    for n in range(lo, hi):
-        a = _matrix_at(fc.Matrix3, 9, spec, n)
-        f = fc.build_FA(a)
-        counters["checked"] += 1
-        scalar = a.is_scalar()
-        if scalar:
-            counters["scalars"] += 1
-        if f.is_zero() != scalar:
-            _note_failure(
-                counters, "kernel_failures",
-                f"matrix {a.to_ints()}: zero polynomial iff scalar violated",
-            )
-            continue
-        if not scalar and any(plane.values(f)):
-            _note_failure(
-                counters, "fill_failures",
-                f"matrix {a.to_ints()}: curve misses a rational point",
-            )
-    return counters
-
-
 def _case_range(args) -> dict:
     p, e, lo, hi = args
     spec = make_field(p, e)
@@ -876,6 +845,9 @@ def _ranges(total: int, jobs: int):
 
 
 def _run_ranges(worker, spec: FieldSpec, total: int, jobs: int) -> dict:
+    """worker((p, e, lo, hi)) over [0, total) in chunks, on at most
+    os.cpu_count() processes; the counters merge in counting order."""
+    jobs = min(jobs, os.cpu_count() or 1)
     args = [(spec.p, spec.e, lo, hi) for lo, hi in _ranges(total, jobs)]
     if jobs <= 1:
         parts = [worker(a) for a in args]
@@ -887,8 +859,11 @@ def _run_ranges(worker, spec: FieldSpec, total: int, jobs: int) -> dict:
 
 def sweep_plane_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     """Every non-scalar matrix fills the plane; the zero polynomial happens
-    exactly for scalars."""
-    out = _run_ranges(_fill_range, spec, spec.q**9, jobs)
+    exactly for scalars.  Runs on the packed kernel of planefill.batch."""
+    # batch imports this module, and only the two packed sweeps need it
+    from . import batch
+
+    out = _run_ranges(batch.fill_range, spec, spec.q**9, jobs)
     out["pass"] = out["fill_failures"] == 0 and out["kernel_failures"] == 0
     return out
 
@@ -903,6 +878,18 @@ def sweep_case_reports(spec: FieldSpec, jobs: int = 1) -> dict:
         and out["minpoly_criterion_failures"] == 0
         and out["audit_failures"] == 0
     )
+    return out
+
+
+def sweep_irreducibility_cycle(spec: FieldSpec, jobs: int = 1) -> dict:
+    """Theorem 2.4 on every non-scalar matrix: irreducible characteristic
+    polynomial <=> no rational linear component <=> no singular rational
+    point.  Lines and singular points come from the packed kernel of
+    planefill.batch, irreducibility from fillcurve.classify."""
+    from . import batch
+
+    out = _run_ranges(batch.cycle_range, spec, spec.q**9, jobs)
+    out["pass"] = out["cycle_failures"] == 0
     return out
 
 
@@ -930,10 +917,9 @@ def sweep_case_representatives(spec: FieldSpec) -> dict:
     return counters
 
 
-def sweep_affine_filling(spec: FieldSpec) -> dict:
-    """Exhaustive over nonzero 2x3 matrices: the left-block quadratic is
-    irreducible exactly when the curve's rational points are the affine
-    plane, and each filling curve has one singular rational point."""
+def _affine_fill_range(args) -> dict:
+    p, e, lo, hi = args
+    spec = make_field(p, e)
     q = spec.q
     plane = _plane_for(spec)
     counters = {
@@ -944,7 +930,7 @@ def sweep_affine_filling(spec: FieldSpec) -> dict:
         "singular_failures": 0,
         "first_discrepancy": None,
     }
-    for n in range(1, q**6):
+    for n in range(max(lo, 1), hi):
         m = _matrix_at(aff.Matrix23, 6, spec, n)
         g = aff.build_GM(m)
         vals = plane.values(g)
@@ -975,18 +961,25 @@ def sweep_affine_filling(spec: FieldSpec) -> dict:
                     counters, "iff_failures",
                     f"matrix {m.to_ints()}: filling curve lost a rational linear component",
                 )
-    counters["pass"] = (
-        counters["iff_failures"] == 0
-        and counters["coverage_failures"] == 0
-        and counters["singular_failures"] == 0
-    )
     return counters
 
 
-def sweep_affine_reports(spec: FieldSpec) -> dict:
-    """Oracle reports for every nonzero degenerate 2x3 matrix, plus the
-    residual point-count audits."""
-    q = spec.q
+def sweep_affine_filling(spec: FieldSpec, jobs: int = 1) -> dict:
+    """Exhaustive over nonzero 2x3 matrices: the left-block quadratic is
+    irreducible exactly when the curve's rational points are the affine
+    plane, and each filling curve has one singular rational point."""
+    out = _run_ranges(_affine_fill_range, spec, spec.q**6, jobs)
+    out["pass"] = (
+        out["iff_failures"] == 0
+        and out["coverage_failures"] == 0
+        and out["singular_failures"] == 0
+    )
+    return out
+
+
+def _affine_report_range(args) -> dict:
+    p, e, lo, hi = args
+    spec = make_field(p, e)
     counters = {
         "checked": 0,
         "match_failures": 0,
@@ -995,7 +988,7 @@ def sweep_affine_reports(spec: FieldSpec) -> dict:
         "labels": {},
         "first_discrepancy": None,
     }
-    for n in range(1, q**6):
+    for n in range(max(lo, 1), hi):
         m = _matrix_at(aff.Matrix23, 6, spec, n)
         if aff.left_quad_shape(m).tag == QUAD_IRREDUCIBLE:
             continue
@@ -1008,8 +1001,15 @@ def sweep_affine_reports(spec: FieldSpec) -> dict:
                 f"matrix {m.to_ints()} ({r.case}): {r.discrepancies[0]}",
             )
         _audit_residual_bound(counters, r)
-    counters["pass"] = counters["match_failures"] == 0 and counters["audit_failures"] == 0
     return counters
+
+
+def sweep_affine_reports(spec: FieldSpec, jobs: int = 1) -> dict:
+    """Oracle reports for every nonzero degenerate 2x3 matrix, plus the
+    residual point-count audits."""
+    out = _run_ranges(_affine_report_range, spec, spec.q**6, jobs)
+    out["pass"] = out["match_failures"] == 0 and out["audit_failures"] == 0
+    return out
 
 
 def sweep_missing_point_images(spec: FieldSpec, samples: int = 200, seed: int = 20260811) -> dict:
@@ -1058,21 +1058,15 @@ def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:
     if name == "plane-filling":
         out = sweep_plane_filling(spec, jobs)
     elif name == "theorem-2.4":
-        full = sweep_case_reports(spec, jobs)
-        out = {
-            "checked": full["checked"],
-            "cycle_failures": full["cycle_failures"],
-            "first_discrepancy": full["first_discrepancy"],
-            "pass": full["cycle_failures"] == 0,
-        }
+        out = sweep_irreducibility_cycle(spec, jobs)
     elif name == "theorem-4":
         if q <= 4:
             out = sweep_case_reports(spec, jobs)
         else:
             out = sweep_case_representatives(spec)
     elif name == "affine-6":
-        filling = sweep_affine_filling(spec)
-        reports = sweep_affine_reports(spec)
+        filling = sweep_affine_filling(spec, jobs)
+        reports = sweep_affine_reports(spec, jobs)
         out = {
             "filling": filling,
             "reports": reports,
@@ -1082,7 +1076,7 @@ def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:
         proj = (
             sweep_case_reports(spec, jobs) if q <= 4 else sweep_case_representatives(spec)
         )
-        affr = sweep_affine_reports(spec)
+        affr = sweep_affine_reports(spec, jobs)
         out = {
             "projective_audits": proj.get("audit_checked", 0),
             "affine_audits": affr["audit_checked"],

@@ -303,3 +303,61 @@ def test_residual_bound_audit_flags_too_many_points():
     vf._audit_residual_bound(counters, r)
     assert counters["audit_checked"] == 2 and counters["audit_failures"] == 1
     assert counters["first_discrepancy"].endswith("residual point bound violated")
+
+
+# ---------------------------------------------------------------------------
+# worker processes: --jobs is clamped, and every exhaustive sweep uses it
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested process
+    count and maps in this process, so no worker is started."""
+
+    created = []
+
+    def __init__(self, processes):
+        RecordingPool.created.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return [fn(a) for a in args]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(vf, "Pool", RecordingPool)
+    monkeypatch.setattr(vf.os, "cpu_count", lambda: 3)
+    RecordingPool.created = []
+    return RecordingPool.created
+
+
+def test_jobs_are_clamped_to_the_cpu_count(recording_pool):
+    out = vf.run_suite("plane-filling", 2, jobs=5000)
+    assert recording_pool == [3]
+    assert out == vf.run_suite("plane-filling", 2, jobs=1)
+    assert recording_pool == [3]
+
+
+def test_unknown_cpu_count_runs_in_process(recording_pool, monkeypatch):
+    monkeypatch.setattr(vf.os, "cpu_count", lambda: None)
+    assert vf.run_suite("plane-filling", 2, jobs=2)["pass"]
+    assert recording_pool == []
+
+
+def test_affine_suites_use_a_pool(recording_pool):
+    assert vf.run_suite("affine-6", 2, jobs=2)["pass"]
+    assert recording_pool == [2, 2]
+    assert vf.run_suite("sziklai", 2, jobs=2)["pass"]
+    assert recording_pool == [2, 2, 2, 2]
+
+
+def test_affine_summaries_do_not_depend_on_jobs():
+    one = vf.run_suite("affine-6", 3, jobs=1)
+    two = vf.run_suite("affine-6", 3, jobs=2)
+    assert json.dumps(one) == json.dumps(two)
+    assert one["filling"]["checked"] == 3**6 - 1

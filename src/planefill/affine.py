@@ -5,13 +5,15 @@ A 2x3 matrix M over GF(q) defines the curve
 all of A^2(F_q) and fills it exactly when the binary quadratic built from
 the left 2x2 block of M is irreducible.  Degenerate matrices are reduced
 constructively to one of eight canonical shapes by transformations fixing
-the line z = 0.
+the line z = 0, and each canonical shape comes with its predicted
+decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import fillcurve as fc
 from .gf import FieldSpec, _coerce
 from .homog import HomogPoly, ProjPoint
 from .poly import (
@@ -390,3 +392,100 @@ def classify_affine(M: Matrix23) -> AffineLabel:
         return AffineLabel(AFFINE_FILLING, M, BTransform.identity(M.spec))
     canonical, witness = reduce_to_canonical(M)
     return AffineLabel(tag, canonical, witness)
+
+
+# ---------------------------------------------------------------------------
+# predicted decomposition
+
+
+@dataclass(frozen=True)
+class AffinePlan:
+    """Predicted splitting of the curve of a canonical 2x3 matrix: lines
+    with multiplicity, the residual, the concurrency of the lines and the
+    number of rational points at infinity."""
+
+    lines: tuple
+    residual: fc.ResidualSpec | None
+    concurrency: str | None
+    infinity_points: int
+
+
+def predicted_decomposition(label: AffineLabel) -> AffinePlan:
+    """The splitting of the curve of ``label.canonical``.
+
+    The shapes come from expanding the curve polynomial of each canonical
+    form; the residual equations are written out directly.
+    """
+    n = label.canonical
+    spec = n.spec
+    q = spec.q
+    neg = spec._neg
+    x = HomogPoly.linear_form(spec, (1, 0, 0))
+    y = HomogPoly.linear_form(spec, (0, 1, 0))
+    z = HomogPoly.linear_form(spec, (0, 0, 1))
+
+    def fan(base, other):
+        # lines base - lam*other for nonzero lam
+        out = []
+        for lam in range(1, q):
+            coeffs = [0, 0, 0]
+            coeffs[base] = 1
+            coeffs[other] = neg[lam]
+            out.append((HomogPoly.linear_form(spec, coeffs), 1))
+        return out
+
+    tag = label.tag
+    if tag == AFFINE_FILLING:
+        return AffinePlan((), fc.ResidualSpec(fc.RESIDUAL_AFFINE_FILLING, build_GM(n)), None, 0)
+    if tag == AFFINE_I1:
+        a1 = n.rows_int[0][1]
+        b0 = n.rows_int[1][0]
+        eq = HomogPoly(
+            spec,
+            q - 1,
+            {
+                (q - 1, 0, 0): a1,
+                (0, q - 1, 0): b0,
+                (0, 0, q - 1): neg[spec._add[a1][b0]],
+            },
+        )
+        residual = fc.ResidualSpec(fc.RESIDUAL_MAX_Q_MINUS_1, eq)
+        return AffinePlan(((x, 1), (y, 1)), residual, None, 2)
+    if tag == AFFINE_I2:
+        a1 = n.rows_int[0][1]
+        b2 = n.rows_int[1][2]
+        eq = HomogPoly(
+            spec,
+            q,
+            {
+                (q, 0, 0): a1,
+                (1, 0, q - 1): neg[a1],
+                (0, q - 1, 1): b2,
+                (0, 0, q): neg[b2],
+            },
+        )
+        return AffinePlan(((y, 1),), fc.ResidualSpec(fc.RESIDUAL_MAX_Q, eq), None, 2)
+    if tag == AFFINE_I3:
+        return AffinePlan(((y, 1), (x, 1), *fan(0, 2)), None, fc.CONCURRENT_ALL_BUT_ONE, 2)
+    if tag == AFFINE_II1:
+        a0 = n.rows_int[0][0]
+        a1 = n.rows_int[0][1]
+        eq = HomogPoly(
+            spec,
+            q,
+            {
+                (q, 0, 0): a0,
+                (1, 0, q - 1): neg[a0],
+                (q - 1, 1, 0): a1,
+                (0, q, 0): neg[a1],
+            },
+        )
+        return AffinePlan(((x, 1),), fc.ResidualSpec(fc.RESIDUAL_MAX_Q, eq), None, 1)
+    if tag == AFFINE_II2:
+        return AffinePlan((), fc.ResidualSpec(fc.RESIDUAL_MAX_Q_PLUS_1, build_GM(n)), None, 1)
+    if tag == AFFINE_II3:
+        return AffinePlan(((x, 2), *fan(0, 2)), None, fc.CONCURRENT_ALL, 1)
+    if tag == AFFINE_III1:
+        return AffinePlan(((x, 1), (y, 1), *fan(0, 1)), None, fc.CONCURRENT_ALL, q + 1)
+    # III-3
+    return AffinePlan(((x, 1), (z, 1), *fan(0, 2)), None, fc.CONCURRENT_ALL, q + 1)

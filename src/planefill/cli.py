@@ -144,17 +144,8 @@ def cmd_atlas(args) -> int:
 
 def cmd_verify(args) -> int:
     summary = verify.run_suite(args.suite, args.q, jobs=args.jobs, samples=args.samples)
-    payload = {"suite": args.suite, "q": args.q, **_jsonable(summary)}
-    _emit(payload, args.out)
+    _emit({"suite": args.suite, "q": args.q, **summary}, args.out)
     return 0 if summary["pass"] else 1
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 class SystemExit2(Exception):

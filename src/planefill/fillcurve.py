@@ -42,9 +42,11 @@ CASE_4_2 = "4.2"
 CASE_4_3 = "4.3"
 
 RESIDUAL_AFFINE_FILLING = "affine_filling"
+RESIDUAL_PLANE_FILLING = "plane_filling"
 RESIDUAL_MAX_Q_PLUS_1 = "maximal_q_plus_1"
 RESIDUAL_MAX_Q = "maximal_q"
 RESIDUAL_MAX_Q_MINUS_1 = "maximal_q_minus_1"
+MAXIMAL_KINDS = (RESIDUAL_MAX_Q_PLUS_1, RESIDUAL_MAX_Q, RESIDUAL_MAX_Q_MINUS_1)
 
 CONCURRENT_ALL = "all"
 CONCURRENT_ALL_BUT_ONE = "all_but_one"
@@ -491,15 +493,39 @@ def rcf_similarity(
 # predicted decomposition
 
 
+def point_bound(degree: int, q: int) -> int:
+    """The bound (d-1)q + 1 on the rational points of a degree-d curve
+    without rational linear components."""
+    return (degree - 1) * q + 1
+
+
 @dataclass(frozen=True)
 class ResidualSpec:
-    """The nonlinear part of a predicted decomposition, in canonical
-    coordinates."""
+    """The nonlinear part of a predicted decomposition.
 
-    degree: int
+    The kind fixes the counts: the maximal kinds and the whole plane-filling
+    curve meet the point bound exactly and have no singular rational point;
+    the affine-filling curve has the q^2 affine points and one singular
+    rational point.
+    """
+
     kind: str
-    expected_points: int
     equation: HomogPoly
+
+    @property
+    def degree(self) -> int:
+        return self.equation.degree
+
+    @property
+    def expected_points(self) -> int:
+        q = self.equation.spec.q
+        if self.kind == RESIDUAL_AFFINE_FILLING:
+            return q * q
+        return point_bound(self.degree, q)
+
+    @property
+    def expected_singular_points(self) -> int:
+        return 1 if self.kind == RESIDUAL_AFFINE_FILLING else 0
 
 
 @dataclass(frozen=True)
@@ -565,7 +591,7 @@ def predicted_decomposition(
                 (1, q, 0): neg[alpha],
             },
         )
-        residual = ResidualSpec(q + 1, RESIDUAL_AFFINE_FILLING, q * q, eq)
+        residual = ResidualSpec(RESIDUAL_AFFINE_FILLING, eq)
         return DecompositionPlan(label, ((z, 1),), residual, None, C, S)
 
     if label.tag == CASE_2:
@@ -579,7 +605,7 @@ def predicted_decomposition(
                 (0, 0, q - 1): spec._sub[a2][a1],
             },
         )
-        residual = ResidualSpec(q - 1, RESIDUAL_MAX_Q_MINUS_1, (q - 2) * q + 1, eq)
+        residual = ResidualSpec(RESIDUAL_MAX_Q_MINUS_1, eq)
         return DecompositionPlan(
             label, ((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT, C, S
         )
@@ -596,7 +622,7 @@ def predicted_decomposition(
                 (0, q, 0): neg[beta_p],
             },
         )
-        residual = ResidualSpec(q, RESIDUAL_MAX_Q, (q - 1) * q + 1, eq)
+        residual = ResidualSpec(RESIDUAL_MAX_Q, eq)
         return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None, C, S)
 
     if label.tag == CASE_3_2:
@@ -618,7 +644,7 @@ def predicted_decomposition(
                 (0, q + 1, 0): neg[1],
             },
         )
-        residual = ResidualSpec(q + 1, RESIDUAL_MAX_Q_PLUS_1, q * q + 1, eq)
+        residual = ResidualSpec(RESIDUAL_MAX_Q_PLUS_1, eq)
         return DecompositionPlan(label, ((x, 1),), residual, None, C, S)
 
     # CASE_4_2: a double line and q simple lines through one point
@@ -645,23 +671,25 @@ class EquivKey:
     key: tuple | None
 
 
-def _pair_key(f: UniPoly, m: UniPoly) -> tuple:
-    spec = f.spec
-    best = None
-    for rho in range(1, spec.q):
-        for mu in range(spec.q):
-            ft = f.affine_transform(rho, mu)
-            mt = m.affine_transform(rho, mu)
-            cand = (len(mt.coeffs), ft.coeffs, mt.coeffs)
-            if best is None or cand < best:
-                best = cand
-    return best
+def _orbit(f: UniPoly, m: UniPoly) -> set:
+    """The (characteristic, minimal) coefficient pairs of rho*A + mu*E over
+    all nonzero rho and all mu, for A with polynomials f and m."""
+    q = f.spec.q
+    return {
+        (f.affine_transform(rho, mu).coeffs, m.affine_transform(rho, mu).coeffs)
+        for rho in range(1, q)
+        for mu in range(q)
+    }
+
+
+def _pair_key(orbit: set) -> tuple:
+    return min((len(mk), fk, mk) for fk, mk in orbit)
 
 
 def equiv_key(A: Matrix3) -> EquivKey:
     if A.is_scalar():
         return EquivKey(True, None)
-    return EquivKey(False, _pair_key(charpoly(A), minpoly(A)))
+    return EquivKey(False, _pair_key(_orbit(charpoly(A), minpoly(A))))
 
 
 # ---------------------------------------------------------------------------
@@ -739,20 +767,12 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
         f = UniPoly(spec, (c0, c1, c2, 1))
         shape = cubic_shape(f)
         for tag, m, C in _case_variants(spec, f, shape):
-            key = EquivKey(False, _pair_key(f, m))
-            if key in seen:
+            if (f.coeffs, m.coeffs) in seen:
                 continue
-            seen.add(key)
-            images = set()
-            for rho in range(1, q):
-                for mu in range(q):
-                    images.add(
-                        (
-                            f.affine_transform(rho, mu).coeffs,
-                            m.affine_transform(rho, mu).coeffs,
-                        )
-                    )
+            orbit = _orbit(f, m)
+            seen |= orbit
+            key = EquivKey(False, _pair_key(orbit))
             out.append(
-                ClassRepresentative(key, C, tag, _class_size(spec, tag) * len(images))
+                ClassRepresentative(key, C, tag, _class_size(spec, tag) * len(orbit))
             )
     return out

@@ -29,19 +29,13 @@ from .homog import (
 )
 from .poly import QUAD_IRREDUCIBLE
 
-MAXIMAL_KINDS = (
-    fc.RESIDUAL_MAX_Q_PLUS_1,
-    fc.RESIDUAL_MAX_Q,
-    fc.RESIDUAL_MAX_Q_MINUS_1,
-)
-
 
 # ---------------------------------------------------------------------------
 # the plane: points, lines, cached monomial columns
 
 
 class _Plane:
-    __slots__ = ("spec", "points", "point_index", "lines", "line_coeffs", "_mono", "affine_idx", "infinity_idx")
+    __slots__ = ("spec", "points", "lines", "line_coeffs", "_mono", "affine_idx", "infinity_idx")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -52,7 +46,6 @@ class _Plane:
             + [(0, 0, 1)]
         )
         self.points = [ProjPoint(spec, t) for t in triples]
-        self.point_index = {p.key: i for i, p in enumerate(self.points)}
         self.line_coeffs = list(triples)
         self.lines = [HomogPoly.linear_form(spec, t) for t in triples]
         self.affine_idx = [i for i, p in enumerate(self.points) if p.key[2]]
@@ -288,7 +281,7 @@ def sziklai_audit(f: HomogPoly) -> dict:
         raise ValueError("the bound only applies without rational linear components")
     q = f.spec.q
     n = count_points(f)
-    bound = (f.degree - 1) * q + 1
+    bound = fc.point_bound(f.degree, q)
     return {
         "points": n,
         "bound": bound,
@@ -409,21 +402,31 @@ class _Prediction(NamedTuple):
     """A predicted decomposition, transported to the curve's coordinates."""
 
     lines: list  # (normalized line coefficients, multiplicity)
-    residual_degree: int
-    residual: HomogPoly | None  # the residual equation, up to a scalar
-    kind: str | None
-    points: int | None  # rational points on the residual
-    singulars: int | None  # singular rational points on the residual
+    residual: fc.ResidualSpec | None  # its equation holds up to a scalar
     concurrency: str | None
 
     def to_json(self) -> dict:
+        res = self.residual
         return {
             "lines": _serialize_lines(self.lines),
-            "residual_degree": self.residual_degree,
-            "residual_kind": self.kind,
-            "expected_points": self.points,
+            "residual_degree": res.degree if res else 0,
+            "residual_kind": res.kind if res else None,
+            "expected_points": res.expected_points if res else None,
             "concurrency": self.concurrency,
         }
+
+
+def _transport(plan, rows, spec: FieldSpec) -> _Prediction:
+    """Carry the lines, residual and concurrency of a canonical plan
+    through the substitution x -> rows*x."""
+    res = plan.residual
+    return _Prediction(
+        lines=[(_transport_line(l.line_coeffs(), rows, spec), m) for l, m in plan.lines],
+        residual=None if res is None else fc.ResidualSpec(
+            res.kind, linear_substitute(res.equation, rows)
+        ),
+        concurrency=plan.concurrency,
+    )
 
 
 def _audit(f: HomogPoly, pred: _Prediction, disc: list) -> dict:
@@ -440,23 +443,24 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list) -> dict:
         disc.append(
             f"lines differ: observed {_serialize_lines(obs_lines)}, predicted {_serialize_lines(pred.lines)}"
         )
-    if comps.residual_degree != pred.residual_degree:
-        disc.append(
-            f"residual degree {comps.residual_degree}, predicted {pred.residual_degree}"
-        )
+    res = pred.residual
+    pred_degree = res.degree if res else 0
+    if comps.residual_degree != pred_degree:
+        disc.append(f"residual degree {comps.residual_degree}, predicted {pred_degree}")
 
     residual_points = None
     singular_count = None
-    if pred.residual_degree > 0 and comps.residual_degree == pred.residual_degree:
-        if pred.residual is not None and scalar_ratio(comps.residual, pred.residual) is None:
+    if res and comps.residual_degree == res.degree:
+        if scalar_ratio(comps.residual, res.equation) is None:
             disc.append("residual equation is not a scalar multiple of the transported prediction")
         residual_points = _plane_for(spec).values(comps.residual).count(0)
-        if pred.points is not None and residual_points != pred.points:
-            disc.append(f"residual has {residual_points} points, expected {pred.points}")
+        if residual_points != res.expected_points:
+            disc.append(f"residual has {residual_points} points, expected {res.expected_points}")
         singular_count = len(singular_Fq_points(comps.residual))
-        if pred.singulars is not None and singular_count != pred.singulars:
+        if singular_count != res.expected_singular_points:
             disc.append(
-                f"residual has {singular_count} singular rational points, expected {pred.singulars}"
+                f"residual has {singular_count} singular rational points, "
+                f"expected {res.expected_singular_points}"
             )
 
     concurrent_point = None
@@ -533,33 +537,16 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
         return report(predicted, observed)
 
     if label.tag == fc.CASE_NONSINGULAR:
-        pred = _Prediction(
-            lines=[], residual_degree=q + 2, residual=f_a, kind="plane_filling",
-            points=q * q + q + 1, singulars=0, concurrency=None,
-        )
+        pred = _Prediction([], fc.ResidualSpec(fc.RESIDUAL_PLANE_FILLING, f_a), None)
     else:
         plan = fc.predicted_decomposition(A, label=label, f=cp)
-        t_inv = _mat3_transpose(_mat3_inv(plan.transform.rows_int, spec))
-        res = plan.residual
-        pred = _Prediction(
-            lines=[(_transport_line(l.line_coeffs(), t_inv, spec), m) for l, m in plan.lines],
-            residual_degree=res.degree if res else 0,
-            residual=linear_substitute(res.equation, t_inv) if res else None,
-            kind=res.kind if res else None,
-            points=res.expected_points if res else None,
-            singulars=None if res is None else (1 if res.kind == fc.RESIDUAL_AFFINE_FILLING else 0),
-            concurrency=plan.concurrency,
-        )
+        pred = _transport(plan, _mat3_transpose(_mat3_inv(plan.transform.rows_int, spec)), spec)
     observed = _audit(f_a, pred, disc)
 
     fvals = _plane_for(spec).values(f_a)
-    if label.tag == fc.CASE_NONSINGULAR:
-        curve_singular = (observed["singular_points"] or 0) > 0
-    else:
-        curve_singular = bool(singular_Fq_points(f_a, fvals))
     observed.update(
         curve_points=fvals.count(0),
-        curve_singular=curve_singular,
+        curve_singular=bool(singular_Fq_points(f_a, fvals)),
         zero_polynomial=False,
     )
     return report({**pred.to_json(), "zero_polynomial": False}, observed)
@@ -567,92 +554,6 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
 
 # ---------------------------------------------------------------------------
 # the affine family
-
-
-def _affine_canonical_structure(label: aff.AffineLabel):
-    """Lines, residual, kind, expected counts for the canonical matrix.
-
-    The concrete shapes come from expanding the curve polynomial of each
-    canonical form; the residual equations are written out directly.
-    """
-    n = label.canonical
-    spec = n.spec
-    q = spec.q
-    neg = spec._neg
-    x = HomogPoly.linear_form(spec, (1, 0, 0))
-    y = HomogPoly.linear_form(spec, (0, 1, 0))
-    z = HomogPoly.linear_form(spec, (0, 0, 1))
-
-    def fan(base, other):
-        # lines base - lam*other for nonzero lam
-        out = []
-        for lam in range(1, q):
-            coeffs = [0, 0, 0]
-            coeffs[base] = 1
-            coeffs[other] = neg[lam]
-            out.append((HomogPoly.linear_form(spec, coeffs), 1))
-        return out
-
-    tag = label.tag
-    if tag == aff.AFFINE_FILLING:
-        eq = aff.build_GM(n)
-        return (), eq, fc.RESIDUAL_AFFINE_FILLING, q * q, 1, None, 0
-    if tag == aff.AFFINE_I1:
-        a1 = n.rows_int[0][1]
-        b0 = n.rows_int[1][0]
-        eq = HomogPoly(
-            spec,
-            q - 1,
-            {
-                (q - 1, 0, 0): a1,
-                (0, q - 1, 0): b0,
-                (0, 0, q - 1): neg[spec._add[a1][b0]],
-            },
-        )
-        return ((x, 1), (y, 1)), eq, fc.RESIDUAL_MAX_Q_MINUS_1, (q - 2) * q + 1, 0, None, 2
-    if tag == aff.AFFINE_I2:
-        a1 = n.rows_int[0][1]
-        b2 = n.rows_int[1][2]
-        eq = HomogPoly(
-            spec,
-            q,
-            {
-                (q, 0, 0): a1,
-                (1, 0, q - 1): neg[a1],
-                (0, q - 1, 1): b2,
-                (0, 0, q): neg[b2],
-            },
-        )
-        return ((y, 1),), eq, fc.RESIDUAL_MAX_Q, (q - 1) * q + 1, 0, None, 2
-    if tag == aff.AFFINE_I3:
-        lines = ((y, 1), (x, 1), *fan(0, 2))
-        return lines, None, None, None, None, fc.CONCURRENT_ALL_BUT_ONE, 2
-    if tag == aff.AFFINE_II1:
-        a0 = n.rows_int[0][0]
-        a1 = n.rows_int[0][1]
-        eq = HomogPoly(
-            spec,
-            q,
-            {
-                (q, 0, 0): a0,
-                (1, 0, q - 1): neg[a0],
-                (q - 1, 1, 0): a1,
-                (0, q, 0): neg[a1],
-            },
-        )
-        return ((x, 1),), eq, fc.RESIDUAL_MAX_Q, (q - 1) * q + 1, 0, None, 1
-    if tag == aff.AFFINE_II2:
-        eq = aff.build_GM(n)
-        return (), eq, fc.RESIDUAL_MAX_Q_PLUS_1, q * q + 1, 0, None, 1
-    if tag == aff.AFFINE_II3:
-        lines = ((x, 2), *fan(0, 2))
-        return lines, None, None, None, None, fc.CONCURRENT_ALL, 1
-    if tag == aff.AFFINE_III1:
-        lines = ((x, 1), (y, 1), *fan(0, 1))
-        return lines, None, None, None, None, fc.CONCURRENT_ALL, q + 1
-    # III-3
-    lines = ((x, 1), (z, 1), *fan(0, 2))
-    return lines, None, None, None, None, fc.CONCURRENT_ALL, q + 1
 
 
 def affine_report(M: aff.Matrix23) -> DecompositionReport:
@@ -669,9 +570,7 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
     label = aff.classify_affine(M)
     disc: list[str] = []
 
-    lines_c, residual_c, kind, expected_points, expected_singulars, concurrency, inf_expected = (
-        _affine_canonical_structure(label)
-    )
+    plan = aff.predicted_decomposition(label)
 
     if label.tag != aff.AFFINE_FILLING:
         if aff.apply_transform(M, label.witness).rows_int != label.canonical.rows_int:
@@ -683,23 +582,15 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
     else:
         t_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    pred = _Prediction(
-        lines=[(_transport_line(l.line_coeffs(), t_rows, spec), m) for l, m in lines_c],
-        residual_degree=residual_c.degree if residual_c is not None else 0,
-        residual=linear_substitute(residual_c, t_rows) if residual_c is not None else None,
-        kind=kind,
-        points=expected_points,
-        singulars=expected_singulars,
-        concurrency=concurrency,
-    )
+    pred = _transport(plan, t_rows, spec)
     observed = _audit(g_m, pred, disc)
 
     vals = plane.values(g_m)
     if any(vals[i] for i in plane.affine_idx):
         disc.append("curve misses an affine rational point")
     inf_observed = sum(1 for i in plane.infinity_idx if vals[i] == 0)
-    if inf_observed != inf_expected:
-        disc.append(f"{inf_observed} points at infinity, expected {inf_expected}")
+    if inf_observed != plan.infinity_points:
+        disc.append(f"{inf_observed} points at infinity, expected {plan.infinity_points}")
     inf_set = {plane.points[i].key for i in plane.infinity_idx if vals[i] == 0}
     if {p.key for p in aff.points_at_infinity(M)} != inf_set:
         disc.append("points at infinity disagree with the left-block quadratic roots")
@@ -720,7 +611,7 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
             "lam": label.witness.lam,
         },
         **pred.to_json(),
-        "infinity_points": inf_expected,
+        "infinity_points": plan.infinity_points,
     }
     observed.update(curve_points=vals.count(0), infinity_points=inf_observed)
     return DecompositionReport(
@@ -770,12 +661,12 @@ def _audit_residual_bound(counters: dict, r: DecompositionReport):
     """Point-count bound N <= (d-1)q + 1 on a report's residual curve: tight
     for the maximal kinds, strict for the affine-filling residual."""
     kind = r.predicted["residual_kind"]
-    if kind in MAXIMAL_KINDS or kind == fc.RESIDUAL_AFFINE_FILLING:
+    if kind in fc.MAXIMAL_KINDS or kind == fc.RESIDUAL_AFFINE_FILLING:
         counters["audit_checked"] += 1
         npts = r.observed["residual_points"]
-        bound = (r.predicted["residual_degree"] - 1) * r.q + 1
+        bound = fc.point_bound(r.predicted["residual_degree"], r.q)
         ok = npts is not None and npts <= bound and (
-            (npts == bound) == (kind in MAXIMAL_KINDS)
+            (npts == bound) == (kind in fc.MAXIMAL_KINDS)
         )
         if not ok:
             _note_failure(
@@ -846,7 +737,8 @@ def _ranges(total: int, jobs: int):
 
 def _run_ranges(worker, spec: FieldSpec, total: int, jobs: int) -> dict:
     """worker((p, e, lo, hi)) over [0, total) in chunks, on at most
-    os.cpu_count() processes; the counters merge in counting order."""
+    os.cpu_count() processes; the counters merge in counting order, and
+    ``pass`` holds when no ``*_failures`` counter is nonzero."""
     jobs = min(jobs, os.cpu_count() or 1)
     args = [(spec.p, spec.e, lo, hi) for lo, hi in _ranges(total, jobs)]
     if jobs <= 1:
@@ -854,7 +746,9 @@ def _run_ranges(worker, spec: FieldSpec, total: int, jobs: int) -> dict:
     else:
         with Pool(processes=jobs) as pool:
             parts = pool.map(worker, args)
-    return _merge(parts)
+    out = _merge(parts)
+    out["pass"] = not any(v for k, v in out.items() if k.endswith("_failures"))
+    return out
 
 
 def sweep_plane_filling(spec: FieldSpec, jobs: int = 1) -> dict:
@@ -863,22 +757,13 @@ def sweep_plane_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     # batch imports this module, and only the two packed sweeps need it
     from . import batch
 
-    out = _run_ranges(batch.fill_range, spec, spec.q**9, jobs)
-    out["pass"] = out["fill_failures"] == 0 and out["kernel_failures"] == 0
-    return out
+    return _run_ranges(batch.fill_range, spec, spec.q**9, jobs)
 
 
 def sweep_case_reports(spec: FieldSpec, jobs: int = 1) -> dict:
     """Full oracle reports for every matrix, with the irreducibility cycle,
     the minimal-polynomial criterion and the residual point-count audits."""
-    out = _run_ranges(_case_range, spec, spec.q**9, jobs)
-    out["pass"] = (
-        out["match_failures"] == 0
-        and out["cycle_failures"] == 0
-        and out["minpoly_criterion_failures"] == 0
-        and out["audit_failures"] == 0
-    )
-    return out
+    return _run_ranges(_case_range, spec, spec.q**9, jobs)
 
 
 def sweep_irreducibility_cycle(spec: FieldSpec, jobs: int = 1) -> dict:
@@ -888,9 +773,7 @@ def sweep_irreducibility_cycle(spec: FieldSpec, jobs: int = 1) -> dict:
     planefill.batch, irreducibility from fillcurve.classify."""
     from . import batch
 
-    out = _run_ranges(batch.cycle_range, spec, spec.q**9, jobs)
-    out["pass"] = out["cycle_failures"] == 0
-    return out
+    return _run_ranges(batch.cycle_range, spec, spec.q**9, jobs)
 
 
 def sweep_case_representatives(spec: FieldSpec) -> dict:
@@ -968,13 +851,7 @@ def sweep_affine_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     """Exhaustive over nonzero 2x3 matrices: the left-block quadratic is
     irreducible exactly when the curve's rational points are the affine
     plane, and each filling curve has one singular rational point."""
-    out = _run_ranges(_affine_fill_range, spec, spec.q**6, jobs)
-    out["pass"] = (
-        out["iff_failures"] == 0
-        and out["coverage_failures"] == 0
-        and out["singular_failures"] == 0
-    )
-    return out
+    return _run_ranges(_affine_fill_range, spec, spec.q**6, jobs)
 
 
 def _affine_report_range(args) -> dict:
@@ -1007,9 +884,7 @@ def _affine_report_range(args) -> dict:
 def sweep_affine_reports(spec: FieldSpec, jobs: int = 1) -> dict:
     """Oracle reports for every nonzero degenerate 2x3 matrix, plus the
     residual point-count audits."""
-    out = _run_ranges(_affine_report_range, spec, spec.q**6, jobs)
-    out["pass"] = out["match_failures"] == 0 and out["audit_failures"] == 0
-    return out
+    return _run_ranges(_affine_report_range, spec, spec.q**6, jobs)
 
 
 def sweep_missing_point_images(spec: FieldSpec, samples: int = 200, seed: int = 20260811) -> dict:

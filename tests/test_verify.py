@@ -260,13 +260,7 @@ def test_sweep_counts_report_mismatches(monkeypatch):
 
 
 def test_affine_report_flags_a_missing_line(monkeypatch):
-    real = vf._affine_canonical_structure
-
-    def wrong(label):
-        lines, *rest = real(label)
-        return (lines[1:], *rest)
-
-    monkeypatch.setattr(vf, "_affine_canonical_structure", wrong)
+    monkeypatch.setattr(aff, "predicted_decomposition", _drop_first_line(aff.predicted_decomposition))
     r = vf.affine_report(aff.Matrix23.from_ints(field(3), [0, 0, 1, 1, 0, 0]))  # I-2
     assert r.case == aff.AFFINE_I2
     assert r.match is False
@@ -290,6 +284,20 @@ def test_report_flags_nonzero_polynomial_of_a_scalar(monkeypatch):
     assert r.match is False
     assert r.discrepancies == ["scalar matrix gave a nonzero polynomial"]
     assert r.observed["zero_polynomial"] is False
+
+
+def test_curve_singularity_is_observed_on_a_mislabelled_curve(monkeypatch):
+    # the curve has lines, so the residual audit is skipped; the singular
+    # points must still be read off the curve itself
+    spec = field(3)
+    a = fc.Matrix3.from_ints(spec, [1, 0, 0, 0, 0, 0, 0, 0, 0])
+    assert len(vf.singular_Fq_points(fc.build_FA(a))) == 5
+    nonsingular = fc.CaseLabel(fc.CASE_NONSINGULAR, ())
+    monkeypatch.setattr(fc, "classify", lambda A, f=None, mp=None: nonsingular)
+    r = vf.decomposition_report(a)
+    assert r.match is False and r.observed["lines"]
+    assert r.observed["singular_points"] is None
+    assert r.observed["curve_singular"] is True
 
 
 def test_residual_bound_audit_flags_too_many_points():

@@ -22,14 +22,13 @@ from .fillcurve import (
     rcf_similarity,
 )
 from .gf import FieldElement, FieldSpec, field_for_order, make_field
-from .homog import HomogPoly, ProjPoint, divide_exact, linear_substitute, partials
-from .poly import UniPoly, cubic_shape, divrem, is_irreducible, quad_shape, roots
+from .homog import HomogPoly, ProjPoint, linear_substitute, partials
+from .poly import UniPoly, cubic_shape, divrem, quad_shape, roots
 from .verify import (
     DecompositionReport,
     affine_report,
     count_points,
     decomposition_report,
-    enumerate_P2,
     find_linear_components,
     missing_points_collinear,
     singular_Fq_points,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fillcurve as fc
-from .gf import FieldSpec, _coerce
+from .gf import FieldSpec
 from .homog import HomogPoly, ProjPoint
 from .poly import (
     QUAD_DOUBLE,
@@ -51,15 +51,6 @@ class Matrix23:
         if any(not 0 <= v < spec.q for v in vals):
             raise ValueError(f"entries must be encodings in [0, {spec.q})")
         return cls(spec, (tuple(vals[0:3]), tuple(vals[3:6])))
-
-    @classmethod
-    def from_rows(cls, spec: FieldSpec, rows) -> "Matrix23":
-        return cls(spec, tuple(tuple(_coerce(spec, v) for v in row) for row in rows))
-
-    @property
-    def entries(self) -> tuple:
-        e = self.spec._elems
-        return tuple(tuple(e[v] for v in row) for row in self.rows_int)
 
     def to_ints(self) -> list[int]:
         return [v for row in self.rows_int for v in row]
@@ -126,12 +117,6 @@ class BTransform:
     @classmethod
     def identity(cls, spec: FieldSpec) -> "BTransform":
         return cls(spec, ((1, 0), (0, 1)), (0, 0), 1)
-
-    @classmethod
-    def make(cls, spec: FieldSpec, block, shift=(0, 0), lam=1) -> "BTransform":
-        blk = tuple(tuple(_coerce(spec, v) for v in row) for row in block)
-        sh = tuple(_coerce(spec, v) for v in shift)
-        return cls(spec, blk, sh, _coerce(spec, lam))
 
     def matrix_rows(self) -> tuple:
         (p, r), (s, t) = self.block
@@ -263,13 +248,12 @@ def _solve_block(block, rhs, spec: FieldSpec) -> tuple:
     return (x0, x1)
 
 
-def _clear_third_column(M: Matrix23) -> tuple[Matrix23, BTransform]:
+def _clear_third_column(M: Matrix23) -> BTransform:
     """For det M' != 0, the shift with M'b = -m sends M to (M', 0)."""
     spec = M.spec
     m = M.third_column()
     b = _solve_block(M.left_block(), (spec._neg[m[0]], spec._neg[m[1]]), spec)
-    t = BTransform(spec, ((1, 0), (0, 1)), b, 1)
-    return apply_transform(M, t), t
+    return BTransform(spec, ((1, 0), (0, 1)), b, 1)
 
 
 def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
@@ -298,8 +282,7 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
         (s1, t1), (s2, t2) = shape.roots
         step(BTransform(spec, ((s1.val, s2.val), (t1.val, t2.val)), (0, 0), 1))
         if _det2(cur.left_block(), spec):
-            n, t = _clear_third_column(cur)
-            cur, total = n, total.then(t)
+            step(_clear_third_column(cur))
         else:
             if cur.rows_int[0][1] == 0:
                 step(BTransform(spec, ((0, 1), (1, 0)), (0, 0), 1))
@@ -326,8 +309,7 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
                 break
         step(BTransform(spec, ((comp[0], root[0]), (comp[1], root[1])), (0, 0), 1))
         if _det2(cur.left_block(), spec):
-            n, t = _clear_third_column(cur)
-            cur, total = n, total.then(t)
+            step(_clear_third_column(cur))
         else:
             a0 = cur.rows_int[0][0]
             a2 = cur.rows_int[0][2]
@@ -342,8 +324,7 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
                 )
     else:  # zero polynomial
         if _det2(M.left_block(), spec):
-            n, t = _clear_third_column(cur)
-            cur, total = n, total.then(t)
+            step(_clear_third_column(cur))
         else:
             if any(v for row in cur.left_block() for v in row):
                 raise AssertionError(

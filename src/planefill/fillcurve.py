@@ -12,6 +12,7 @@ realizes it, and computes a complete projective-equivalence key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf import FieldElement, FieldSpec, _coerce
 from .homog import (
@@ -27,7 +28,6 @@ from .poly import (
     CUBIC_IRREDUCIBLE,
     CUBIC_LINEAR_TIMES_QUADRATIC,
     CUBIC_THREE_DISTINCT,
-    CUBIC_TRIPLE,
     UniPoly,
     cubic_shape,
 )
@@ -70,10 +70,6 @@ class Matrix3:
         return cls(spec, (tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])))
 
     @classmethod
-    def from_rows(cls, spec: FieldSpec, rows) -> "Matrix3":
-        return cls(spec, tuple(tuple(_coerce(spec, v) for v in row) for row in rows))
-
-    @classmethod
     def identity(cls, spec: FieldSpec) -> "Matrix3":
         return cls(spec, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -81,14 +77,6 @@ class Matrix3:
     def diagonal(cls, spec: FieldSpec, a, b, c) -> "Matrix3":
         av, bv, cv = (_coerce(spec, v) for v in (a, b, c))
         return cls(spec, ((av, 0, 0), (0, bv, 0), (0, 0, cv)))
-
-    @property
-    def entries(self) -> tuple:
-        e = self.spec._elems
-        return tuple(tuple(e[v] for v in row) for row in self.rows_int)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.spec._elems[self.rows_int[i][j]]
 
     def to_ints(self) -> list[int]:
         return [v for row in self.rows_int for v in row]
@@ -144,9 +132,6 @@ class Matrix3:
 # the curve polynomial
 
 
-_FA_BASIS: dict = {}
-
-
 def build_UVW(spec: FieldSpec) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
     """The three two-term generators of the ideal of all rational points."""
     q = spec.q
@@ -157,10 +142,8 @@ def build_UVW(spec: FieldSpec) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
     return u, v, w
 
 
+@lru_cache(maxsize=None)
 def _fa_basis(spec: FieldSpec):
-    cached = _FA_BASIS.get(spec)
-    if cached is not None:
-        return cached
     uvw = build_UVW(spec)
     basis = []
     for i in range(3):
@@ -173,9 +156,7 @@ def _fa_basis(spec: FieldSpec):
                 terms[tuple(key)] = v
             row.append(terms)
         basis.append(tuple(row))
-    basis = tuple(basis)
-    _FA_BASIS[spec] = basis
-    return basis
+    return tuple(basis)
 
 
 def build_FA(A: Matrix3) -> HomogPoly:

@@ -252,9 +252,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 

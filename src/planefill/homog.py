@@ -29,10 +29,6 @@ class ProjPoint:
         self.spec = spec
         self.key = tuple(vals)
 
-    @property
-    def coords(self) -> tuple[FieldElement, ...]:
-        return tuple(self.spec._elems[v] for v in self.key)
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -97,14 +93,6 @@ class HomogPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, i: int, j: int, k: int) -> FieldElement:
-        return self.spec._elems[self.terms.get((i, j, k), 0)]
-
-    def leading_key(self) -> tuple[int, int, int]:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return max(self.terms)
-
     def line_coeffs(self) -> tuple[int, int, int]:
         if self.degree != 1:
             raise ValueError("not a linear form")
@@ -113,15 +101,6 @@ class HomogPoly:
             self.terms.get((0, 1, 0), 0),
             self.terms.get((0, 0, 1), 0),
         )
-
-    def normalized(self) -> "HomogPoly":
-        """Scale so the graded-lex leading coefficient is 1."""
-        if not self.terms:
-            return self
-        lead = self.terms[max(self.terms)]
-        if lead == 1:
-            return self
-        return self.scaled(self.spec._inv[lead])
 
     def scaled(self, c) -> "HomogPoly":
         cv = _coerce(self.spec, c)
@@ -320,7 +299,7 @@ def _mat3_inv(rows, spec: FieldSpec):
 
 
 # ---------------------------------------------------------------------------
-# substitution, exact division, derivatives
+# substitution and derivatives
 
 
 def _row_power(row, n: int, spec: FieldSpec, cache: dict):
@@ -393,46 +372,6 @@ def linear_substitute(f: HomogPoly, b) -> HomogPoly:
             else:
                 acc.pop(key, None)
     return HomogPoly._raw(spec, f.degree, acc)
-
-
-def divide_exact(f: HomogPoly, g: HomogPoly):
-    """The quotient f/g when g divides f exactly, else None.
-
-    Standard multivariate division under graded-lex order: on an exact
-    input the leading term of the running remainder is always divisible by
-    the leading term of g, so the first failure certifies non-divisibility.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    spec = f._same(g)
-    if f.is_zero():
-        return HomogPoly._raw(spec, max(f.degree - g.degree, 0), {})
-    if g.degree > f.degree:
-        return None
-    gl = max(g.terms)
-    gli, glj, glk = gl
-    inv_lead = spec._inv[g.terms[gl]]
-    sub, mul = spec._sub, spec._mul
-    rest = [(k, v) for k, v in g.terms.items() if k != gl]
-    r = dict(f.terms)
-    quot: dict = {}
-    while r:
-        m = max(r)
-        i, j, k = m
-        if i < gli or j < glj or k < glk:
-            return None
-        c = mul[r.pop(m)][inv_lead]
-        t = (i - gli, j - glj, k - glk)
-        quot[t] = c
-        crow = mul[c]
-        for (gi, gj, gk), gv in rest:
-            key = (t[0] + gi, t[1] + gj, t[2] + gk)
-            s = sub[r.get(key, 0)][crow[gv]]
-            if s:
-                r[key] = s
-            else:
-                r.pop(key, None)
-    return HomogPoly._raw(spec, f.degree - g.degree, quot)
 
 
 def partials(f: HomogPoly) -> tuple[HomogPoly, HomogPoly, HomogPoly]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldElement, FieldSpec, _coerce, _is_prime
+from .gf import FieldElement, FieldSpec, _coerce
 
 CUBIC_IRREDUCIBLE = "irreducible"
 CUBIC_LINEAR_TIMES_QUADRATIC = "linear_times_irreducible_quadratic"
@@ -42,10 +42,6 @@ class UniPoly:
         return cls(spec, ())
 
     @classmethod
-    def monomial(cls, spec: FieldSpec, n: int, c=1) -> "UniPoly":
-        return cls(spec, (0,) * n + (_coerce(spec, c),))
-
-    @classmethod
     def from_roots(cls, spec: FieldSpec, roots) -> "UniPoly":
         out = cls(spec, (1,))
         for r in roots:
@@ -64,15 +60,6 @@ class UniPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, i: int) -> FieldElement:
-        v = self.coeffs[i] if i < len(self.coeffs) else 0
-        return self.spec._elems[v]
-
     def to_ints(self) -> list[int]:
         return list(self.coeffs)
 
@@ -82,9 +69,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = spec._add[spec._mul[acc][x]][c]
         return acc
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        return self.spec._elems[self.eval_int(_coerce(self.spec, x))]
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         spec = self._same(other)
@@ -121,11 +105,6 @@ class UniPoly:
         cv = _coerce(self.spec, c)
         mul = self.spec._mul[cv]
         return UniPoly(self.spec, [mul[x] for x in self.coeffs])
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self.scale(self.spec.inv(self.coeffs[-1]))
 
     def affine_transform(self, rho, mu) -> "UniPoly":
         """rho^deg * f((t - mu)/rho); keeps monic polynomials monic."""
@@ -198,14 +177,6 @@ def divrem(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(spec, quot), UniPoly(spec, r)
 
 
-def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, divrem(a, b)[1]
-    return a.monic()
-
-
 def roots(f: UniPoly) -> list[FieldElement]:
     """GF(q)-roots with multiplicity, ascending by encoding.
 
@@ -222,43 +193,6 @@ def roots(f: UniPoly) -> list[FieldElement]:
             cur = divrem(cur, UniPoly(spec, (spec.neg(v), 1)))[0]
             out.append(spec._elems[v])
     return out
-
-
-def _pow_mod(base: UniPoly, n: int, mod: UniPoly) -> UniPoly:
-    result = UniPoly(mod.spec, (1,))
-    acc = divrem(base, mod)[1]
-    while n:
-        if n & 1:
-            result = divrem(result * acc, mod)[1]
-        acc = divrem(acc * acc, mod)[1]
-        n >>= 1
-    return result
-
-
-def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility over GF(q).
-
-    Degrees 2 and 3 reduce to having no root; higher degrees use the
-    Frobenius-power criterion: f of degree n is irreducible iff
-    t^(q^n) = t mod f and gcd(t^(q^(n/r)) - t, f) = 1 for every prime r | n.
-    """
-    if f.is_zero() or f.degree == 0:
-        raise ValueError("irreducibility is undefined for constants")
-    n = f.degree
-    if n == 1:
-        return True
-    spec = f.spec
-    if n <= 3:
-        return all(f.eval_int(v) != 0 for v in range(spec.q))
-    fm = f.monic()
-    t = UniPoly(spec, (0, 1))
-    for r in range(2, n + 1):
-        if n % r or not _is_prime(r):
-            continue
-        h = _pow_mod(t, spec.q ** (n // r), fm)
-        if gcd(h - t, fm).degree != 0:
-            return False
-    return _pow_mod(t, spec.q**n, fm) == divrem(t, fm)[1]
 
 
 @dataclass(frozen=True)

@@ -79,11 +79,6 @@ def _plane_for(spec: FieldSpec) -> _Plane:
     return _Plane(spec)
 
 
-def enumerate_P2(spec: FieldSpec) -> list[ProjPoint]:
-    """All q^2+q+1 points, (1:y:z) first, then (0:1:z), then (0:0:1)."""
-    return list(_plane_for(spec).points)
-
-
 # ---------------------------------------------------------------------------
 # elementary oracle operations
 
@@ -453,10 +448,11 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list) -> dict:
     if res and comps.residual_degree == res.degree:
         if scalar_ratio(comps.residual, res.equation) is None:
             disc.append("residual equation is not a scalar multiple of the transported prediction")
-        residual_points = _plane_for(spec).values(comps.residual).count(0)
+        rvals = _plane_for(spec).values(comps.residual)
+        residual_points = rvals.count(0)
         if residual_points != res.expected_points:
             disc.append(f"residual has {residual_points} points, expected {res.expected_points}")
-        singular_count = len(singular_Fq_points(comps.residual))
+        singular_count = len(singular_Fq_points(comps.residual, rvals))
         if singular_count != res.expected_singular_points:
             disc.append(
                 f"residual has {singular_count} singular rational points, "
@@ -544,9 +540,13 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
     observed = _audit(f_a, pred, disc)
 
     fvals = _plane_for(spec).values(f_a)
+    singular = observed["singular_points"]
+    if singular is None or observed["residual_degree"] != f_a.degree:
+        # the audited residual is not F_A itself, so F_A is scanned here
+        singular = len(singular_Fq_points(f_a, fvals))
     observed.update(
         curve_points=fvals.count(0),
-        curve_singular=bool(singular_Fq_points(f_a, fvals)),
+        curve_singular=bool(singular),
         zero_polynomial=False,
     )
     return report({**pred.to_json(), "zero_polynomial": False}, observed)

@@ -4,7 +4,7 @@ import pytest
 
 from planefill import affine as aff
 from planefill.homog import HomogPoly, linear_substitute
-from planefill.verify import enumerate_P2, _plane_for
+from planefill.verify import _plane_for
 from support import field, rand_btransform, rand_matrix23
 
 # entry-pattern checks for the canonical shape of each tag (the two tags
@@ -60,7 +60,7 @@ def test_filling_curve_is_exactly_the_affine_plane():
     spec = field(q)
     m = aff.Matrix23.from_ints(spec, [1, 0, 0, 0, 1, 0])  # s^2 + t^2, irreducible
     g = aff.build_GM(m)
-    on = [pt for pt in enumerate_P2(spec) if g.eval(pt).val == 0]
+    on = [pt for pt in _plane_for(spec).points if g.eval(pt).val == 0]
     assert len(on) == q * q
     assert all(pt.key[2] for pt in on)
 

@@ -1,0 +1,112 @@
+"""Every function, class and method in ``src/planefill`` is used by the package.
+
+A definition counts as used when some code of the package outside its own
+body refers to it:
+* a module-level function or class by a loaded name, an attribute
+  (``fc.build_FA``) or an import in a module other than ``__init__`` (an
+  export alone is not a use);
+* a method only by an attribute (``self.values``, ``spec.inv``), so a local
+  variable that shares its name does not keep it alive.
+Dunder methods are exempt: the language calls them.  The scan is syntactic
+(stdlib ``ast``, as the project has no linter), so a name used anywhere
+keeps every definition of that name alive, and a use through a
+``getattr`` string would go unseen (the package has none).
+
+Run it alone with ``PYTHONPATH=src python -m pytest tests/test_dead_code.py``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "planefill"
+
+# definitions only the tests call, each a reference the tests check against
+ALLOWED = {
+    "batch.Kernel.image": "tests compare the packed image of one matrix with build_FA",
+    "batch.Kernel.section": "tests unpack one named section of a packed image",
+    "fillcurve.Matrix3.det": "tests pick invertible matrices for similarity transforms",
+    "fillcurve.Matrix3.transpose": "tests build B^T A B^-T to test equivalence invariance",
+    "fillcurve.Matrix3.inverse": "tests conjugate by a matrix to test similarity invariance",
+    "fillcurve.equiv_key": "tests check the complete equivalence key against orbits",
+    "gf.FieldElement.inverse": "tests check the field axioms on elements",
+    "gf.FieldSpec.element": "tests build elements from their encodings",
+    "gf.FieldSpec.from_coeffs": "tests build extension-field elements from base-field digits",
+}
+
+
+def _scan(package: Path):
+    """(definitions, references): a definition is (qualified name, name,
+    is method, file, first line, last line); a reference is (name, is
+    attribute, file, line)."""
+    defs, refs = [], []
+
+    def visit(path, node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{child.name}"
+                defs.append((qual, child.name, in_class, path, child.lineno, child.end_lineno))
+                visit(path, child, qual, isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                refs.append((child.id, False, path, child.lineno))
+            elif isinstance(child, ast.Attribute):
+                refs.append((child.attr, True, path, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and path.name != "__init__.py":
+                refs.extend((alias.name, False, path, child.lineno) for alias in child.names)
+            visit(path, child, prefix, in_class)
+
+    for path in sorted(package.glob("*.py")):
+        visit(path, ast.parse(path.read_text()), path.stem, False)
+    return defs, refs
+
+
+def unused(package: Path = PACKAGE) -> set:
+    """Qualified names of the definitions nothing else in package uses."""
+    defs, refs = _scan(package)
+    out = set()
+    for qual, name, is_method, path, first, last in defs:
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(
+            ref == name
+            and (is_attr or not is_method)
+            and not (where == path and first <= line <= last)
+            for ref, is_attr, where, line in refs
+        ):
+            out.add(qual)
+    return out
+
+
+def test_every_definition_is_used_by_the_package():
+    dead = sorted(unused() - ALLOWED.keys())
+    assert not dead, f"defined in src/planefill but used nowhere in it: {dead}"
+
+
+def test_allowlist_names_only_unused_definitions():
+    stale = sorted(ALLOWED.keys() - unused())
+    assert not stale, f"allowlisted names that are gone or now used by the package: {stale}"
+
+
+def test_scan_flags_each_kind_of_dead_definition(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .core import exported_only, used\n")
+    (tmp_path / "core.py").write_text(
+        "class Point:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    def norm(self):\n"
+        "        return self.x\n"
+        "    def lead(self):\n"
+        "        return self.x\n"
+        "\n"
+        "def used(p):\n"
+        "    lead = p.norm()\n"
+        "    return lead\n"
+        "\n"
+        "def exported_only():\n"
+        "    return 0\n"
+        "\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+    )
+    (tmp_path / "cli.py").write_text("from .core import Point, used\n\nused(Point(1))\n")
+    assert unused(tmp_path) == {"core.Point.lead", "core.exported_only", "core.recursive"}

@@ -6,12 +6,11 @@ from planefill.fillcurve import Matrix3, build_UVW
 from planefill.homog import (
     HomogPoly,
     ProjPoint,
-    divide_exact,
     linear_substitute,
     partials,
     scalar_ratio,
 )
-from planefill.verify import enumerate_P2
+from planefill.verify import _plane_for
 from support import field, rand_homog, rand_invertible3
 
 
@@ -28,7 +27,7 @@ def test_generators_vanish_on_every_point():
     for q in (2, 3, 4):
         spec = field(q)
         for g in build_UVW(spec):
-            assert all(g.eval(pt).val == 0 for pt in enumerate_P2(spec))
+            assert all(g.eval(pt).val == 0 for pt in _plane_for(spec).points)
 
 
 def test_eval_examples():
@@ -100,38 +99,6 @@ def test_generator_transformation_law():
                 assert lhs == rhs
 
 
-def test_divide_exact_examples():
-    spec5 = field(5)
-    x2_y2 = HomogPoly(spec5, 2, {(2, 0, 0): 1, (0, 2, 0): 4})
-    x_minus_y = HomogPoly(spec5, 1, {(1, 0, 0): 1, (0, 1, 0): 4})
-    assert divide_exact(x2_y2, x_minus_y) == HomogPoly(
-        spec5, 1, {(1, 0, 0): 1, (0, 1, 0): 1}
-    )
-
-    spec3 = field(3)
-    w = HomogPoly(spec3, 4, {(3, 1, 0): 1, (1, 3, 0): 2})  # x^3 y - x y^3
-    x = HomogPoly.variable(spec3, 0)
-    assert divide_exact(w, x) == HomogPoly(spec3, 3, {(2, 1, 0): 1, (0, 3, 0): 2})
-
-    y = HomogPoly.variable(spec3, 1)
-    assert divide_exact(x * x, y) is None
-
-
-def test_divide_exact_round_trip():
-    rng = random.Random(23)
-    for q in (2, 3, 5):
-        spec = field(q)
-        for _ in range(40):
-            g = rand_homog(spec, rng, rng.randrange(1, 3))
-            h = rand_homog(spec, rng, rng.randrange(1, 3))
-            if g.is_zero() or h.is_zero():
-                continue
-            f = g * h
-            quot = divide_exact(f, g)
-            assert quot is not None
-            assert quot * g == f
-
-
 def test_partials_examples():
     for q in (2, 3, 4):
         spec = field(q)
@@ -153,7 +120,7 @@ def test_partials_of_maximal_curve_never_all_vanish_on_it():
         {(q + 1, 0, 0): 1, (2, 0, q - 1): spec.neg(1), (0, q, 1): 1, (0, 1, q): spec.neg(1)},
     )
     fx, fy, fz = partials(f)
-    for pt in enumerate_P2(spec):
+    for pt in _plane_for(spec).points:
         if f.eval(pt).val == 0:
             assert any(g.eval(pt).val for g in (fx, fy, fz))
 

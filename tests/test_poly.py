@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from planefill.gf import make_field
 from planefill.poly import (
     CUBIC_DOUBLE_PLUS_SIMPLE,
     CUBIC_IRREDUCIBLE,
@@ -17,7 +16,6 @@ from planefill.poly import (
     cubic_shape,
     divrem,
     enumerate_P1,
-    is_irreducible,
     quad_shape,
     roots,
 )
@@ -93,33 +91,6 @@ def test_roots_multiplicity_division_invariant():
             assert all(rest.eval_int(v) for v in range(q)) or rest.degree == 0
 
 
-def test_irreducibility_examples():
-    assert is_irreducible(poly(2, (1, 1, 1)))
-    assert not is_irreducible(poly(3, (2, 0, 1)))  # t^2 - 1 has root 1
-    assert is_irreducible(poly(3, (2, 2, 0, 1)))  # t^3 - t - 1
-    with pytest.raises(ValueError):
-        is_irreducible(poly(3, (2,)))
-
-
-def test_irreducibility_checks_every_prime_divisor_of_the_degree():
-    # t^11 - t vanishes on all of GF(11); only the prime 11 divides the degree
-    f = UniPoly(make_field(11), (0, 10) + (0,) * 9 + (1,))
-    assert f.degree == 11
-    assert not is_irreducible(f)
-
-
-def test_irreducibility_degree_four_against_trial_division():
-    # over GF(2) the only irreducible quadratic is t^2+t+1
-    spec = field(2)
-    quad = poly(2, (1, 1, 1))
-    for n in range(16):
-        coeffs = (n & 1, (n >> 1) & 1, (n >> 2) & 1, (n >> 3) & 1, 1)
-        f = UniPoly(spec, coeffs)
-        has_root = any(f.eval_int(v) == 0 for v in range(2))
-        quad_divides = divrem(f, quad)[1].is_zero()
-        assert is_irreducible(f) == (not has_root and not quad_divides)
-
-
 def test_cubic_shape_examples():
     spec3 = field(3)
     f = UniPoly(spec3, (2, 1)) * UniPoly(spec3, (1, 0, 1))  # (t-1)(t^2+1)
@@ -151,9 +122,9 @@ def test_cubic_shape_exhaustive_cross_check(q):
         f = UniPoly(spec, (n % q, (n // q) % q, n // (q * q), 1))
         shape = cubic_shape(f)
         rs = roots(f)
-        assert (shape.tag == CUBIC_IRREDUCIBLE) == is_irreducible(f) == (not rs)
+        assert (shape.tag == CUBIC_IRREDUCIBLE) == all(f.eval_int(v) for v in range(q)) == (not rs)
         if shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC:
-            assert len(rs) == 1 and is_irreducible(shape.quad)
+            assert len(rs) == 1 and all(shape.quad.eval_int(v) for v in range(q))
         if shape.tag == CUBIC_THREE_DISTINCT:
             assert len({r.val for r in rs}) == 3
         if shape.tag == CUBIC_DOUBLE_PLUS_SIMPLE:

@@ -13,10 +13,10 @@ from support import field, rand_btransform, rand_invertible3, rand_matrix3
 
 
 def test_enumerate_P2_counts():
-    assert len(vf.enumerate_P2(field(2))) == 7
-    assert len(vf.enumerate_P2(field(3))) == 13
-    assert len(vf.enumerate_P2(field(4))) == 21
-    pts = vf.enumerate_P2(field(4))
+    assert len(vf._plane_for(field(2)).points) == 7
+    assert len(vf._plane_for(field(3)).points) == 13
+    assert len(vf._plane_for(field(4)).points) == 21
+    pts = vf._plane_for(field(4)).points
     assert len({p.key for p in pts}) == 21
     assert pts[0].key == (1, 0, 0) and pts[-1].key == (0, 0, 1)
 
@@ -298,6 +298,30 @@ def test_curve_singularity_is_observed_on_a_mislabelled_curve(monkeypatch):
     assert r.match is False and r.observed["lines"]
     assert r.observed["singular_points"] is None
     assert r.observed["curve_singular"] is True
+
+
+def test_curve_without_lines_is_scanned_for_singular_points_once(monkeypatch):
+    # with no rational line the audited residual is F_A itself, so its scan
+    # also decides curve_singular; a curve with lines scans residual and F_A
+    scanned = []
+    real = vf.singular_Fq_points
+
+    def counting(f, fvals=None):
+        scanned.append(f)
+        return real(f, fvals)
+
+    monkeypatch.setattr(vf, "singular_Fq_points", counting)
+    spec = field(3)
+    r = vf.decomposition_report(fc.Matrix3.from_ints(spec, [0, 1, 1, 1, 1, 0, 1, 0, 0]))
+    assert r.case == fc.CASE_NONSINGULAR and r.match
+    assert len(scanned) == 1
+    assert r.observed["singular_points"] == 0 and r.observed["curve_singular"] is False
+
+    scanned.clear()
+    a = fc.Matrix3.from_ints(spec, [0, 0, 1, 1, 0, 0, 0, 0, 0])
+    r = vf.decomposition_report(a)
+    assert r.observed["lines"] and r.match
+    assert len(scanned) == 2 and scanned[1] == fc.build_FA(a)
 
 
 def test_residual_bound_audit_flags_too_many_points():

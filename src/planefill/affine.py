@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fillcurve as fc
-from .gf import FieldSpec
-from .homog import HomogPoly, ProjPoint
+from .gf import FieldSpec, base_digits
+from .homog import HomogPoly, ProjPoint, _cross, _matmul, _rref, _transpose
 from .poly import (
     QUAD_DOUBLE,
     QUAD_IRREDUCIBLE,
@@ -68,15 +68,8 @@ class Matrix23:
     def rank(self) -> int:
         if self.is_zero():
             return 0
-        spec = self.spec
-        (a0, a1, a2), (b0, b1, b2) = self.rows_int
-        sub, mul = spec._sub, spec._mul
-        minors = (
-            sub[mul[a0][b1]][mul[a1][b0]],
-            sub[mul[a0][b2]][mul[a2][b0]],
-            sub[mul[a1][b2]][mul[a2][b1]],
-        )
-        return 2 if any(minors) else 1
+        # the 2x2 minors are the components of the rows' cross product
+        return 2 if any(_cross(*self.rows_int, self.spec)) else 1
 
 
 def quad_form_triple(M: Matrix23) -> tuple[int, int, int]:
@@ -124,58 +117,17 @@ class BTransform:
 
     def then(self, other: "BTransform") -> "BTransform":
         """The composite whose matrix is self's matrix times other's."""
-        spec = self.spec
-        add, mul = spec._add, spec._mul
-        b1, b2 = self.block, other.block
-        blk = tuple(
-            tuple(
-                add[mul[b1[i][0]][b2[0][j]]][mul[b1[i][1]][b2[1][j]]]
-                for j in range(2)
-            )
-            for i in range(2)
+        (p, r, b0), (s, t, b1), (_, _, lam) = _matmul(
+            self.matrix_rows(), other.matrix_rows(), self.spec
         )
-        sh = tuple(
-            add[add[mul[b1[i][0]][other.shift[0]]][mul[b1[i][1]][other.shift[1]]]][
-                mul[self.shift[i]][other.lam]
-            ]
-            for i in range(2)
-        )
-        return BTransform(spec, blk, sh, mul[self.lam][other.lam])
+        return BTransform(self.spec, ((p, r), (s, t)), (b0, b1), lam)
 
 
 def apply_transform(M: Matrix23, t: BTransform) -> Matrix23:
     """tB M (B b; 0 lam), or blockwise N' = tB M' B and n = tB(M'b + lam m)."""
     spec = M.spec
-    add, mul = spec._add, spec._mul
-    (p, r), (s, u) = t.block
-    tb = ((p, s), (r, u))
-    mp = M.left_block()
-    mprime_b = tuple(
-        add[mul[mp[i][0]][t.shift[0]]][mul[mp[i][1]][t.shift[1]]] for i in range(2)
-    )
-    m = M.third_column()
-    inner = tuple(add[mprime_b[i]][mul[t.lam][m[i]]] for i in range(2))
-    n_col = tuple(
-        add[mul[tb[i][0]][inner[0]]][mul[tb[i][1]][inner[1]]] for i in range(2)
-    )
-    tbm = tuple(
-        tuple(add[mul[tb[i][0]][mp[0][j]]][mul[tb[i][1]][mp[1][j]]] for j in range(2))
-        for i in range(2)
-    )
-    nprime = tuple(
-        tuple(
-            add[mul[tbm[i][0]][t.block[0][j]]][mul[tbm[i][1]][t.block[1][j]]]
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    return Matrix23(
-        spec,
-        (
-            (nprime[0][0], nprime[0][1], n_col[0]),
-            (nprime[1][0], nprime[1][1], n_col[1]),
-        ),
-    )
+    moved = _matmul(M.rows_int, t.matrix_rows(), spec)
+    return Matrix23(spec, _matmul(_transpose(t.block), moved, spec))
 
 
 def build_GM(M: Matrix23) -> HomogPoly:
@@ -237,23 +189,13 @@ class AffineLabel:
     witness: BTransform
 
 
-def _solve_block(block, rhs, spec: FieldSpec) -> tuple:
-    """x with block @ x = rhs for an invertible 2x2 block."""
-    det = _det2(block, spec)
-    inv = spec._inv[det]
-    (a, b), (c, d) = block
-    mul, sub = spec._mul, spec._sub
-    x0 = mul[inv][sub[mul[d][rhs[0]]][mul[b][rhs[1]]]]
-    x1 = mul[inv][sub[mul[a][rhs[1]]][mul[c][rhs[0]]]]
-    return (x0, x1)
-
-
 def _clear_third_column(M: Matrix23) -> BTransform:
-    """For det M' != 0, the shift with M'b = -m sends M to (M', 0)."""
+    """For det M' != 0, the shift with M'b = -m sends M to (M', 0): the
+    last column of the reduced system (M' | -m)."""
     spec = M.spec
-    m = M.third_column()
-    b = _solve_block(M.left_block(), (spec._neg[m[0]], spec._neg[m[1]]), spec)
-    return BTransform(spec, ((1, 0), (0, 1)), b, 1)
+    neg = spec._neg
+    (r0, r1), _pivots = _rref([(a0, a1, neg[m]) for a0, a1, m in M.rows_int], 2, spec)
+    return BTransform(spec, ((1, 0), (0, 1)), (r0[2], r1[2]), 1)
 
 
 def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
@@ -303,8 +245,8 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
         q = spec.q
         comp = None
         for n in range(1, q * q):
-            w = (n % q, n // q)
-            if spec._sub[spec._mul[root[0]][w[1]]][spec._mul[root[1]][w[0]]]:
+            w = base_digits(n, q, 2)
+            if _det2((root, w), spec):
                 comp = w
                 break
         step(BTransform(spec, ((comp[0], root[0]), (comp[1], root[1])), (0, 0), 1))

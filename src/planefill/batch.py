@@ -25,7 +25,7 @@ import operator
 from functools import lru_cache
 
 from . import fillcurve as fc
-from .gf import FieldSpec, make_field
+from .gf import FieldSpec, base_digits, make_field
 from .homog import linear_substitute, partials
 from .verify import _matrix_at, _note_failure, _plane_for
 
@@ -57,9 +57,8 @@ class Lanes:
         p, e, w = self.spec.p, self.spec.e, self.width
         out = 0
         for i, v in enumerate(values):
-            for j in range(e):
-                out |= (v % p) << ((i * e + j) * w)
-                v //= p
+            for j, d in enumerate(base_digits(v, p, e)):
+                out |= d << ((i * e + j) * w)
         return out
 
     def unpack(self, packed: int) -> list[int]:
@@ -220,7 +219,7 @@ def walk(kern: Kernel, lo: int, hi: int):
     """
     q = kern.spec.q
     add, tables = kern.add, kern.tables
-    digits = [(lo // q**k) % q for k in range(9)]
+    digits = list(base_digits(lo, q, 9))
     sums = [0] * 10  # sums[k]: image of the entries k, ..., 8
     for k in range(8, 0, -1):
         sums[k] = add(sums[k + 1], tables[k][digits[k]])

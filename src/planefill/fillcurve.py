@@ -14,14 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import FieldElement, FieldSpec, _coerce
+from .gf import FieldElement, FieldSpec, _coerce, base_digits
 from .homog import (
     HomogPoly,
+    _cross,
     _mat3_det,
     _mat3_inv,
-    _mat3_mul,
-    _mat3_transpose,
-    _mat3_vec,
+    _matmul,
+    _matvec,
+    _rref,
+    _transpose,
 )
 from .poly import (
     CUBIC_DOUBLE_PLUS_SIMPLE,
@@ -85,7 +87,7 @@ class Matrix3:
         return self.spec._elems[_mat3_det(self.rows_int, self.spec)]
 
     def transpose(self) -> "Matrix3":
-        return Matrix3(self.spec, _mat3_transpose(self.rows_int))
+        return Matrix3(self.spec, _transpose(self.rows_int))
 
     def inverse(self) -> "Matrix3":
         return Matrix3(self.spec, _mat3_inv(self.rows_int, self.spec))
@@ -93,7 +95,7 @@ class Matrix3:
     def __matmul__(self, other: "Matrix3") -> "Matrix3":
         if other.spec != self.spec:
             raise ValueError("matrices over different fields")
-        return Matrix3(self.spec, _mat3_mul(self.rows_int, other.rows_int, self.spec))
+        return Matrix3(self.spec, _matmul(self.rows_int, other.rows_int, self.spec))
 
     def __add__(self, other: "Matrix3") -> "Matrix3":
         if other.spec != self.spec:
@@ -118,7 +120,7 @@ class Matrix3:
         )
 
     def apply(self, v) -> tuple:
-        return _mat3_vec(self.rows_int, v, self.spec)
+        return _matvec(self.rows_int, v, self.spec)
 
     def is_scalar(self) -> bool:
         r = self.rows_int
@@ -207,35 +209,10 @@ def minpoly(A: Matrix3) -> UniPoly:
     spec = A.spec
     if A.is_scalar():
         return UniPoly(spec, (spec._neg[A.rows_int[0][0]], 1))
-    a2 = A @ A
-    ident = Matrix3.identity(spec)
-    ve = ident.to_ints()
-    va = A.to_ints()
-    vt = a2.to_ints()
-    rows = [[ve[i], va[i], vt[i]] for i in range(9)]
-    sub, mul, inv = spec._sub, spec._mul, spec._inv
-    pivots = []
-    r = 0
-    for col in range(2):
-        prow = None
-        for i in range(r, 9):
-            if rows[i][col]:
-                prow = i
-                break
-        if prow is None:
-            continue
-        rows[r], rows[prow] = rows[prow], rows[r]
-        iv = inv[rows[r][col]]
-        rows[r] = [mul[iv][x] for x in rows[r]]
-        for i in range(9):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [sub[x][mul[c][y]] for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if pivots == [0, 1] and all(rows[i][2] == 0 for i in range(2, 9)):
-        c0, c1 = rows[0][2], rows[1][2]
-        return UniPoly(spec, (spec._neg[c0], spec._neg[c1], 1))
+    columns = (Matrix3.identity(spec), A, A @ A)
+    rows, pivots = _rref(zip(*(c.to_ints() for c in columns)), 2, spec)
+    if pivots == [0, 1] and not any(row[2] for row in rows[2:]):
+        return UniPoly(spec, (spec._neg[rows[0][2]], spec._neg[rows[1][2]], 1))
     return charpoly(A)
 
 
@@ -287,33 +264,13 @@ def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) ->
 
 
 def _kernel_basis(rows, spec: FieldSpec):
-    m = [list(r) for r in rows]
-    sub, mul, inv = spec._sub, spec._mul, spec._inv
-    piv_cols = []
-    r = 0
-    for col in range(3):
-        prow = None
-        for i in range(r, 3):
-            if m[i][col]:
-                prow = i
-                break
-        if prow is None:
-            continue
-        m[r], m[prow] = m[prow], m[r]
-        iv = inv[m[r][col]]
-        m[r] = [mul[iv][x] for x in m[r]]
-        for i in range(3):
-            if i != r and m[i][col]:
-                c = m[i][col]
-                m[i] = [sub[x][mul[c][y]] for x, y in zip(m[i], m[r])]
-        piv_cols.append(col)
-        r += 1
+    m, pivots = _rref(rows, 3, spec)
     basis = []
-    for fc in (c for c in range(3) if c not in piv_cols):
+    for free in (c for c in range(3) if c not in pivots):
         v = [0, 0, 0]
-        v[fc] = 1
-        for rr, pc in enumerate(piv_cols):
-            v[pc] = spec._neg[m[rr][fc]]
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = spec._neg[m[r][free]]
         basis.append(tuple(v))
     return basis
 
@@ -325,37 +282,17 @@ def _kernel_vectors(rows, spec: FieldSpec):
     if d == 0:
         return []
     q = spec.q
-    add, mul = spec._add, spec._mul
-    seen = set()
-    for n in range(1, q**d):
-        v = [0, 0, 0]
-        x = n
-        for bvec in basis:
-            c = x % q
-            x //= q
-            if c:
-                crow = mul[c]
-                v = [add[a][crow[b]] for a, b in zip(v, bvec)]
-        seen.add(tuple(v))
+    cols = _transpose(basis)
+    seen = {_matvec(cols, base_digits(n, q, d), spec) for n in range(1, q**d)}
     return sorted(seen, key=lambda v: v[0] + q * v[1] + q * q * v[2])
 
 
 def _first_vector(spec: FieldSpec, pred):
-    q = spec.q
-    for n in range(1, q**3):
-        v = (n % q, (n // q) % q, n // (q * q))
+    for n in range(1, spec.q**3):
+        v = base_digits(n, spec.q, 3)
         if pred(v):
             return v
     raise AssertionError("no vector satisfies the predicate")
-
-
-def _proportional(u, v, spec: FieldSpec) -> bool:
-    sub, mul = spec._sub, spec._mul
-    return (
-        sub[mul[u[0]][v[1]]][mul[u[1]][v[0]]] == 0
-        and sub[mul[u[0]][v[2]]][mul[u[2]][v[0]]] == 0
-        and sub[mul[u[1]][v[2]]][mul[u[2]][v[1]]] == 0
-    )
 
 
 def _shifted(A: Matrix3, alpha: int) -> Matrix3:
@@ -448,7 +385,7 @@ def rcf_similarity(
         alpha, beta = label.roots[0].val, label.roots[1].val
         kern = _kernel_vectors(_shifted(A, alpha).rows_int, spec)
         v1 = kern[0]
-        v2 = next(v for v in kern if not _proportional(v1, v, spec))
+        v2 = next(v for v in kern if any(_cross(v1, v, spec)))
         v3 = eigvec(beta)
     elif label.tag == CASE_4_1:
         n = _shifted(A, label.roots[0].val)
@@ -463,10 +400,9 @@ def rcf_similarity(
         v3 = next(
             v
             for v in _kernel_vectors(n.rows_int, spec)
-            if not _proportional(v1, v, spec)
+            if any(_cross(v1, v, spec))
         )
-    p_rows = tuple(tuple(col[i] for col in (v1, v2, v3)) for i in range(3))
-    s = Matrix3(spec, _mat3_inv(p_rows, spec))
+    s = Matrix3(spec, _mat3_inv(_transpose((v1, v2, v3)), spec))
     return C, s
 
 
@@ -744,8 +680,7 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
     out = []
     seen = set()
     for n in range(q**3):
-        c0, c1, c2 = n % q, (n // q) % q, n // (q * q)
-        f = UniPoly(spec, (c0, c1, c2, 1))
+        f = UniPoly(spec, base_digits(n, q, 3) + (1,))
         shape = cubic_shape(f)
         for tag, m, C in _case_variants(spec, f, shape):
             if (f.coeffs, m.coeffs) in seen:

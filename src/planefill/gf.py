@@ -26,6 +26,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def base_digits(n: int, base: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` base-``base`` digits of n, least significant
+    first: the coordinates of a field element, the entries of the n-th
+    matrix in counting order."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, base)
+        out.append(d)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # modulus search: polynomials over the prime field as low-to-high int tuples
 
@@ -64,13 +75,7 @@ def _gfp_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         )
     for d in range(1, e // 2 + 1):
         for n in range(p**d):
-            div = []
-            x = n
-            for _ in range(d):
-                div.append(x % p)
-                x //= p
-            div.append(1)
-            if not _gfp_rem(coeffs, tuple(div), p):
+            if not _gfp_rem(coeffs, base_digits(n, p, d) + (1,), p):
                 return False
     return True
 
@@ -82,12 +87,7 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     (c_{e-1}, ..., c_0); the search space is at most p^e <= 64 polynomials.
     """
     for n in range(p**e):
-        digits = []
-        x = n
-        for _ in range(e):
-            digits.append(x % p)
-            x //= p
-        coeffs = tuple(digits) + (1,)
+        coeffs = base_digits(n, p, e) + (1,)
         if _gfp_is_irreducible(coeffs, p):
             return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -187,11 +187,7 @@ class FieldSpec:
     # table construction -----------------------------------------------
 
     def coeffs_of(self, val: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(val % self.p)
-            val //= self.p
-        return tuple(out)
+        return base_digits(val, self.p, self.e)
 
     def _val_of(self, coeffs) -> int:
         v = 0

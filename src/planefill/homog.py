@@ -229,7 +229,8 @@ def scalar_ratio(f: HomogPoly, g: HomogPoly):
 
 
 # ---------------------------------------------------------------------------
-# 3x3 matrix helpers on raw integer rows (shared by the matrix front ends)
+# matrix and vector algebra on raw integer rows (shared by the matrix front
+# ends, the similarity construction and the oracle)
 
 
 def _as_int_rows(b, spec: FieldSpec):
@@ -244,58 +245,79 @@ def _as_int_rows(b, spec: FieldSpec):
     return tuple(out)
 
 
-def _mat3_det(rows, spec: FieldSpec) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    mul, sub, add = spec._mul, spec._sub, spec._add
-    t1 = mul[a][sub[mul[e][i]][mul[f][h]]]
-    t2 = mul[b][sub[mul[d][i]][mul[f][g]]]
-    t3 = mul[c][sub[mul[d][h]][mul[e][g]]]
-    return add[sub[t1][t2]][t3]
+def _transpose(rows):
+    return tuple(zip(*rows))
 
 
-def _mat3_transpose(rows):
-    return tuple(tuple(rows[i][j] for i in range(3)) for j in range(3))
-
-
-def _mat3_mul(a, b, spec: FieldSpec):
+def _matvec(rows, v, spec: FieldSpec):
+    """rows * v: the dot product of each row with the vector v."""
     mul, add = spec._mul, spec._add
     out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s = 0
-            for k in range(3):
-                s = add[s][mul[a[i][k]][b[k][j]]]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat3_vec(rows, v, spec: FieldSpec):
-    mul, add = spec._mul, spec._add
-    out = []
-    for i in range(3):
+    for row in rows:
         s = 0
-        for k in range(3):
-            s = add[s][mul[rows[i][k]][v[k]]]
+        for a, b in zip(row, v):
+            s = add[s][mul[a][b]]
         out.append(s)
     return tuple(out)
 
 
+def _matmul(a, b, spec: FieldSpec):
+    """a * b for conformable matrices of any shape: row i is b^t * (row i
+    of a)."""
+    cols = _transpose(b)
+    return tuple([_matvec(cols, row, spec) for row in a])
+
+
+def _cross(u, v, spec: FieldSpec):
+    """u x v: zero exactly when u and v are proportional; otherwise the
+    line through two points, or the point on two lines."""
+    sub, mul = spec._sub, spec._mul
+    return (
+        sub[mul[u[1]][v[2]]][mul[u[2]][v[1]]],
+        sub[mul[u[2]][v[0]]][mul[u[0]][v[2]]],
+        sub[mul[u[0]][v[1]]][mul[u[1]][v[0]]],
+    )
+
+
+def _mat3_det(rows, spec: FieldSpec) -> int:
+    (det,) = _matvec(rows[:1], _cross(rows[1], rows[2], spec), spec)
+    return det
+
+
 def _mat3_inv(rows, spec: FieldSpec):
-    det = _mat3_det(rows, spec)
+    """The adjugate, whose columns are cross products of the rows, over
+    the determinant."""
+    r0, r1, r2 = rows
+    cols = (_cross(r1, r2, spec), _cross(r2, r0, spec), _cross(r0, r1, spec))
+    (det,) = _matvec((r0,), cols[0], spec)
     if det == 0:
         raise ValueError("matrix is singular")
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    mul, sub = spec._mul, spec._sub
-    cof = (
-        (sub[mul[e][i]][mul[f][h]], sub[mul[c][h]][mul[b][i]], sub[mul[b][f]][mul[c][e]]),
-        (sub[mul[f][g]][mul[d][i]], sub[mul[a][i]][mul[c][g]], sub[mul[c][d]][mul[a][f]]),
-        (sub[mul[d][h]][mul[e][g]], sub[mul[b][g]][mul[a][h]], sub[mul[a][e]][mul[b][d]]),
-    )
-    dinv = spec._inv[det]
-    mrow = spec._mul[dinv]
-    return tuple(tuple(mrow[v] for v in row) for row in cof)
+    mrow = spec._mul[spec._inv[det]]
+    return tuple(tuple(mrow[v] for v in row) for row in zip(*cols))
+
+
+def _rref(rows, ncols: int, spec: FieldSpec):
+    """Gauss-Jordan elimination with pivots in the first ncols columns:
+    (reduced rows as lists, pivot columns in order)."""
+    m = [list(r) for r in rows]
+    sub, mul, inv = spec._sub, spec._mul, spec._inv
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        for prow in range(r, len(m)):
+            if m[prow][col]:
+                break
+        else:
+            continue
+        m[r], m[prow] = m[prow], m[r]
+        scale = mul[inv[m[r][col]]]
+        m[r] = [scale[x] for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                crow = mul[row[col]]
+                m[i] = [sub[x][crow[y]] for x, y in zip(row, m[r])]
+        pivots.append(col)
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -92,6 +93,27 @@ def test_transform_matches_substitution_exactly():
             if image.is_zero():
                 continue
             assert linear_substitute(aff.build_GM(m), s.matrix_rows()) == aff.build_GM(image)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_rank_two_iff_the_row_space_has_q_squared_elements(q):
+    # exhaustive at q = 2, 3 (the zero matrix included), seeded at q = 4, 5
+    spec = field(q)
+    if q <= 3:
+        matrices = [
+            aff.Matrix23.from_ints(spec, v) for v in itertools.product(range(q), repeat=6)
+        ]
+    else:
+        rng = random.Random(17)
+        matrices = [rand_matrix23(spec, rng) for _ in range(300)]
+    for m in matrices:
+        r0, r1 = m.rows_int
+        span = {
+            tuple(spec.add(spec.mul(a, x), spec.mul(b, y)) for x, y in zip(r0, r1))
+            for a in range(q)
+            for b in range(q)
+        }
+        assert m.rank() == {1: 0, q: 1, q * q: 2}[len(span)]
 
 
 def test_transform_validation():

@@ -12,13 +12,22 @@ Dunder methods are exempt: the language calls them.  The scan is syntactic
 keeps every definition of that name alive, and a use through a
 ``getattr`` string would go unseen (the package has none).
 
+The last test checks the other direction for the names the benchmark's
+span tracer (``perfbench/spans.py``) wraps: each must still be a function
+of the package, since the tracer fails on a missing one.
+
 Run it alone with ``PYTHONPATH=src python -m pytest tests/test_dead_code.py``.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "planefill"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "planefill"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # definitions only the tests call, each a reference the tests check against
 ALLOWED = {
@@ -110,3 +119,23 @@ def test_scan_flags_each_kind_of_dead_definition(tmp_path):
     )
     (tmp_path / "cli.py").write_text("from .core import Point, used\n\nused(Point(1))\n")
     assert unused(tmp_path) == {"core.Point.lead", "core.exported_only", "core.recursive"}
+
+
+def test_every_traced_name_is_a_function_of_the_package():
+    # spans.py imports only the standard library, so it loads by path
+    loader = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    missing = []
+    for module, func, _moves in spans.LAYERS:
+        owner = importlib.import_module(f"planefill.{module}")
+        *cls, attr = func.split(".")
+        for name in cls:
+            owner = getattr(owner, name, None)
+        raw = vars(owner).get(attr) if owner is not None else None
+        if isinstance(raw, classmethod):
+            raw = raw.__func__
+        if not (inspect.isfunction(raw) and raw.__module__.startswith("planefill.")):
+            missing.append(f"{module}.{func}")
+    assert spans.LAYERS
+    assert not missing, f"traced by perfbench/spans.py but not a planefill function: {missing}"

@@ -1,10 +1,12 @@
+import functools
+import itertools
 import random
 
 import pytest
 
 from planefill import fillcurve as fc
 from planefill.homog import HomogPoly, linear_substitute, scalar_ratio
-from planefill.poly import UniPoly
+from planefill.poly import UniPoly, divrem
 from support import field, rand_invertible3, rand_matrix3
 
 
@@ -85,22 +87,59 @@ def test_minpoly_examples():
     assert fc.minpoly(nilp) == UniPoly(spec, (0, 0, 0, 1))
 
 
-def test_minpoly_divides_and_annihilates():
-    rng = random.Random(37)
-    for q in (2, 3, 4):
-        spec = field(q)
-        for _ in range(40):
-            a = rand_matrix3(spec, rng)
-            mp = fc.minpoly(a)
-            from planefill.poly import divrem
+def _matrices3(q, samples=300, seed=37):
+    """Every 3x3 matrix over GF(q) for q <= 3, else a seeded sample."""
+    spec = field(q)
+    if q <= 3:
+        return [fc.Matrix3.from_ints(spec, v) for v in itertools.product(range(q), repeat=9)]
+    rng = random.Random(seed)
+    return [rand_matrix3(spec, rng) for _ in range(samples)]
 
+
+def _dot(spec, u, v):
+    return functools.reduce(spec.add, map(spec.mul, u, v), 0)
+
+
+def _ref_product(spec, a, b):
+    return [[_dot(spec, row, col) for col in zip(*b)] for row in a]
+
+
+def test_minpoly_divides_and_annihilates():
+    # exhaustive at q = 2, 3 and seeded at q = 4, 5: the minimal polynomial
+    # annihilates A, divides the characteristic polynomial, and no monic
+    # polynomial of lower degree annihilates A (brute force over all of them)
+    for q in (2, 3, 4, 5):
+        spec = field(q)
+        for a in _matrices3(q):
+            mp = fc.minpoly(a)
+            assert mp.coeffs[-1] == 1
             assert divrem(fc.charpoly(a), mp)[1].is_zero()
-            acc = fc.Matrix3.from_ints(spec, [0] * 9)
-            power = fc.Matrix3.identity(spec)
-            for c in mp.coeffs:
-                acc = acc + power.scale(c)
-                power = power @ a
-            assert all(v == 0 for row in acc.rows_int for v in row)
+            powers = [[[int(i == j) for j in range(3)] for i in range(3)], a.rows_int]
+            while len(powers) <= mp.degree:
+                powers.append(_ref_product(spec, powers[-1], a.rows_int))
+            entries = [[v for row in p for v in row] for p in powers]
+
+            def annihilates(coeffs):
+                return not any(_dot(spec, coeffs, column) for column in zip(*entries))
+
+            assert annihilates(mp.coeffs)
+            for d in range(1, mp.degree):
+                for low in itertools.product(range(q), repeat=d):
+                    assert not annihilates(low + (1,))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_kernel_vectors_are_the_brute_force_null_space(q):
+    # exhaustive at q = 2, 3, seeded at q = 4, 5; vectors in base-q order
+    spec = field(q)
+    vectors = [(n % q, n // q % q, n // (q * q)) for n in range(1, q**3)]
+    null = {
+        row: {v for v in vectors if not _dot(spec, row, v)}
+        for row in itertools.product(range(q), repeat=3)
+    }
+    for a in _matrices3(q):
+        expected = [v for v in vectors if all(v in null[row] for row in a.rows_int)]
+        assert fc._kernel_vectors(a.rows_int, spec) == expected
 
 
 def test_classify_examples():

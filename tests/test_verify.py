@@ -7,6 +7,7 @@ import pytest
 from planefill import affine as aff
 from planefill import fillcurve as fc
 from planefill import verify as vf
+from planefill.cli import main
 from planefill.homog import HomogPoly, linear_substitute, scalar_ratio
 from planefill.poly import UniPoly
 from support import field, rand_btransform, rand_invertible3, rand_matrix3
@@ -324,6 +325,37 @@ def test_curve_without_lines_is_scanned_for_singular_points_once(monkeypatch):
     assert len(scanned) == 2 and scanned[1] == fc.build_FA(a)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [0, 1, 1, 1, 1, 0, 1, 0, 0],  # nonsingular
+        [1, 0, 0, 0, 1, 0],  # affine filling
+        [0, 0, 1, 0, 1, 0],  # II-2
+    ],
+)
+def test_report_evaluates_its_curve_once(monkeypatch, matrix):
+    # without a rational line the audited residual is the curve itself, and
+    # the report reuses those values for the curve's own point count
+    spec = field(3)
+    if len(matrix) == 9:
+        m = fc.Matrix3.from_ints(spec, matrix)
+        curve, report = fc.build_FA(m), vf.decomposition_report
+    else:
+        m = aff.Matrix23.from_ints(spec, matrix)
+        curve, report = aff.build_GM(m), vf.affine_report
+    evaluated = []
+    real = vf._Plane.values
+
+    def counting(plane, f):
+        evaluated.append(f)
+        return real(plane, f)
+
+    monkeypatch.setattr(vf._Plane, "values", counting)
+    r = report(m)
+    assert r.match and not r.observed["lines"]
+    assert sum(f == curve for f in evaluated) == 1
+
+
 def test_residual_bound_audit_flags_too_many_points():
     spec = field(3)
     r = vf.decomposition_report(fc.Matrix3.from_ints(spec, [0, 0, 1, 1, 0, 0, 0, 0, 0]))
@@ -335,6 +367,25 @@ def test_residual_bound_audit_flags_too_many_points():
     vf._audit_residual_bound(counters, r)
     assert counters["audit_checked"] == 2 and counters["audit_failures"] == 1
     assert counters["first_discrepancy"].endswith("residual point bound violated")
+
+
+@pytest.mark.parametrize("q, audits", [(5, 6), (7, 8)])
+def test_sziklai_audits_the_class_representatives_above_q4(monkeypatch, capsys, q, audits):
+    # above q = 4 the projective half audits one representative per class;
+    # the q^6 affine sweep is stubbed out, it has its own tests
+    monkeypatch.setattr(
+        vf, "sweep_affine_reports",
+        lambda spec, jobs=1: {"audit_checked": 0, "audit_failures": 0},
+    )
+    out = vf.run_suite("sziklai", q)
+    assert out["projective_audits"] == audits
+    assert out["audit_failures"] == 0 and out["pass"]
+
+    real = fc.point_bound
+    monkeypatch.setattr(fc, "point_bound", lambda degree, q: real(degree, q) + 1)
+    assert main(["verify", "--suite", "sziklai", "--q", str(q)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["audit_failures"] > 0 and not summary["pass"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits
-from .homog import HomogPoly, ProjPoint, _cross, _matmul, _rref, _transpose
+from .homog import HomogPoly, ProjPoint, _combination, _cross, _matmul, _rref, _transpose
 from .poly import (
     QUAD_DOUBLE,
     QUAD_IRREDUCIBLE,
@@ -130,39 +131,23 @@ def apply_transform(M: Matrix23, t: BTransform) -> Matrix23:
     return Matrix23(spec, _matmul(_transpose(t.block), moved, spec))
 
 
+@lru_cache(maxsize=None)
+def _gm_basis(spec: FieldSpec):
+    """The terms of G_E for the six 2x3 matrix units E, row-major: the i-th
+    of x^q - x z^(q-1), y^q - y z^(q-1) times the j-th of x, y, z."""
+    q = spec.q
+    x, y, z = (HomogPoly.variable(spec, i) for i in range(3))
+    left = [v**q - v * z ** (q - 1) for v in (x, y)]
+    return tuple((p * v).terms for p in left for v in (x, y, z))
+
+
 def build_GM(M: Matrix23) -> HomogPoly:
     """The degree-(q+1) curve polynomial of M; every affine rational point
     lies on it."""
     if M.is_zero():
         raise ValueError("the zero matrix defines no curve")
     spec = M.spec
-    q = spec.q
-    (a0, a1, a2), (b0, b1, b2) = M.rows_int
-    add, mul, neg = spec._add, spec._mul, spec._neg
-    acc: dict = {}
-
-    def put(key, val):
-        if not val:
-            return
-        s = add[acc.get(key, 0)][val]
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-
-    put((q + 1, 0, 0), a0)
-    put((q, 1, 0), a1)
-    put((q, 0, 1), a2)
-    put((2, 0, q - 1), neg[a0])
-    put((1, 1, q - 1), neg[a1])
-    put((1, 0, q), neg[a2])
-    put((1, q, 0), b0)
-    put((0, q + 1, 0), b1)
-    put((0, q, 1), b2)
-    put((1, 1, q - 1), neg[b0])
-    put((0, 2, q - 1), neg[b1])
-    put((0, 1, q), neg[b2])
-    return HomogPoly._raw(spec, q + 1, acc)
+    return _combination(spec, spec.q + 1, zip(M.to_ints(), _gm_basis(spec)))
 
 
 def points_at_infinity(M: Matrix23) -> list[ProjPoint]:
@@ -343,19 +328,7 @@ def predicted_decomposition(label: AffineLabel) -> AffinePlan:
     spec = n.spec
     q = spec.q
     neg = spec._neg
-    x = HomogPoly.linear_form(spec, (1, 0, 0))
-    y = HomogPoly.linear_form(spec, (0, 1, 0))
-    z = HomogPoly.linear_form(spec, (0, 0, 1))
-
-    def fan(base, other):
-        # lines base - lam*other for nonzero lam
-        out = []
-        for lam in range(1, q):
-            coeffs = [0, 0, 0]
-            coeffs[base] = 1
-            coeffs[other] = neg[lam]
-            out.append((HomogPoly.linear_form(spec, coeffs), 1))
-        return out
+    x, y, z = fc.coordinate_lines(spec)
 
     tag = label.tag
     if tag == AFFINE_FILLING:
@@ -389,7 +362,8 @@ def predicted_decomposition(label: AffineLabel) -> AffinePlan:
         )
         return AffinePlan(((y, 1),), fc.ResidualSpec(fc.RESIDUAL_MAX_Q, eq), None, 2)
     if tag == AFFINE_I3:
-        return AffinePlan(((y, 1), (x, 1), *fan(0, 2)), None, fc.CONCURRENT_ALL_BUT_ONE, 2)
+        lines = ((y, 1), (x, 1), *fc.line_pencil(spec, 0, 2))
+        return AffinePlan(lines, None, fc.CONCURRENT_ALL_BUT_ONE, 2)
     if tag == AFFINE_II1:
         a0 = n.rows_int[0][0]
         a1 = n.rows_int[0][1]
@@ -407,8 +381,10 @@ def predicted_decomposition(label: AffineLabel) -> AffinePlan:
     if tag == AFFINE_II2:
         return AffinePlan((), fc.ResidualSpec(fc.RESIDUAL_MAX_Q_PLUS_1, build_GM(n)), None, 1)
     if tag == AFFINE_II3:
-        return AffinePlan(((x, 2), *fan(0, 2)), None, fc.CONCURRENT_ALL, 1)
+        return AffinePlan(((x, 2), *fc.line_pencil(spec, 0, 2)), None, fc.CONCURRENT_ALL, 1)
     if tag == AFFINE_III1:
-        return AffinePlan(((x, 1), (y, 1), *fan(0, 1)), None, fc.CONCURRENT_ALL, q + 1)
+        lines = ((x, 1), (y, 1), *fc.line_pencil(spec, 0, 1))
+        return AffinePlan(lines, None, fc.CONCURRENT_ALL, q + 1)
     # III-3
-    return AffinePlan(((x, 1), (z, 1), *fan(0, 2)), None, fc.CONCURRENT_ALL, q + 1)
+    lines = ((x, 1), (z, 1), *fc.line_pencil(spec, 0, 2))
+    return AffinePlan(lines, None, fc.CONCURRENT_ALL, q + 1)

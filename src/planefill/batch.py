@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits, make_field
 from .homog import linear_substitute, partials
-from .verify import _matrix_at, _note_failure, _plane_for
+from .verify import _check_cycle, _matrix_at, _note_failure, _plane_for
 
 
 class Lanes:
@@ -308,14 +308,9 @@ def cycle_range(args) -> dict:
             if c == scalar:
                 continue
             a = fc.Matrix3(spec, ((c, digits[1], digits[2]), *rest))
-            irreducible = fc.classify(a).tag == fc.CASE_NONSINGULAR
             s = add(base, row[c])
-            has_lin = lines.any_zero(s)
-            has_sing = singular.any_zero(s)
-            if not (irreducible == (not has_lin) == (not has_sing)):
-                _note_failure(
-                    counters, "cycle_failures",
-                    f"matrix {a.to_ints()}: irreducible={irreducible} "
-                    f"no-lines={not has_lin} no-singular={not has_sing}",
-                )
+            _check_cycle(
+                counters, a, fc.classify(a).tag == fc.CASE_NONSINGULAR,
+                lines.any_zero(s), singular.any_zero(s),
+            )
     return counters

@@ -47,6 +47,18 @@ def _emit(payload, out_path):
         print(text)
 
 
+def _check_out(path):
+    """Fail fast on an --out path that cannot be written, before any work;
+    the probe leaves no file behind."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise SystemExit2(f"cannot write --out {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def cmd_classify(args) -> int:
     spec = field_for_order(args.q)
     vals = args.matrix
@@ -111,13 +123,12 @@ def _affine_atlas(spec) -> list[dict]:
             continue
         m = representatives[tag]
         report = verify.affine_report(m)
-        label = aff.classify_affine(m)
         entries.append(
             {
                 "q": q,
                 "label": tag,
                 "representative": m.to_ints(),
-                "canonical": label.canonical.to_ints(),
+                "canonical": report.predicted["canonical"],
                 "components": {
                     "lines": report.predicted["lines"],
                     "residual_degree": report.predicted["residual_degree"],
@@ -186,6 +197,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         code = args.func(args)
         # flush here so a closed pipe is reported inside this block
         sys.stdout.flush()

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .gf import FieldElement, FieldSpec, _coerce, base_digits
 from .homog import (
     HomogPoly,
+    _combination,
     _cross,
     _mat3_det,
     _mat3_inv,
@@ -32,6 +33,7 @@ from .poly import (
     CUBIC_THREE_DISTINCT,
     UniPoly,
     cubic_shape,
+    divrem,
 )
 
 CASE_NONSINGULAR = "nonsingular"
@@ -146,41 +148,16 @@ def build_UVW(spec: FieldSpec) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
 
 @lru_cache(maxsize=None)
 def _fa_basis(spec: FieldSpec):
+    """The terms of F_E for the nine matrix units E, row-major: x_i times
+    the j-th generator."""
     uvw = build_UVW(spec)
-    basis = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            terms = {}
-            for (a, b, c), v in uvw[j].terms.items():
-                key = [a, b, c]
-                key[i] += 1
-                terms[tuple(key)] = v
-            row.append(terms)
-        basis.append(tuple(row))
-    return tuple(basis)
+    return tuple((HomogPoly.variable(spec, i) * g).terms for i in range(3) for g in uvw)
 
 
 def build_FA(A: Matrix3) -> HomogPoly:
     """The degree-(q+2) curve polynomial of A; zero exactly for scalar A."""
     spec = A.spec
-    basis = _fa_basis(spec)
-    add, mul = spec._add, spec._mul
-    acc: dict = {}
-    for i in range(3):
-        arow = A.rows_int[i]
-        for j in range(3):
-            c = arow[j]
-            if not c:
-                continue
-            crow = mul[c]
-            for key, v in basis[i][j].items():
-                s = add[acc.get(key, 0)][crow[v]]
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-    return HomogPoly._raw(spec, spec.q + 2, acc)
+    return _combination(spec, spec.q + 2, zip(A.to_ints(), _fa_basis(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +211,22 @@ class CaseLabel:
     quad: UniPoly | None = None
 
 
+def _case_labels(shape) -> list[tuple[CaseLabel, int]]:
+    """(label, degree of the minimal polynomial) for every non-scalar
+    similarity type whose characteristic polynomial has this factor shape."""
+    if shape.tag == CUBIC_IRREDUCIBLE:
+        return [(CaseLabel(CASE_NONSINGULAR, ()), 3)]
+    if shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC:
+        return [(CaseLabel(CASE_1, shape.roots, shape.quad), 3)]
+    if shape.tag == CUBIC_THREE_DISTINCT:
+        return [(CaseLabel(CASE_2, shape.roots), 3)]
+    if shape.tag == CUBIC_DOUBLE_PLUS_SIMPLE:
+        roots = (shape.roots[0], shape.roots[2])
+        return [(CaseLabel(CASE_3_1, roots), 3), (CaseLabel(CASE_3_2, roots), 2)]
+    roots = shape.roots[:1]
+    return [(CaseLabel(CASE_4_1, roots), 3), (CaseLabel(CASE_4_2, roots), 2)]
+
+
 def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) -> CaseLabel:
     """Sort A by the factor shape of its characteristic polynomial and the
     degree of its minimal polynomial.
@@ -241,22 +234,14 @@ def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) ->
     Both polynomials may be passed in when the caller already has them.
     """
     shape = cubic_shape(f if f is not None else charpoly(A))
-    if shape.tag == CUBIC_IRREDUCIBLE:
-        return CaseLabel(CASE_NONSINGULAR, ())
-    if shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC:
-        return CaseLabel(CASE_1, shape.roots, shape.quad)
-    if shape.tag == CUBIC_THREE_DISTINCT:
-        return CaseLabel(CASE_2, shape.roots)
+    labels = _case_labels(shape)
+    if len(labels) == 1:
+        # without a repeated root the minimal polynomial is the characteristic one
+        return labels[0][0]
     mdeg = (mp if mp is not None else minpoly(A)).degree
-    if shape.tag == CUBIC_DOUBLE_PLUS_SIMPLE:
-        alpha, beta = shape.roots[0], shape.roots[2]
-        return CaseLabel(CASE_3_1 if mdeg == 3 else CASE_3_2, (alpha, beta))
-    alpha = shape.roots[0]
-    if mdeg == 3:
-        return CaseLabel(CASE_4_1, (alpha,))
-    if mdeg == 2:
-        return CaseLabel(CASE_4_2, (alpha,))
-    return CaseLabel(CASE_4_3, (alpha,))
+    if mdeg == 1:
+        return CaseLabel(CASE_4_3, shape.roots[:1])
+    return next(label for label, d in labels if d == mdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +449,22 @@ class DecompositionPlan:
     zero_polynomial: bool = False
 
 
-def _line(spec: FieldSpec, a, b, c) -> HomogPoly:
-    return HomogPoly.linear_form(spec, (a, b, c))
+def coordinate_lines(spec: FieldSpec) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
+    """The lines x = 0, y = 0 and z = 0."""
+    return tuple(HomogPoly.variable(spec, i) for i in range(3))
+
+
+def line_pencil(spec: FieldSpec, base: int, other: int) -> list:
+    """The simple lines base - lam*other for lam != 0, where base and other
+    index coordinates: the pencil through their common zero without the two
+    coordinate lines."""
+    out = []
+    for lam in range(1, spec.q):
+        coeffs = [0, 0, 0]
+        coeffs[base] = 1
+        coeffs[other] = spec._neg[lam]
+        out.append((HomogPoly.linear_form(spec, coeffs), 1))
+    return out
 
 
 def predicted_decomposition(
@@ -484,9 +483,7 @@ def predicted_decomposition(
         raise ValueError("the curve of a matrix with irreducible characteristic polynomial does not split")
     C, S = rcf_similarity(A, label=label, f=f)
     neg = spec._neg
-    x = _line(spec, 1, 0, 0)
-    y = _line(spec, 0, 1, 0)
-    z = _line(spec, 0, 0, 1)
+    x, y, z = coordinate_lines(spec)
 
     if label.tag == CASE_4_3:
         return DecompositionPlan(label, (), None, None, C, S, zero_polynomial=True)
@@ -543,12 +540,8 @@ def predicted_decomposition(
         return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None, C, S)
 
     if label.tag == CASE_3_2:
-        lines = [(z, 1), (x, 1), (y, 1)]
-        for lam in range(1, q):
-            lines.append((_line(spec, 1, neg[lam], 0), 1))
-        return DecompositionPlan(
-            label, tuple(lines), None, CONCURRENT_ALL_BUT_ONE, C, S
-        )
+        lines = ((z, 1), (x, 1), (y, 1), *line_pencil(spec, 0, 1))
+        return DecompositionPlan(label, lines, None, CONCURRENT_ALL_BUT_ONE, C, S)
 
     if label.tag == CASE_4_1:
         eq = HomogPoly(
@@ -565,10 +558,8 @@ def predicted_decomposition(
         return DecompositionPlan(label, ((x, 1),), residual, None, C, S)
 
     # CASE_4_2: a double line and q simple lines through one point
-    lines = [(x, 2), (z, 1)]
-    for lam in range(1, q):
-        lines.append((_line(spec, neg[lam], 0, 1), 1))
-    return DecompositionPlan(label, tuple(lines), None, CONCURRENT_ALL, C, S)
+    lines = ((x, 2), (z, 1), *line_pencil(spec, 2, 0))
+    return DecompositionPlan(label, lines, None, CONCURRENT_ALL, C, S)
 
 
 # ---------------------------------------------------------------------------
@@ -613,32 +604,6 @@ def equiv_key(A: Matrix3) -> EquivKey:
 # one representative matrix per equivalence class
 
 
-def _case_variants(spec: FieldSpec, f: UniPoly, shape):
-    """(tag, minpoly, canonical matrix) for every similarity type with
-    characteristic polynomial f, scalars excluded."""
-    if shape.tag == CUBIC_IRREDUCIBLE:
-        yield CASE_NONSINGULAR, f, _companion(f)
-        return
-    if shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC:
-        label = CaseLabel(CASE_1, shape.roots, shape.quad)
-        yield CASE_1, f, _case_canonical(spec, label, f)
-        return
-    if shape.tag == CUBIC_THREE_DISTINCT:
-        label = CaseLabel(CASE_2, shape.roots)
-        yield CASE_2, f, _case_canonical(spec, label, f)
-        return
-    if shape.tag == CUBIC_DOUBLE_PLUS_SIMPLE:
-        alpha, beta = shape.roots[0], shape.roots[2]
-        yield CASE_3_1, f, _case_canonical(spec, CaseLabel(CASE_3_1, (alpha, beta)), f)
-        m = UniPoly.from_roots(spec, (alpha, beta))
-        yield CASE_3_2, m, _case_canonical(spec, CaseLabel(CASE_3_2, (alpha, beta)), f)
-        return
-    alpha = shape.roots[0]
-    yield CASE_4_1, f, _case_canonical(spec, CaseLabel(CASE_4_1, (alpha,)), f)
-    m = UniPoly.from_roots(spec, (alpha, alpha))
-    yield CASE_4_2, m, _case_canonical(spec, CaseLabel(CASE_4_2, (alpha,)), f)
-
-
 def _class_size(spec: FieldSpec, tag: str) -> int:
     """Number of matrices similar to a given one, per case.
 
@@ -681,14 +646,18 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
     seen = set()
     for n in range(q**3):
         f = UniPoly(spec, base_digits(n, q, 3) + (1,))
-        shape = cubic_shape(f)
-        for tag, m, C in _case_variants(spec, f, shape):
+        for label, mdeg in _case_labels(cubic_shape(f)):
+            # a degree-2 minimal polynomial drops one factor t - alpha
+            # of the double or triple root alpha
+            m = f
+            if mdeg == 2:
+                m = divrem(f, UniPoly(spec, (spec._neg[label.roots[0].val], 1)))[0]
             if (f.coeffs, m.coeffs) in seen:
                 continue
             orbit = _orbit(f, m)
             seen |= orbit
             key = EquivKey(False, _pair_key(orbit))
-            out.append(
-                ClassRepresentative(key, C, tag, _class_size(spec, tag) * len(orbit))
-            )
+            C = _case_canonical(spec, label, f)
+            size = _class_size(spec, label.tag) * len(orbit)
+            out.append(ClassRepresentative(key, C, label.tag, size))
     return out

@@ -168,7 +168,7 @@ class FieldSpec:
 
     Built through :func:`make_field`; two specs compare equal iff they have
     the same characteristic, degree and modulus.  All arithmetic methods on
-    raw integer encodings (`add`, `mul`, ...) are pure table lookups.
+    raw integer encodings (`mul`, `div`, ...) are pure table lookups.
     """
 
     __slots__ = (
@@ -244,9 +244,6 @@ class FieldSpec:
         self._neg, self._inv, self._powmod = neg, inv, powmod
 
     # raw integer-encoding operations ------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -358,7 +355,11 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
 
 
 def field_for_order(q: int) -> FieldSpec:
-    """GF(q) for a prime power q."""
+    """GF(q) for a prime power q, checked against the bound before the
+    search for its characteristic, which tests every p <= q."""
+    bound = max_field_size()
+    if q > bound:
+        raise ValueError(f"q = {q} exceeds the configured bound {bound}")
     for p in range(2, q + 1):
         if _is_prime(p) and q % p == 0:
             e = 0

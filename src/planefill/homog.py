@@ -103,13 +103,7 @@ class HomogPoly:
         )
 
     def scaled(self, c) -> "HomogPoly":
-        cv = _coerce(self.spec, c)
-        if not cv:
-            return HomogPoly._raw(self.spec, self.degree, {})
-        mul = self.spec._mul[cv]
-        return HomogPoly._raw(
-            self.spec, self.degree, {k: mul[v] for k, v in self.terms.items()}
-        )
+        return _combination(self.spec, self.degree, [(_coerce(self.spec, c), self.terms)])
 
     def _same(self, other: "HomogPoly") -> FieldSpec:
         if not isinstance(other, HomogPoly) or other.spec != self.spec:
@@ -120,41 +114,22 @@ class HomogPoly:
         spec = self._same(other)
         if self.degree != other.degree:
             raise ValueError("cannot add homogeneous polynomials of different degrees")
-        add = spec._add
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = add[out.get(k, 0)][v]
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        out = _add_scaled(dict(self.terms), other.terms, 1, spec)
         return HomogPoly._raw(spec, self.degree, out)
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def __neg__(self) -> "HomogPoly":
-        neg = self.spec._neg
-        return HomogPoly._raw(
-            self.spec, self.degree, {k: neg[v] for k, v in self.terms.items()}
-        )
+        return self.scaled(self.spec._neg[1])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scaled(other)
         spec = self._same(other)
-        out: dict[tuple[int, int, int], int] = {}
-        add, mul = spec._add, spec._mul
-        for (i1, j1, k1), c1 in self.terms.items():
-            row = mul[c1]
-            for (i2, j2, k2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                s = add[out.get(key, 0)][row[c2]]
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return HomogPoly._raw(spec, self.degree + other.degree, out)
+        return HomogPoly._raw(
+            spec, self.degree + other.degree, _dict_mul(self.terms, other.terms, spec)
+        )
 
     def __pow__(self, n: int) -> "HomogPoly":
         if n < 0:
@@ -337,12 +312,7 @@ def _row_power(row, n: int, spec: FieldSpec, cache: dict):
     if n == 0:
         out = {(0, 0, 0): 1}
     elif n == 1:
-        out = {}
-        for idx, c in enumerate(row):
-            if c:
-                key = [0, 0, 0]
-                key[idx] = 1
-                out[tuple(key)] = c
+        out = HomogPoly.linear_form(spec, row).terms
     elif n >= q:
         m, r = divmod(n, q)
         base = _row_power(row, m, spec, cache)
@@ -354,6 +324,28 @@ def _row_power(row, n: int, spec: FieldSpec, cache: dict):
         )
     cache[n] = out
     return out
+
+
+def _add_scaled(acc: dict, terms: dict, c: int, spec: FieldSpec) -> dict:
+    """acc += c*terms in place, dropping the terms that cancel; returns acc."""
+    add, row = spec._add, spec._mul[c]
+    for key, v in terms.items():
+        s = add[acc.get(key, 0)][row[v]]
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def _combination(spec: FieldSpec, degree: int, pairs) -> HomogPoly:
+    """The sum of c*terms over the (c, terms) pairs, as a polynomial of the
+    given degree."""
+    acc: dict = {}
+    for c, terms in pairs:
+        if c:
+            _add_scaled(acc, terms, c, spec)
+    return HomogPoly._raw(spec, degree, acc)
 
 
 def _dict_mul(a: dict, b: dict, spec: FieldSpec) -> dict:
@@ -377,23 +369,14 @@ def linear_substitute(f: HomogPoly, b) -> HomogPoly:
     rows = _as_int_rows(b, spec)
     if _mat3_det(rows, spec) == 0:
         raise ValueError("substitution matrix is singular")
-    if f.is_zero():
-        return HomogPoly._raw(spec, f.degree, {})
     caches = ({}, {}, {})
-    add, mul = spec._add, spec._mul
-    acc: dict = {}
-    for (i, j, k), c in f.terms.items():
+
+    def image(i, j, k):
         prod = _row_power(rows[0], i, spec, caches[0])
         prod = _dict_mul(prod, _row_power(rows[1], j, spec, caches[1]), spec)
-        prod = _dict_mul(prod, _row_power(rows[2], k, spec, caches[2]), spec)
-        row = mul[c]
-        for key, v in prod.items():
-            s = add[acc.get(key, 0)][row[v]]
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return HomogPoly._raw(spec, f.degree, acc)
+        return _dict_mul(prod, _row_power(rows[2], k, spec, caches[2]), spec)
+
+    return _combination(spec, f.degree, ((c, image(*key)) for key, c in f.terms.items()))
 
 
 def partials(f: HomogPoly) -> tuple[HomogPoly, HomogPoly, HomogPoly]:

@@ -10,6 +10,7 @@ and ``degree None`` (a real sentinel, never -1 arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .gf import FieldElement, FieldSpec, _coerce
 
@@ -72,17 +73,11 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         spec = self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return UniPoly(spec, [spec._add[x][y] for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(spec, [spec._add[x][y] for x, y in pairs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        spec = self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return UniPoly(spec, [spec._sub[x][y] for x, y in zip(a, b)])
+        return self + (-other)
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(self.spec, [self.spec._neg[c] for c in self.coeffs])

@@ -292,9 +292,7 @@ def missing_points_collinear(f: HomogPoly) -> dict:
 
 def exceptional_quartic(spec: FieldSpec) -> HomogPoly:
     """The quartic (x+y+z)^4 + (xy+yz+zx)^2 + xyz(x+y+z)."""
-    x = HomogPoly.variable(spec, 0)
-    y = HomogPoly.variable(spec, 1)
-    z = HomogPoly.variable(spec, 2)
+    x, y, z = (HomogPoly.variable(spec, i) for i in range(3))
     s = x + y + z
     t = x * y + y * z + z * x
     s2 = s * s
@@ -617,6 +615,18 @@ def _note_failure(counters: dict, key: str, message: str):
         counters["first_discrepancy"] = message
 
 
+def _check_cycle(counters: dict, a, irreducible: bool, has_lin: bool, has_sing: bool):
+    """Theorem 2.4 for one non-scalar Matrix3 a: irreducible characteristic
+    polynomial <=> no rational line divides F_A <=> F_A has no singular
+    rational point."""
+    if not (irreducible == (not has_lin) == (not has_sing)):
+        _note_failure(
+            counters, "cycle_failures",
+            f"matrix {a.to_ints()}: irreducible={irreducible} "
+            f"no-lines={not has_lin} no-singular={not has_sing}",
+        )
+
+
 def _audit_residual_bound(counters: dict, r: DecompositionReport):
     """Point-count bound N <= (d-1)q + 1 on a report's residual curve: tight
     for the maximal kinds, strict for the affine-filling residual."""
@@ -667,15 +677,10 @@ def _case_range(args) -> dict:
                 counters, "match_failures",
                 f"matrix {a.to_ints()} (case {r.case}): {r.discrepancies[0]}",
             )
-        irreducible = r.case == fc.CASE_NONSINGULAR
-        has_lin = bool(r.observed["lines"])
-        has_sing = r.observed["curve_singular"]
-        if not (irreducible == (not has_lin) == (not has_sing)):
-            _note_failure(
-                counters, "cycle_failures",
-                f"matrix {a.to_ints()}: irreducible={irreducible} "
-                f"no-lines={not has_lin} no-singular={not has_sing}",
-            )
+        _check_cycle(
+            counters, a, r.case == fc.CASE_NONSINGULAR,
+            bool(r.observed["lines"]), r.observed["curve_singular"],
+        )
         min_is_char = r.minpoly == r.charpoly
         has_nonlinear = r.observed["residual_degree"] >= 2
         if min_is_char != has_nonlinear:

@@ -51,6 +51,27 @@ def test_build_GM_III3_canonical():
         )
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_build_GM_is_its_defining_product(q):
+    # G_M = (x^q - x z^(q-1), y^q - y z^(q-1)) M (x,y,z)^t in whole-polynomial
+    # arithmetic: every nonzero matrix at q = 2, 3, seeded ones above
+    spec = field(q)
+    x, y, z = (HomogPoly.variable(spec, i) for i in range(3))
+    left = [v**q - v * z ** (q - 1) for v in (x, y)]
+    if q <= 3:
+        matrices = [
+            aff.Matrix23.from_ints(spec, v) for v in itertools.product(range(q), repeat=6)
+        ][1:]
+    else:
+        rng = random.Random(53)
+        matrices = [rand_matrix23(spec, rng) for _ in range(300)]
+    for m in matrices:
+        expected = HomogPoly.zero(spec, q + 1)
+        for p, row in zip(left, m.rows_int):
+            expected = expected + p * HomogPoly.linear_form(spec, row)
+        assert aff.build_GM(m) == expected
+
+
 def test_build_GM_zero_matrix_rejected():
     with pytest.raises(ValueError):
         aff.build_GM(matrix(3, [0] * 6))
@@ -109,7 +130,7 @@ def test_rank_two_iff_the_row_space_has_q_squared_elements(q):
     for m in matrices:
         r0, r1 = m.rows_int
         span = {
-            tuple(spec.add(spec.mul(a, x), spec.mul(b, y)) for x, y in zip(r0, r1))
+            tuple(spec._add[spec.mul(a, x)][spec.mul(b, y)] for x, y in zip(r0, r1))
             for a in range(q)
             for b in range(q)
         }

@@ -103,6 +103,36 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["case"] == "4.1"
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--q", "4", "--suite", "theorem-4"],
+    ["classify", "--q", "2", "--matrix", "0,1,0,0,0,1,0,0,0"],
+    ["atlas", "--q", "2", "--family", "projective"],
+])
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_is_a_usage_error_before_any_work(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an unwritable --out must not start any work")
+
+    monkeypatch.setattr(cli.verify, "run_suite", no_work)
+    monkeypatch.setattr(cli.verify, "decomposition_report", no_work)
+    code = main(command + ["--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_usage_error_leaves_no_out_file(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code = main(["classify", "--q", "6", "--matrix", "0,1,0,0,0,1,0,0,0", "--out", str(target)])
+    assert code == 2
+    assert "not a prime power" in capsys.readouterr().err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--samples", "0"), ("--samples", "-4"), ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "x"),
 ])

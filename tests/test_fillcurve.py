@@ -60,6 +60,19 @@ def test_build_FA_linear_in_matrix():
             assert fc.build_FA(a) + fc.build_FA(b) == fc.build_FA(a + b)
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_build_FA_is_its_defining_product(q):
+    # F_A = (x,y,z) A (U,V,W)^t = sum over columns j of (column j of A).(x,y,z)
+    # times the j-th generator, in whole-polynomial arithmetic
+    spec = field(q)
+    uvw = fc.build_UVW(spec)
+    for a in _matrices3(q):
+        expected = HomogPoly.zero(spec, q + 2)
+        for col, g in zip(zip(*a.rows_int), uvw):
+            expected = expected + HomogPoly.linear_form(spec, col) * g
+        assert fc.build_FA(a) == expected
+
+
 def test_charpoly_examples():
     spec = field(5)
     zero = fc.Matrix3.from_ints(spec, [0] * 9)
@@ -97,7 +110,7 @@ def _matrices3(q, samples=300, seed=37):
 
 
 def _dot(spec, u, v):
-    return functools.reduce(spec.add, map(spec.mul, u, v), 0)
+    return functools.reduce(lambda s, c: spec._add[s][c], map(spec.mul, u, v), 0)
 
 
 def _ref_product(spec, a, b):
@@ -213,7 +226,7 @@ def test_case2_residual_coefficients_sum_to_zero():
     assert all(coeffs)
     total = 0
     for c in coeffs:
-        total = spec.add(total, c)
+        total = spec._add[total][c]
     assert total == 0
     assert plan.residual.kind == fc.RESIDUAL_MAX_Q_MINUS_1
     assert plan.residual.expected_points == (5 - 2) * 5 + 1
@@ -312,6 +325,20 @@ def test_equiv_key_cross_ratio_orbit():
         fc.equiv_key(fc.Matrix3.diagonal(spec, 0, 1, lam)).key for lam in (2, 3, 4)
     }
     assert len(keys) == 1
+
+
+MINPOLY_DEGREE = {
+    fc.CASE_NONSINGULAR: 3, fc.CASE_1: 3, fc.CASE_2: 3, fc.CASE_3_1: 3,
+    fc.CASE_3_2: 2, fc.CASE_4_1: 3, fc.CASE_4_2: 2,
+}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_representatives_classify_as_their_tag(q):
+    spec = field(q)
+    for rep in fc.equivalence_representatives(spec):
+        assert fc.classify(rep.matrix).tag == rep.tag
+        assert fc.minpoly(rep.matrix).degree == MINPOLY_DEGREE[rep.tag]
 
 
 def test_representatives_against_brute_force_q2():

@@ -1,6 +1,7 @@
 import pytest
 
-from planefill.gf import field_for_order, make_field
+from planefill import gf
+from planefill.gf import _is_prime as is_prime, field_for_order, make_field
 from support import field
 
 SMALL_QS = (2, 3, 4, 5, 7, 8, 9)
@@ -45,6 +46,24 @@ def test_field_for_order():
     assert field_for_order(9).p == 3
     with pytest.raises(ValueError):
         field_for_order(6)
+
+
+def test_field_for_order_checks_the_bound_before_searching(monkeypatch):
+    # the search for a prime divisor of q used to run before the bound
+    # check: about a million primality tests for q = 1000003
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        if len(calls) > 64:
+            raise AssertionError("primality search ran past the bound")
+        return is_prime(n)
+
+    monkeypatch.setattr(gf, "_is_prime", counting_is_prime)
+    for q in (1000003, 1000000007):
+        with pytest.raises(ValueError, match=f"q = {q} exceeds the configured bound 64"):
+            field_for_order(q)
+    assert calls == []
 
 
 def test_gf4_generator_arithmetic():

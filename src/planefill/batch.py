@@ -1,13 +1,13 @@
-"""Packed GF(q)-linear images of 3x3 matrices for the exhaustive sweeps.
+"""Packed GF(q)-linear images of matrices for the exhaustive sweeps.
 
-The map A -> F_A is GF(q)-linear, and so is everything the exhaustive
-projective sweeps read off F_A: its coefficients, its values at the
-rational points, its partial derivatives there and its restriction to each
-rational line.  A ``Kernel`` holds, for each of the nine matrix entries and
-each c in GF(q), the image of c*E_ij packed into one Python int, so the
-image of a matrix is the packed sum of nine table entries.  Walking the
-matrices in counting order with one partial sum per digit level costs one
-packed addition per matrix.
+The maps A -> F_A (3x3 matrices) and M -> G_M (2x3 matrices) are
+GF(q)-linear, and so is everything the exhaustive sweeps read off the
+curve: its coefficients, its values at the rational points, its partial
+derivatives there and its restriction to each rational line.  A ``Kernel``
+holds, for each matrix entry and each c in GF(q), the image of c*E_ij
+packed into one Python int, so the image of a matrix is the packed sum of
+one table entry per entry.  Walking the matrices in counting order with one
+partial sum per digit level costs one packed addition per matrix.
 
 Each field element takes e lanes, one per base-p digit of its encoding.
 For p = 2 a lane is one bit and addition is XOR; for odd p a lane has a
@@ -15,8 +15,8 @@ guard bit above the digit, and addition is a SWAR add followed by a
 lane-wise subtraction of p where the sum reached p.
 
 Kernels are built lazily, once per field and process, from nine calls of
-``build_FA``; ``build_FA`` and the enumeration oracle stay the reference
-that the tests compare the kernels with.
+``build_FA`` or six of ``build_GM``; these and the enumeration oracle stay
+the reference that the tests compare the kernels with.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
+from . import affine as aff
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits, make_field
 from .homog import linear_substitute, partials
+from .poly import QUAD_IRREDUCIBLE, quad_shape
 from .verify import _check_cycle, _matrix_at, _note_failure, _plane_for
 
 
@@ -82,17 +84,19 @@ class Lanes:
 
 
 class Blocks:
-    """``count`` consecutive blocks of ``size`` elements each, starting at
-    element ``first``; ``any_zero`` tells whether some block is all zero.
+    """Blocks of ``size`` elements each, starting at the elements
+    ``starts``; ``zeros`` marks the blocks that are all zero.
 
     OR-folding a packed value onto itself with shifts that add up to the
     block width leaves at the lowest bit of each block the OR of exactly
     that block's bits, whatever lies above it.
     """
 
-    def __init__(self, lanes: Lanes, first: int, size: int, count: int):
+    def __init__(self, lanes: Lanes, starts, size: int):
         bits = lanes.bit(size)
-        self.lows = sum(1 << lanes.bit(first + b * size) for b in range(count))
+        positions = [lanes.bit(first) for first in starts]
+        self.lows = sum(1 << pos for pos in positions)
+        self.index = {pos: b for b, pos in enumerate(positions)}
         shifts = []
         span = 1
         while 2 * span <= bits:
@@ -102,10 +106,27 @@ class Blocks:
             shifts.append(bits - span)
         self.shifts = tuple(shifts)
 
-    def any_zero(self, packed: int) -> bool:
+    def zeros(self, packed: int) -> int:
+        """The lowest bit of every all-zero block."""
         for k in self.shifts:
             packed |= packed >> k
-        return packed & self.lows != self.lows
+        return self.lows & ~packed
+
+    def any_zero(self, packed: int) -> bool:
+        return bool(self.zeros(packed))
+
+    def count_zero(self, packed: int) -> int:
+        return self.zeros(packed).bit_count()
+
+    def zero_indices(self, packed: int) -> list[int]:
+        """The numbers of the all-zero blocks, in increasing order."""
+        zero = self.zeros(packed)
+        out = []
+        while zero:
+            low = zero & -zero
+            out.append(self.index[low.bit_length() - 1])
+            zero ^= low
+        return out
 
 
 class Kernel:
@@ -113,8 +134,8 @@ class Kernel:
 
     ``sections`` names consecutive runs of elements as (first, count);
     ``tables[k][c]`` is the packed image of c times the matrix unit at
-    entry k (row-major, the counting-order digit k), so the image of A is
-    the packed sum of ``tables[k][A_k]`` over the nine entries.
+    entry k (row-major, the counting-order digit k), so the image of a
+    matrix A is the packed sum of ``tables[k][A_k]`` over its entries.
     """
 
     def __init__(self, spec: FieldSpec, sections: dict, unit_vectors):
@@ -128,7 +149,7 @@ class Kernel:
             for vec in unit_vectors
         ]
 
-    def image(self, A: fc.Matrix3) -> int:
+    def image(self, A) -> int:
         out = 0
         for row, c in zip(self.tables, A.to_ints()):
             out = self.add(out, row[c])
@@ -143,12 +164,12 @@ class Kernel:
 
     def blocks(self, name: str, size: int) -> Blocks:
         first, count = self.sections[name]
-        return Blocks(self.lanes, first, size, count // size)
+        return Blocks(self.lanes, range(first, first + count, size), size)
 
 
-def _units(spec: FieldSpec):
-    """F_E for the nine matrix units E, in counting order."""
-    return [fc.build_FA(_matrix_at(fc.Matrix3, 9, spec, spec.q**k)) for k in range(9)]
+def _units(spec: FieldSpec, cls, size: int, build):
+    """build(E) for the ``size`` matrix units E of cls, in counting order."""
+    return [build(_matrix_at(cls, size, spec, spec.q**k)) for k in range(size)]
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +178,7 @@ def fill_kernel(spec: FieldSpec) -> Kernel:
     monomials any F_A can carry), then its values at the rational points in
     plane order."""
     plane = _plane_for(spec)
-    units = _units(spec)
+    units = _units(spec, fc.Matrix3, 9, fc.build_FA)
     monomials = sorted(set().union(*(f.terms for f in units)), reverse=True)
     kern = Kernel(
         spec,
@@ -173,7 +194,8 @@ def fill_kernel(spec: FieldSpec) -> Kernel:
 
 def _line_charts(spec: FieldSpec):
     """For each rational line L in plane order, rows R with L(R(s, t, w)) = w:
-    L divides f exactly when f(R(s, t, 0)) is the zero binary form."""
+    L^m divides f exactly when the coefficients of w^0, ..., w^(m-1) in
+    f(R(s, t, w)) are all zero binary forms."""
     neg = spec._neg
     for a, b, c in _plane_for(spec).line_coeffs:
         if a:
@@ -184,44 +206,78 @@ def _line_charts(spec: FieldSpec):
             yield ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-@lru_cache(maxsize=None)
-def cycle_kernel(spec: FieldSpec) -> Kernel:
-    """Images holding (F_A, dF_A/dx, dF_A/dy, dF_A/dz) at each rational
-    point ("points", four elements per point), then the q+3 coefficients
-    of the restriction of F_A to each rational line ("lines", s^(q+2-m) t^m
-    for m = 0, ..., q+2)."""
+def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
+    """Images holding (f, df/dx, df/dy, df/dz) at each rational point in
+    plane order ("points"), then for each k < chart_powers and each chart R
+    of ``_line_charts`` the coefficients of s^(d-k-m) t^m w^k in
+    f(R(s, t, w)), m = 0, ..., d-k, for f of degree d ("w<k>");
+    ``line_blocks[k]`` has one block of "w<k>" per line."""
     plane = _plane_for(spec)
-    d = spec.q + 2
-    charts = list(_line_charts(spec))
+    d = units[0].degree
+    sections = {"points": (0, 4 * len(plane.points))}
+    first = 4 * len(plane.points)
+    for k in range(chart_powers):
+        count = (d - k + 1) * len(plane.lines)
+        sections[f"w{k}"] = (first, count)
+        first += count
     vectors = []
-    for f in _units(spec):
+    for f in units:
         columns = [plane.values(g) for g in (f, *partials(f))]
         vec = [v for point in zip(*columns) for v in point]
-        for rows in charts:
-            terms = linear_substitute(f, rows).terms
-            vec += [terms.get((d - m, m, 0), 0) for m in range(d + 1)]
+        charts = [linear_substitute(f, rows).terms for rows in _line_charts(spec)]
+        for k in range(chart_powers):
+            for terms in charts:
+                vec += [terms.get((d - k - m, m, k), 0) for m in range(d - k + 1)]
         vectors.append(vec)
-    npts = len(plane.points)
-    return Kernel(
-        spec,
-        {"points": (0, 4 * npts), "lines": (4 * npts, (d + 1) * len(charts))},
-        vectors,
-    )
+    kern = Kernel(spec, sections, vectors)
+    kern.line_blocks = tuple(kern.blocks(f"w{k}", d - k + 1) for k in range(chart_powers))
+    return kern
+
+
+@lru_cache(maxsize=None)
+def cycle_kernel(spec: FieldSpec) -> Kernel:
+    """``_kernel`` of F_A with the w^0 blocks: the restriction of F_A to
+    each rational line."""
+    return _kernel(spec, _units(spec, fc.Matrix3, 9, fc.build_FA), 1)
+
+
+@lru_cache(maxsize=None)
+def affine_kernel(spec: FieldSpec) -> Kernel:
+    """``_kernel`` of G_M with the w^0, w^1 and w^2 blocks, which give the
+    lines dividing G_M with multiplicity up to 2.
+
+    ``quad[a][b][c]`` is the tag of ``quad_shape`` of a s^2 + b st + c t^2,
+    so the left-block quadratic of M is ``quad[a0][a1 + b0][b1]``;
+    ``affine_values`` masks G_M at the affine points and ``infinity``
+    blocks it at the points of z = 0.
+    """
+    q = spec.q
+    kern = _kernel(spec, _units(spec, aff.Matrix23, 6, aff.build_GM), 3)
+    plane = _plane_for(spec)
+    lanes = kern.lanes
+    kern.quad = [
+        [[quad_shape(spec, a, b, c).tag for c in range(q)] for b in range(q)]
+        for a in range(q)
+    ]
+    kern.affine_values = sum(lanes.mask(4 * i, 1) for i in plane.affine_idx)
+    kern.infinity = Blocks(lanes, [4 * i for i in plane.infinity_idx], 1)
+    return kern
 
 
 def walk(kern: Kernel, lo: int, hi: int):
-    """Matrices lo, ..., hi-1 in counting order, q at a time.
+    """Matrices lo, ..., hi-1 in counting order, q at a time, with one
+    digit per table of the kernel.
 
     Yields (n, c_lo, c_hi, digits, base): for c in [c_lo, c_hi), matrix
-    n + c - c_lo has entries (c, digits[1], ..., digits[8]) and packed
-    image ``add(base, tables[0][c])``.  ``digits`` is reused between
-    yields.
+    n + c - c_lo has entries (c, digits[1], ...) and packed image
+    ``add(base, tables[0][c])``.  ``digits`` is reused between yields.
     """
     q = kern.spec.q
     add, tables = kern.add, kern.tables
-    digits = list(base_digits(lo, q, 9))
-    sums = [0] * 10  # sums[k]: image of the entries k, ..., 8
-    for k in range(8, 0, -1):
+    size = len(tables)
+    digits = list(base_digits(lo, q, size))
+    sums = [0] * (size + 1)  # sums[k]: image of the entries k, ..., size-1
+    for k in range(size - 1, 0, -1):
         sums[k] = add(sums[k + 1], tables[k][digits[k]])
     n = lo
     while n < hi:
@@ -231,10 +287,10 @@ def walk(kern: Kernel, lo: int, hi: int):
         n += c_hi - c_lo
         digits[0] = 0
         k = 1
-        while k < 9 and digits[k] == q - 1:
+        while k < size and digits[k] == q - 1:
             digits[k] = 0
             k += 1
-        if k == 9:
+        if k == size:
             return
         digits[k] += 1
         for j in range(k, 0, -1):
@@ -294,11 +350,10 @@ def cycle_range(args) -> dict:
     <=> F_A has no singular rational point."""
     p, e, lo, hi = args
     spec = make_field(p, e)
-    q = spec.q
     kern = cycle_kernel(spec)
     add, row = kern.add, kern.tables[0]
     singular = kern.blocks("points", 4)
-    lines = kern.blocks("lines", q + 3)
+    lines = kern.line_blocks[0]
     counters = {"checked": 0, "cycle_failures": 0, "first_discrepancy": None}
     for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
         counters["checked"] += c_hi - c_lo
@@ -314,3 +369,87 @@ def cycle_range(args) -> dict:
                 lines.any_zero(s), singular.any_zero(s),
             )
     return counters
+
+
+def affine_fill_range(args) -> dict:
+    """The affine-filling characterization on the nonzero 2x3 matrices among
+    lo, ..., hi-1: every curve contains the affine plane; the left-block
+    quadratic is irreducible exactly when no point at infinity lies on the
+    curve; and then the curve has exactly one singular rational point and
+    no rational line divides it."""
+    p, e, lo, hi = args
+    spec = make_field(p, e)
+    q = spec.q
+    kern = affine_kernel(spec)
+    add, row, quad = kern.add, kern.tables[0], kern.quad
+    affine_values, infinity = kern.affine_values, kern.infinity
+    singular = kern.blocks("points", 4)
+    lines = kern.line_blocks[0]
+    counters = {
+        "checked": 0,
+        "filling": 0,
+        "iff_failures": 0,
+        "coverage_failures": 0,
+        "singular_failures": 0,
+        "first_discrepancy": None,
+    }
+    for _n, c_lo, c_hi, digits, base in walk(kern, max(lo, 1), hi):
+        counters["checked"] += c_hi - c_lo
+        b1 = digits[4]
+        mid = spec._add[digits[1]][digits[3]]
+        for c in range(c_lo, c_hi):
+            s = add(base, row[c])
+            if s & affine_values:
+                _note_failure(
+                    counters, "coverage_failures",
+                    f"matrix {[c, *digits[1:]]}: curve misses an affine point",
+                )
+                continue
+            irreducible = quad[c][mid][b1] == QUAD_IRREDUCIBLE
+            at_infinity = infinity.count_zero(s)
+            if irreducible != (not at_infinity):
+                _note_failure(
+                    counters, "iff_failures",
+                    f"matrix {[c, *digits[1:]]}: irreducible={irreducible} but "
+                    f"points={q * q + at_infinity}",
+                )
+            if irreducible:
+                counters["filling"] += 1
+                if singular.count_zero(s) != 1:
+                    _note_failure(
+                        counters, "singular_failures",
+                        f"matrix {[c, *digits[1:]]}: filling curve without a unique singular point",
+                    )
+                if lines.any_zero(s):
+                    _note_failure(
+                        counters, "iff_failures",
+                        f"matrix {[c, *digits[1:]]}: filling curve lost a rational linear component",
+                    )
+    return counters
+
+
+def observed_lines(kern: Kernel, packed: int):
+    """The rational lines dividing the curve of a packed image, as (index of
+    the line in plane order, multiplicity) in plane order; None when some
+    line divides with multiplicity at least 3, which the blocks w^0, w^1,
+    w^2 do not resolve."""
+    w0, w1, w2 = kern.line_blocks
+    lines = w0.zero_indices(packed)
+    double = set(w1.zero_indices(packed)).intersection(lines) if lines else ()
+    if double and double.intersection(w2.zero_indices(packed)):
+        return None
+    return [(i, 1 + (i in double)) for i in lines]
+
+
+def degenerate_lines(spec: FieldSpec, lo: int, hi: int):
+    """The nonzero 2x3 matrices among lo, ..., hi-1 whose left-block
+    quadratic is reducible, in counting order, each with its
+    ``observed_lines``: yields (entries, lines)."""
+    kern = affine_kernel(spec)
+    add, row, quad = kern.add, kern.tables[0], kern.quad
+    for _n, c_lo, c_hi, digits, base in walk(kern, max(lo, 1), hi):
+        b1 = digits[4]
+        mid = spec._add[digits[1]][digits[3]]
+        for c in range(c_lo, c_hi):
+            if quad[c][mid][b1] != QUAD_IRREDUCIBLE:
+                yield [c, *digits[1:]], observed_lines(kern, add(base, row[c]))

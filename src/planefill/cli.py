@@ -19,6 +19,8 @@ from . import verify
 from .gf import field_for_order
 
 SUITES = ("plane-filling", "theorem-2.4", "theorem-4", "affine-6", "sziklai", "collinear")
+# admits theorem-2.4 at q = 5 (1,953,125 matrices), refuses every q^9 sweep at q = 7
+MAX_MATRICES = 2_000_000
 
 
 def _parse_matrix(text: str) -> list[int]:
@@ -154,6 +156,14 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    size = verify.suite_size(args.suite, args.q, args.samples)
+    if size > args.max_matrices:
+        field_for_order(args.q)  # a q that names no field is reported as such
+        unit = "samples" if args.suite == "collinear" else "matrices"
+        raise SystemExit2(
+            f"suite {args.suite} at q = {args.q} would check {size} {unit}, "
+            f"more than --max-matrices {args.max_matrices}"
+        )
     summary = verify.run_suite(args.suite, args.q, jobs=args.jobs, samples=args.samples)
     _emit({"suite": args.suite, "q": args.q, **summary}, args.out)
     return 0 if summary["pass"] else 1
@@ -188,6 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument("--samples", type=_positive_int, default=200)
+    p_verify.add_argument(
+        "--max-matrices", type=_positive_int, default=MAX_MATRICES,
+        help=f"refuse a suite visiting more matrices than this (default {MAX_MATRICES})",
+    )
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -165,53 +165,60 @@ def _divline(rows, d: int, b: int, c: int, spec: FieldSpec):
     return out
 
 
+def _divide_out(f: HomogPoly, trials) -> LineComponentSet | None:
+    """Divide f by rational lines with multiplicity, in plane order.
+
+    ``trials`` gives (index of the line in plane order, multiplicity): the
+    line is divided out that many times, or as often as it divides when
+    the multiplicity is None.  Lines x + by + cz are divided with x
+    leading, then lines y + cz with y leading, then z.  Returns None when a
+    division with a given multiplicity leaves a remainder.
+    """
+    spec = f.spec
+    plane = _plane_for(spec)
+    deg, terms = f.degree, f.terms
+    found = []
+    lead, rows = None, None
+    for i, want in trials:
+        a, b, c = plane.line_coeffs[i]
+        now = 0 if a else 1 if b else 2
+        if now != lead:
+            if rows is not None:
+                terms = _terms_from_rows(rows, deg, lead)
+            lead = now
+            rows = _rows(terms, deg, lead) if lead < 2 else None
+        mult = 0
+        while deg > 0 and mult != want:
+            if rows is not None:
+                # x + by + cz has b on the other of x and y, y + cz has 0
+                quot = _divline(rows, deg, b if a else 0, c, spec)
+                if quot is None:
+                    break
+                rows = quot
+            elif all(k for (_i, _j, k) in terms):
+                terms = {(i, j, k - 1): v for (i, j, k), v in terms.items()}
+            else:
+                break
+            deg -= 1
+            mult += 1
+        if want is not None and mult != want:
+            return None
+        if mult:
+            found.append((plane.lines[i], mult))
+    if rows is not None:
+        terms = _terms_from_rows(rows, deg, lead)
+    return LineComponentSet(found, HomogPoly._raw(spec, deg, terms), deg)
+
+
 def find_linear_components(f: HomogPoly) -> LineComponentSet:
     """Divide out every rational line with multiplicity.
 
-    Tries each of the q^2+q+1 lines in enumeration order; the residual is
-    divisible by no rational linear form.  Lines x + by + cz are divided
-    with x leading, then lines y + cz with y leading, then z.
+    Tries each of the q^2+q+1 lines in plane order; the residual is
+    divisible by no rational linear form.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
-    spec = f.spec
-    q = spec.q
-    plane = _plane_for(spec)
-    deg = f.degree
-    terms = f.terms
-    found = []
-
-    for lead, bs in ((0, range(q)), (1, (0,))):
-        if deg == 0:
-            break
-        rows = _rows(terms, deg, lead)
-        for b in bs:
-            for c in range(q):
-                mult = 0
-                while deg > 0:
-                    quot = _divline(rows, deg, b, c, spec)
-                    if quot is None:
-                        break
-                    rows = quot
-                    deg -= 1
-                    mult += 1
-                if mult:
-                    found.append((plane.lines[lead * q * q + b * q + c], mult))
-                if deg == 0:
-                    break
-            if deg == 0:
-                break
-        terms = _terms_from_rows(rows, deg, lead)
-
-    mult = 0
-    while deg > 0 and all(k for (_i, _j, k) in terms):
-        terms = {(i, j, k - 1): v for (i, j, k), v in terms.items()}
-        deg -= 1
-        mult += 1
-    if mult:
-        found.append((plane.lines[q * q + q], mult))
-
-    return LineComponentSet(found, HomogPoly._raw(spec, deg, terms), deg)
+    return _divide_out(f, ((i, None) for i in range(len(_plane_for(f.spec).lines))))
 
 
 def singular_Fq_points(f: HomogPoly, fvals=None) -> list[ProjPoint]:
@@ -385,16 +392,24 @@ def _transport(plan, rows, spec: FieldSpec) -> _Prediction:
     )
 
 
-def _audit(f: HomogPoly, pred: _Prediction, disc: list) -> tuple[dict, list]:
+def _audit(f: HomogPoly, pred: _Prediction, disc: list, lines=None) -> tuple[dict, list]:
     """Recompute the linear components of f and compare them with the
     prediction: line set with multiplicity, residual degree, residual
     equation up to a scalar, residual point and singular-point counts, and
     concurrency.  Mismatches are appended to disc; returns the observed
     fields both report families share, and the values of f at the points
-    of the plane (evaluated once: a residual without lines is f itself)."""
+    of the plane (evaluated once: a residual without lines is f itself).
+
+    ``lines``, if given, are the lines dividing f observed elsewhere, as
+    (index in plane order, multiplicity) in plane order: f is divided by
+    those alone instead of trying every rational line."""
     spec = f.spec
     plane = _plane_for(spec)
-    comps = find_linear_components(f)
+    comps = None if lines is None else _divide_out(f, lines)
+    if comps is None:
+        if lines is not None:
+            disc.append("observed lines do not divide the curve with their multiplicities")
+        comps = find_linear_components(f)
     obs_lines = [(l.line_coeffs(), mult) for l, mult in comps.lines]
     forms = [l for l, _ in comps.lines]
     if sorted(obs_lines) != sorted(pred.lines):
@@ -521,13 +536,14 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
 # the affine family
 
 
-def affine_report(M: aff.Matrix23) -> DecompositionReport:
+def affine_report(M: aff.Matrix23, lines=None) -> DecompositionReport:
     """Oracle audit of the curve of a nonzero 2x3 matrix.
 
     Checks the canonical reduction round trip, the substitution law for
     the witness, the transported line/residual structure, rational points
     at infinity by two routes, affine coverage, and the rank-2 criterion
-    for a nonlinear component.
+    for a nonlinear component.  ``lines`` are the lines dividing the curve
+    if already observed, as for ``_audit``.
     """
     spec = M.spec
     plane = _plane_for(spec)
@@ -548,7 +564,7 @@ def affine_report(M: aff.Matrix23) -> DecompositionReport:
         t_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     pred = _transport(plan, t_rows, spec)
-    observed, vals = _audit(g_m, pred, disc)
+    observed, vals = _audit(g_m, pred, disc, lines)
     if any(vals[i] for i in plane.affine_idx):
         disc.append("curve misses an affine rational point")
     inf_observed = sum(1 for i in plane.infinity_idx if vals[i] == 0)
@@ -719,7 +735,7 @@ def _run_ranges(worker, spec: FieldSpec, total: int, jobs: int) -> dict:
 def sweep_plane_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     """Every non-scalar matrix fills the plane; the zero polynomial happens
     exactly for scalars.  Runs on the packed kernel of planefill.batch."""
-    # batch imports this module, and only the two packed sweeps need it
+    # batch imports this module, and only the packed sweeps need it
     from . import batch
 
     return _run_ranges(batch.fill_range, spec, spec.q**9, jobs)
@@ -765,61 +781,23 @@ def sweep_case_representatives(spec: FieldSpec) -> dict:
     return counters
 
 
-def _affine_fill_range(args) -> dict:
-    p, e, lo, hi = args
-    spec = make_field(p, e)
-    q = spec.q
-    plane = _plane_for(spec)
-    counters = {
-        "checked": 0,
-        "filling": 0,
-        "iff_failures": 0,
-        "coverage_failures": 0,
-        "singular_failures": 0,
-        "first_discrepancy": None,
-    }
-    for n in range(max(lo, 1), hi):
-        m = _matrix_at(aff.Matrix23, 6, spec, n)
-        g = aff.build_GM(m)
-        vals = plane.values(g)
-        counters["checked"] += 1
-        if any(vals[i] for i in plane.affine_idx):
-            _note_failure(
-                counters, "coverage_failures",
-                f"matrix {m.to_ints()}: curve misses an affine point",
-            )
-            continue
-        irreducible = aff.left_quad_shape(m).tag == QUAD_IRREDUCIBLE
-        exactly_affine = vals.count(0) == q * q
-        if irreducible != exactly_affine:
-            _note_failure(
-                counters, "iff_failures",
-                f"matrix {m.to_ints()}: irreducible={irreducible} but "
-                f"points={vals.count(0)}",
-            )
-        if irreducible:
-            counters["filling"] += 1
-            if len(singular_Fq_points(g)) != 1:
-                _note_failure(
-                    counters, "singular_failures",
-                    f"matrix {m.to_ints()}: filling curve without a unique singular point",
-                )
-            if find_linear_components(g).residual_degree < 2:
-                _note_failure(
-                    counters, "iff_failures",
-                    f"matrix {m.to_ints()}: filling curve lost a rational linear component",
-                )
-    return counters
-
-
 def sweep_affine_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     """Exhaustive over nonzero 2x3 matrices: the left-block quadratic is
     irreducible exactly when the curve's rational points are the affine
-    plane, and each filling curve has one singular rational point."""
-    return _run_ranges(_affine_fill_range, spec, spec.q**6, jobs)
+    plane, and each filling curve has one singular rational point and no
+    rational linear component.  Runs on the packed kernel of
+    planefill.batch."""
+    from . import batch
+
+    return _run_ranges(batch.affine_fill_range, spec, spec.q**6, jobs)
 
 
 def _affine_report_range(args) -> dict:
+    """Reports for the degenerate nonzero 2x3 matrices among lo, ..., hi-1,
+    each dividing its curve by the lines read off the packed kernel of
+    planefill.batch."""
+    from . import batch
+
     p, e, lo, hi = args
     spec = make_field(p, e)
     counters = {
@@ -830,11 +808,9 @@ def _affine_report_range(args) -> dict:
         "labels": {},
         "first_discrepancy": None,
     }
-    for n in range(max(lo, 1), hi):
-        m = _matrix_at(aff.Matrix23, 6, spec, n)
-        if aff.left_quad_shape(m).tag == QUAD_IRREDUCIBLE:
-            continue
-        r = affine_report(m)
+    for entries, lines in batch.degenerate_lines(spec, lo, hi):
+        m = aff.Matrix23.from_ints(spec, entries)
+        r = affine_report(m, lines)
         counters["checked"] += 1
         counters["labels"][r.case] = counters["labels"].get(r.case, 0) + 1
         if not r.match:
@@ -890,6 +866,22 @@ def sweep_missing_point_images(spec: FieldSpec, samples: int = 200, seed: int = 
             _note_failure(counters, "collinear_failures", "missing points are not collinear")
     counters["pass"] = counters["count_failures"] == 0 and counters["collinear_failures"] == 0
     return counters
+
+
+def suite_size(name: str, q: int, samples: int = 200) -> int:
+    """How many matrices a suite visits, summed over its passes; samples
+    for ``collinear``.  A sweep over class representatives counts the q^3
+    characteristic polynomials it scans."""
+    proj = q**9 if q <= 4 else q**3
+    affine = q**6 - 1
+    return {
+        "plane-filling": q**9,
+        "theorem-2.4": q**9,
+        "theorem-4": proj,
+        "affine-6": 2 * affine,
+        "sziklai": proj + affine,
+        "collinear": samples,
+    }[name]
 
 
 def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:

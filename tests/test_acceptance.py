@@ -111,12 +111,14 @@ def test_criterion_6_exceptional_quartic():
 
 
 def test_criterion_7_affine_filling_characterization():
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 7):
         out = vf.sweep_affine_filling(field(q))
         assert out["checked"] == q**6 - 1
+        assert out["filling"] == (q * q - q) // 2 * q**2 * q * (q - 1)
         assert out["pass"], out["first_discrepancy"]
     _announce(7, "irreducible left-block quadratic <=> the curve is exactly the "
-                 "affine plane, with one singular point, exhaustive q in {2,3,4,5}")
+                 "affine plane, with one singular point and no rational line, "
+                 "exhaustive q in {2,3,4,5,7}")
 
 
 def test_criterion_8_affine_classification(affine_report_sweeps):

@@ -1,24 +1,27 @@
-"""The packed kernel of planefill.batch against the reference path.
+"""The packed kernels of planefill.batch against the reference path.
 
-Every packed image is compared with ``build_FA`` + ``plane.values``, the
-packed line divisibility with ``find_linear_components`` and the packed
-singular points with ``singular_Fq_points``: exhaustively at q = 2 and 3,
-on a seeded sample at q = 4, 5 and 9.  The failure-path tests corrupt one
-table entry and check that the sweeps report it at the first failing
-matrix in counting order.
+Every packed image is compared with ``build_FA`` or ``build_GM`` +
+``plane.values``, the packed line divisibility with
+``find_linear_components`` and the packed singular points with
+``singular_Fq_points``: exhaustively at q = 2 and 3, on a seeded sample at
+q = 4, 5 and 9.  The failure-path tests corrupt one table entry and check
+that the sweeps report it at the first failing matrix in counting order.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planefill import affine as aff
 from planefill import batch
 from planefill import fillcurve as fc
 from planefill import verify as vf
-from planefill.homog import partials
-from support import field, rand_matrix3
+from planefill.homog import HomogPoly, linear_substitute, partials
+from planefill.poly import QUAD_IRREDUCIBLE, QUAD_TWO_DISTINCT, quad_shape
+from support import field, rand_matrix3, rand_matrix23
 
 SAMPLES = {4: 400, 5: 200, 9: 40}
 
@@ -29,6 +32,23 @@ def _matrices(q):
         return [vf._matrix_at(fc.Matrix3, 9, spec, n) for n in range(q**9)]
     rng = random.Random(20261018 + q)
     return [rand_matrix3(spec, rng) for _ in range(SAMPLES[q])]
+
+
+def _affine_matrices(q):
+    spec = field(q)
+    if q <= 3:
+        return [vf._matrix_at(aff.Matrix23, 6, spec, n) for n in range(1, q**6)]
+    rng = random.Random(20261018 + q)
+    return [rand_matrix23(spec, rng) for _ in range(SAMPLES[q])]
+
+
+def _line_index(spec, line):
+    return vf._plane_for(spec).line_coeffs.index(line.line_coeffs())
+
+
+def _line_search(f):
+    """find_linear_components as (index in plane order, multiplicity)."""
+    return [(_line_index(f.spec, l), m) for l, m in vf.find_linear_components(f).lines]
 
 
 def _chunks(values, size):
@@ -53,12 +73,12 @@ def test_cycle_kernel_matches_the_oracle(q):
     spec = field(q)
     kern = batch.cycle_kernel(spec)
     plane = vf._plane_for(spec)
-    lines_blocks = kern.blocks("lines", q + 3)
+    lines_blocks = kern.blocks("w0", q + 3)
     point_blocks = kern.blocks("points", 4)
     for a in _matrices(q):
         image = kern.image(a)
         points = _chunks(kern.section(image, "points"), 4)
-        lines = _chunks(kern.section(image, "lines"), q + 3)
+        lines = _chunks(kern.section(image, "w0"), q + 3)
         if a.is_scalar():
             assert not any(map(any, points)) and not any(map(any, lines))
             continue
@@ -74,6 +94,136 @@ def test_cycle_kernel_matches_the_oracle(q):
         singular = {plane.points[i].key for i, block in enumerate(points) if not any(block)}
         assert singular == {p.key for p in vf.singular_Fq_points(f)}, a.to_ints()
         assert point_blocks.any_zero(image) == bool(singular)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_affine_kernel_matches_the_oracle(q):
+    spec = field(q)
+    kern = batch.affine_kernel(spec)
+    plane = vf._plane_for(spec)
+    d = q + 1
+    charts = list(batch._line_charts(spec))
+    w = HomogPoly.variable(spec, 2)
+    assert [linear_substitute(l, rows) for l, rows in zip(plane.lines, charts)] == [w] * len(charts)
+    masked = kern.lanes.unpack(kern.affine_values)
+    assert [i for i, v in enumerate(masked) if v] == [4 * i for i in plane.affine_idx]
+    for m in _affine_matrices(q):
+        g = aff.build_GM(m)
+        image = kern.image(m)
+        columns = [plane.values(h) for h in (g, *partials(g))]
+        assert _chunks(kern.section(image, "points"), 4) == [list(p) for p in zip(*columns)]
+        restrictions = [linear_substitute(g, rows).terms for rows in charts]
+        for k in range(3):
+            assert _chunks(kern.section(image, f"w{k}"), d - k + 1) == [
+                [terms.get((d - k - j, j, k), 0) for j in range(d - k + 1)]
+                for terms in restrictions
+            ], (m.to_ints(), k)
+        vals = columns[0]
+        assert kern.infinity.count_zero(image) == sum(not vals[i] for i in plane.infinity_idx)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_packed_lines_with_multiplicity_match_the_line_search(q):
+    spec = field(q)
+    if q <= 3:
+        pairs = list(batch.degenerate_lines(spec, 0, q**6))
+        degenerate = [
+            m.to_ints() for m in _affine_matrices(q)
+            if aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
+        ]
+        assert [entries for entries, _lines in pairs] == degenerate
+    else:
+        pairs = []
+        for m in _affine_matrices(q):
+            n = sum(v * q**k for k, v in enumerate(m.to_ints()))
+            pairs += batch.degenerate_lines(spec, n, n + 1)
+    assert pairs
+    for entries, lines in pairs:
+        g = aff.build_GM(aff.Matrix23.from_ints(spec, entries))
+        # no line of the affine family divides with multiplicity 3
+        assert lines == _line_search(g), entries
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_quad_table_matches_quad_shape(q):
+    spec = field(q)
+    quad = batch.affine_kernel(spec).quad
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                assert quad[a][b][c] == quad_shape(spec, a, b, c).tag
+
+
+def test_observed_lines_resolve_multiplicities_up_to_two():
+    spec = field(3)
+    x, y, z = (HomogPoly.variable(spec, i) for i in range(3))
+    plane = vf._plane_for(spec)
+    kern = batch._kernel(spec, [x * x * y * z, x * x * x * y, x * y * (x + y + z) * (y + z)], 3)
+    index = {l.line_coeffs(): i for i, l in enumerate(plane.lines)}
+    double, triple, single = (kern.tables[k][1] for k in range(3))
+    assert batch.observed_lines(kern, double) == [(index[1, 0, 0], 2), (index[0, 1, 0], 1), (index[0, 0, 1], 1)]
+    assert batch.observed_lines(kern, triple) is None
+    assert batch.observed_lines(kern, single) == sorted(
+        (index[c], 1) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 1, 1))
+    )
+
+
+def test_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
+    spec = field(2)
+    reference = vf.sweep_affine_reports(spec)
+    searched = []
+    real = vf.find_linear_components
+
+    def counting(f):
+        searched.append(f)
+        return real(f)
+
+    monkeypatch.setattr(vf, "find_linear_components", counting)
+    assert vf.sweep_affine_reports(spec) == reference
+    assert searched == []
+    monkeypatch.setattr(batch, "observed_lines", lambda kern, packed: None)
+    assert vf.sweep_affine_reports(spec) == reference
+    assert len(searched) == reference["checked"]
+
+
+@lru_cache(maxsize=None)
+def _fa_line_kernel(spec):
+    """F_A packed with the w^0, w^1 and w^2 blocks of every line chart."""
+    return batch._kernel(spec, batch._units(spec, fc.Matrix3, 9, fc.build_FA), 3)
+
+
+@st.composite
+def _curves(draw):
+    """F_A of a non-scalar 3x3 or G_M of a nonzero 2x3 matrix at q <= 5,
+    with the lines its packed image shows."""
+    spec = field(draw(st.sampled_from((2, 3, 4, 5))))
+    affine = draw(st.booleans())
+    entries = draw(st.lists(st.integers(0, spec.q - 1), min_size=9, max_size=9))
+    if affine:
+        m = aff.Matrix23.from_ints(spec, entries[:6])
+        assume(not m.is_zero())
+        f, kern = aff.build_GM(m), batch.affine_kernel(spec)
+    else:
+        m = fc.Matrix3.from_ints(spec, entries)
+        assume(not m.is_scalar())
+        f, kern = fc.build_FA(m), _fa_line_kernel(spec)
+    return f, batch.observed_lines(kern, kern.image(m))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_curves())
+def test_line_components_rebuild_the_curve(curve):
+    f, lines = curve
+    comps = vf.find_linear_components(f)
+    product = comps.residual
+    for line, mult in comps.lines:
+        for _ in range(mult):
+            product = product * line
+    assert product == f
+    if lines is None:
+        assert max(m for _l, m in comps.lines) >= 3
+    else:
+        assert vf._divide_out(f, lines) == comps
 
 
 FIELD_ORDERS = (2, 4, 8, 3, 9, 5, 7)  # characteristics 2, 3, 5 and 7
@@ -119,6 +269,26 @@ def test_walk_visits_each_matrix_once_in_counting_order(q, lo, hi):
             assert a.to_ints() == [c, *digits[1:]]
             if len(seen) % 97 == 0:
                 assert kern.add(base, kern.tables[0][c]) == kern.image(a)
+            seen.append(n + c - c_lo)
+    assert seen == list(range(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "q, lo, hi",
+    [(2, 0, None), (3, 0, None), (3, 5, 77), (4, 4**5 - 3, 4**5 + 70), (4, 4**6 - 5, None), (5, 1, 2)],
+)
+def test_six_digit_walk_visits_each_matrix_once_in_counting_order(q, lo, hi):
+    spec = field(q)
+    kern = batch.affine_kernel(spec)
+    hi = q**6 if hi is None else hi
+    seen = []
+    for n, c_lo, c_hi, digits, base in batch.walk(kern, lo, hi):
+        assert len(digits) == 6
+        for c in range(c_lo, c_hi):
+            m = vf._matrix_at(aff.Matrix23, 6, spec, n + c - c_lo)
+            assert m.to_ints() == [c, *digits[1:]]
+            if len(seen) % 13 == 0:
+                assert kern.add(base, kern.tables[0][c]) == kern.image(m)
             seen.append(n + c - c_lo)
     assert seen == list(range(lo, hi))
 
@@ -180,7 +350,7 @@ def test_cycle_sweep_reports_a_wrong_line_restriction(monkeypatch):
     spec = field(2)
     q = spec.q
     kern = batch.cycle_kernel(spec)
-    first, count = kern.sections["lines"]
+    first, count = kern.sections["w0"]
     # the s^(q+2) coefficient of every restriction: no line divides any more
     _corrupt(monkeypatch, kern, 0, 1, range(first, first + count, q + 3))
     out = vf.run_suite("theorem-2.4", q)
@@ -195,4 +365,70 @@ def test_cycle_sweep_reports_a_wrong_line_restriction(monkeypatch):
     assert out["first_discrepancy"] == (
         "matrix [1, 0, 0, 0, 0, 0, 0, 0, 0]: irreducible=False no-lines=True no-singular=False"
     )
+    assert out["pass"] is False
+
+
+def test_affine_fill_sweep_reports_a_wrong_affine_value(monkeypatch):
+    spec = field(3)
+    q = spec.q
+    kern = batch.affine_kernel(spec)
+    first, _count = kern.sections["points"]
+    point = vf._plane_for(spec).affine_idx[0]
+    _corrupt(monkeypatch, kern, 2, 1, [first + 4 * point])
+    out = vf.sweep_affine_filling(spec)
+    # every matrix with a2 = 1 misses that point, and only those
+    assert out["coverage_failures"] == q**5
+    assert out["iff_failures"] == out["singular_failures"] == 0
+    assert out["first_discrepancy"] == "matrix [0, 0, 1, 0, 0, 0]: curve misses an affine point"
+    assert out["pass"] is False
+
+
+def test_affine_fill_sweep_reports_a_flipped_quad_table_entry(monkeypatch):
+    spec = field(3)
+    q = spec.q
+    kern = batch.affine_kernel(spec)
+    assert kern.quad[1][0][1] == QUAD_IRREDUCIBLE  # s^2 + t^2 over GF(3)
+    quad = [[list(row) for row in plane] for plane in kern.quad]
+    quad[1][0][1] = QUAD_TWO_DISTINCT
+    monkeypatch.setattr(kern, "quad", quad)
+    out = vf.sweep_affine_filling(spec)
+    # a0 = b1 = 1, a1 + b0 = 0, any third column: filling curves taken as degenerate
+    assert out["iff_failures"] == q * q**2
+    assert out["filling"] == 3**6 - 1 - q * q**2 - sum(
+        aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE for m in _affine_matrices(q)
+    )
+    assert out["first_discrepancy"] == "matrix [1, 0, 0, 0, 1, 0]: irreducible=False but points=9"
+    assert out["pass"] is False
+
+
+def test_affine_report_sweep_reports_a_wrong_w1_coefficient(monkeypatch):
+    spec = field(3)
+    q, d = spec.q, spec.q + 1
+    kern = batch.affine_kernel(spec)
+    first, _count = kern.sections["w1"]
+    entry, c, slot = 0, 1, 1  # slot 1 of the w^1 block of the line x = 0
+    _corrupt(monkeypatch, kern, entry, c, [first + slot])
+    # what the corrupted blocks say about x = 0, against the line search:
+    # a double line looks single, a single one double unless its w^2 block
+    # is zero too, which sends the matrix to the line search
+    chart = next(batch._line_charts(spec))
+    failing = []
+    for m in _affine_matrices(q):
+        if m.to_ints()[entry] != c or aff.left_quad_shape(m).tag == QUAD_IRREDUCIBLE:
+            continue
+        g = aff.build_GM(m)
+        true = dict(_line_search(g)).get(0)
+        if true is None:
+            continue
+        terms = linear_substitute(g, chart).terms
+        w1 = [terms.get((d - 1 - j, j, 1), 0) for j in range(d)]
+        w1[slot] = spec._add[w1[slot]][1]
+        w2_zero = not any(terms.get((d - 2 - j, j, 2), 0) for j in range(d - 1))
+        packed = 1 if any(w1) else 3 if w2_zero else 2
+        if packed != 3 and packed != true:
+            failing.append(m.to_ints())
+    out = vf.sweep_affine_reports(spec)
+    assert failing
+    assert out["match_failures"] == len(failing)
+    assert out["first_discrepancy"].startswith(f"matrix {failing[0]} (")
     assert out["pass"] is False

@@ -135,6 +135,7 @@ def test_usage_error_leaves_no_out_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--samples", "0"), ("--samples", "-4"), ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "x"),
+    ("--max-matrices", "0"), ("--max-matrices", "x"),
 ])
 def test_counts_below_one_are_usage_errors(capsys, monkeypatch, flag, value):
     def no_suite(*args, **kwargs):
@@ -145,6 +146,53 @@ def test_counts_below_one_are_usage_errors(capsys, monkeypatch, flag, value):
         main(["verify", "--q", "2", "--suite", "collinear", flag, value])
     assert err.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+class _SuiteStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def no_suite(monkeypatch):
+    def started(*args, **kwargs):
+        raise _SuiteStarted
+
+    monkeypatch.setattr(cli.verify, "run_suite", started)
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--q", "64", "--suite", "plane-filling"], 64**9),
+    (["--q", "7", "--suite", "theorem-2.4"], 7**9),
+    (["--q", "4", "--suite", "theorem-4", "--max-matrices", "1000"], 4**9),
+    (["--q", "9", "--suite", "affine-6", "--max-matrices", "1000000"], 2 * (9**6 - 1)),
+    (["--q", "5", "--suite", "sziklai", "--max-matrices", "15000"], 5**3 + 5**6 - 1),
+    (["--q", "2", "--suite", "collinear", "--samples", str(10**12)], 10**12),
+])
+def test_a_suite_over_the_budget_is_refused_before_it_starts(capsys, no_suite, argv, count):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f" {count} " in captured.err and "--max-matrices" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "3", "--suite", "theorem-4", "--jobs", "2"],
+    ["--q", "4", "--suite", "plane-filling", "--jobs", "2"],
+    ["--q", "5", "--suite", "affine-6"],
+    ["--q", "9", "--suite", "theorem-4"],
+    ["--q", "5", "--suite", "theorem-2.4"],
+    ["--q", "7", "--suite", "theorem-2.4", "--max-matrices", str(7**9)],
+])
+def test_the_default_budget_admits_the_benchmark_suites(no_suite, argv):
+    with pytest.raises(_SuiteStarted):
+        main(["verify", *argv])
+
+
+def test_a_q_naming_no_field_is_reported_before_the_budget(capsys, no_suite):
+    assert main(["verify", "--q", "6", "--suite", "plane-filling"]) == 2
+    assert capsys.readouterr().err == "error: 6 is not a prime power\n"
 
 
 def test_bad_max_q_names_the_variable(capsys, monkeypatch):

@@ -269,6 +269,25 @@ def test_affine_report_flags_a_missing_line(monkeypatch):
     assert len(r.observed["lines"]) == 1 and r.predicted["lines"] == []
 
 
+def test_affine_report_divides_by_the_observed_lines():
+    spec = field(3)
+    plane = vf._plane_for(spec)
+    m = aff.Matrix23.from_ints(spec, [0, 0, 1, 1, 0, 0])  # I-2: one line and a residual
+    g = aff.build_GM(m)
+    lines = [
+        (plane.line_coeffs.index(l.line_coeffs()), mult)
+        for l, mult in vf.find_linear_components(g).lines
+    ]
+    assert len(lines) == 1
+    assert vf.affine_report(m, lines).to_json() == vf.affine_report(m).to_json()
+    (i, _mult), = lines
+    r = vf.affine_report(m, [(i, 2)])
+    assert r.match is False
+    assert r.discrepancies == ["observed lines do not divide the curve with their multiplicities"]
+    # the line search stands in, so the observation itself is right
+    assert r.observed == vf.affine_report(m).observed
+
+
 def test_report_flags_zero_polynomial_of_a_non_scalar(monkeypatch):
     monkeypatch.setattr(fc, "build_FA", lambda A: HomogPoly.zero(A.spec, A.spec.q + 2))
     r = vf.decomposition_report(fc.Matrix3.from_ints(field(3), [0, 1, 0, 0, 0, 1, 0, 0, 0]))

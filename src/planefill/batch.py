@@ -7,7 +7,10 @@ derivatives there and its restriction to each rational line.  A ``Kernel``
 holds, for each matrix entry and each c in GF(q), the image of c*E_ij
 packed into one Python int, so the image of a matrix is the packed sum of
 one table entry per entry.  Walking the matrices in counting order with one
-partial sum per digit level costs one packed addition per matrix.
+partial sum per digit level costs one packed addition per matrix.  The
+report sweeps take from the sum an ``Observation`` of each curve (its
+dividing lines with multiplicity, its rational points, its number of
+singular rational points) in place of the line search and the evaluation.
 
 Each field element takes e lanes, one per base-p digit of its encoding.
 For p = 2 a lane is one bit and addition is XOR; for odd p a lane has a
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import affine as aff
 from . import fillcurve as fc
@@ -63,11 +67,12 @@ class Lanes:
                 out |= d << ((i * e + j) * w)
         return out
 
-    def unpack(self, packed: int) -> list[int]:
+    def unpack(self, packed: int, size: int | None = None) -> list[int]:
+        """The first ``size`` elements (all by default)."""
         p, e, w = self.spec.p, self.spec.e, self.width
         lane = (1 << w) - 1
         out = []
-        for i in range(self.size):
+        for i in range(self.size if size is None else size):
             v = 0
             for j in reversed(range(e)):
                 v = v * p + ((packed >> ((i * e + j) * w)) & lane)
@@ -157,7 +162,7 @@ class Kernel:
 
     def section(self, packed: int, name: str) -> list[int]:
         first, count = self.sections[name]
-        return self.lanes.unpack(packed)[first:first + count]
+        return self.lanes.unpack(packed >> self.lanes.bit(first), count)
 
     def mask(self, name: str) -> int:
         return self.lanes.mask(*self.sections[name])
@@ -211,7 +216,9 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
     plane order ("points"), then for each k < chart_powers and each chart R
     of ``_line_charts`` the coefficients of s^(d-k-m) t^m w^k in
     f(R(s, t, w)), m = 0, ..., d-k, for f of degree d ("w<k>");
-    ``line_blocks[k]`` has one block of "w<k>" per line."""
+    ``line_blocks[k]`` has one block of "w<k>" per line, ``values`` one
+    block per point holding f and ``singular`` one per point holding f and
+    its partials."""
     plane = _plane_for(spec)
     d = units[0].degree
     sections = {"points": (0, 4 * len(plane.points))}
@@ -231,14 +238,16 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
         vectors.append(vec)
     kern = Kernel(spec, sections, vectors)
     kern.line_blocks = tuple(kern.blocks(f"w{k}", d - k + 1) for k in range(chart_powers))
+    kern.values = Blocks(kern.lanes, range(0, 4 * len(plane.points), 4), 1)
+    kern.singular = kern.blocks("points", 4)
     return kern
 
 
 @lru_cache(maxsize=None)
 def cycle_kernel(spec: FieldSpec) -> Kernel:
-    """``_kernel`` of F_A with the w^0 blocks: the restriction of F_A to
-    each rational line."""
-    return _kernel(spec, _units(spec, fc.Matrix3, 9, fc.build_FA), 1)
+    """``_kernel`` of F_A with the w^0, w^1 and w^2 blocks, which give the
+    lines dividing F_A with multiplicity up to 2."""
+    return _kernel(spec, _units(spec, fc.Matrix3, 9, fc.build_FA), 3)
 
 
 @lru_cache(maxsize=None)
@@ -352,8 +361,7 @@ def cycle_range(args) -> dict:
     spec = make_field(p, e)
     kern = cycle_kernel(spec)
     add, row = kern.add, kern.tables[0]
-    singular = kern.blocks("points", 4)
-    lines = kern.line_blocks[0]
+    singular, lines = kern.singular, kern.line_blocks[0]
     counters = {"checked": 0, "cycle_failures": 0, "first_discrepancy": None}
     for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
         counters["checked"] += c_hi - c_lo
@@ -383,8 +391,7 @@ def affine_fill_range(args) -> dict:
     kern = affine_kernel(spec)
     add, row, quad = kern.add, kern.tables[0], kern.quad
     affine_values, infinity = kern.affine_values, kern.infinity
-    singular = kern.blocks("points", 4)
-    lines = kern.line_blocks[0]
+    singular, lines = kern.singular, kern.line_blocks[0]
     counters = {
         "checked": 0,
         "filling": 0,
@@ -441,15 +448,48 @@ def observed_lines(kern: Kernel, packed: int):
     return [(i, 1 + (i in double)) for i in lines]
 
 
-def degenerate_lines(spec: FieldSpec, lo: int, hi: int):
+class Observation(NamedTuple):
+    """What the packed image of a nonzero curve shows: the rational lines
+    dividing it as ``observed_lines`` gives them, the rational points on
+    it as indices in plane order, and the number of its singular rational
+    points."""
+
+    lines: list | None
+    zeros: list
+    singular: int
+
+
+def observe(kern: Kernel, packed: int) -> Observation:
+    return Observation(
+        observed_lines(kern, packed), kern.values.zero_indices(packed), kern.singular.count_zero(packed)
+    )
+
+
+def degenerate_observations(spec: FieldSpec, lo: int, hi: int):
     """The nonzero 2x3 matrices among lo, ..., hi-1 whose left-block
-    quadratic is reducible, in counting order, each with its
-    ``observed_lines``: yields (entries, lines)."""
+    quadratic is reducible, in counting order, each with the ``observe``
+    of its packed G_M: yields (Matrix23, observation)."""
     kern = affine_kernel(spec)
     add, row, quad = kern.add, kern.tables[0], kern.quad
     for _n, c_lo, c_hi, digits, base in walk(kern, max(lo, 1), hi):
         b1 = digits[4]
         mid = spec._add[digits[1]][digits[3]]
+        rest = (digits[3], digits[4], digits[5])
         for c in range(c_lo, c_hi):
             if quad[c][mid][b1] != QUAD_IRREDUCIBLE:
-                yield [c, *digits[1:]], observed_lines(kern, add(base, row[c]))
+                m = aff.Matrix23(spec, ((c, digits[1], digits[2]), rest))
+                yield m, observe(kern, add(base, row[c]))
+
+
+def case_observations(spec: FieldSpec, lo: int, hi: int):
+    """The 3x3 matrices lo, ..., hi-1 in counting order, each with the
+    ``observe`` of its packed F_A, or None for a scalar matrix, whose F_A
+    is zero: yields (Matrix3, observation)."""
+    kern = cycle_kernel(spec)
+    add, row = kern.add, kern.tables[0]
+    for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
+        scalar = _scalar_entry(digits)
+        rest = ((digits[3], digits[4], digits[5]), (digits[6], digits[7], digits[8]))
+        for c in range(c_lo, c_hi):
+            a = fc.Matrix3(spec, ((c, digits[1], digits[2]), *rest))
+            yield a, None if c == scalar else observe(kern, add(base, row[c]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from multiprocessing import Pool
 from typing import NamedTuple
 
@@ -392,22 +392,42 @@ def _transport(plan, rows, spec: FieldSpec) -> _Prediction:
     )
 
 
-def _audit(f: HomogPoly, pred: _Prediction, disc: list, lines=None) -> tuple[dict, list]:
+class _Scanned:
+    """The reference observation of a nonzero curve f, with the fields of
+    ``batch.Observation``: its rational points by evaluating f at every
+    point of the plane, its singular rational points by
+    ``singular_Fq_points`` on first use, and no lines, so that the audit
+    tries every rational line."""
+
+    lines = None
+
+    def __init__(self, f: HomogPoly):
+        self.f = f
+        self.values = _plane_for(f.spec).values(f)
+        self.zeros = [i for i, v in enumerate(self.values) if not v]
+
+    @cached_property
+    def singular(self) -> int:
+        return len(singular_Fq_points(self.f, self.values))
+
+
+def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     """Recompute the linear components of f and compare them with the
     prediction: line set with multiplicity, residual degree, residual
     equation up to a scalar, residual point and singular-point counts, and
     concurrency.  Mismatches are appended to disc; returns the observed
-    fields both report families share, and the values of f at the points
-    of the plane (evaluated once: a residual without lines is f itself).
+    fields both report families share.
 
-    ``lines``, if given, are the lines dividing f observed elsewhere, as
-    (index in plane order, multiplicity) in plane order: f is divided by
-    those alone instead of trying every rational line."""
+    ``obs`` observes f itself (a ``batch.Observation`` or ``_Scanned``):
+    when its ``lines`` are given, as (index in plane order, multiplicity)
+    in plane order, f is divided by those alone instead of trying every
+    rational line, and a residual without lines, which is f, takes its
+    points and singular points from it."""
     spec = f.spec
     plane = _plane_for(spec)
-    comps = None if lines is None else _divide_out(f, lines)
+    comps = None if obs.lines is None else _divide_out(f, obs.lines)
     if comps is None:
-        if lines is not None:
+        if obs.lines is not None:
             disc.append("observed lines do not divide the curve with their multiplicities")
         comps = find_linear_components(f)
     obs_lines = [(l.line_coeffs(), mult) for l, mult in comps.lines]
@@ -423,15 +443,17 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, lines=None) -> tuple[dic
 
     residual_points = None
     singular_count = None
-    rvals = None
     if res and comps.residual_degree == res.degree:
         if scalar_ratio(comps.residual, res.equation) is None:
             disc.append("residual equation is not a scalar multiple of the transported prediction")
-        rvals = plane.values(comps.residual)
-        residual_points = rvals.count(0)
+        if comps.residual_degree == f.degree:
+            residual_points, singular_count = len(obs.zeros), obs.singular
+        else:
+            rvals = plane.values(comps.residual)
+            residual_points = rvals.count(0)
+            singular_count = len(singular_Fq_points(comps.residual, rvals))
         if residual_points != res.expected_points:
             disc.append(f"residual has {residual_points} points, expected {res.expected_points}")
-        singular_count = len(singular_Fq_points(comps.residual, rvals))
         if singular_count != res.expected_singular_points:
             disc.append(
                 f"residual has {singular_count} singular rational points, "
@@ -453,26 +475,25 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, lines=None) -> tuple[dic
                 f"expected all lines but one through a common point, widest pencil has {through}"
             )
 
-    if rvals is None or comps.residual_degree != f.degree:
-        # the residual was not evaluated, or it is not f itself
-        rvals = plane.values(f)
     return {
         "lines": _serialize_lines(obs_lines),
         "residual_degree": comps.residual_degree,
         "residual_points": residual_points,
         "singular_points": singular_count,
         "concurrent": concurrent_point,
-    }, rvals
+    }
 
 
-def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
+def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
     """Run the oracle against the predicted splitting of the curve of A.
 
     Compares line sets with multiplicity, concurrency structure, residual
     degree, the residual equation pulled back through the similarity
     transform (up to a nonzero scalar), the residual point count against
     the formula for its kind, and the number of singular rational points
-    on the residual.  Mismatches are reported, never raised.
+    on the residual.  Mismatches are reported, never raised.  ``obs``
+    observes F_A of a non-scalar A if already observed, as for ``_audit``;
+    without it F_A is evaluated at every point.
     """
     spec = A.spec
     q = spec.q
@@ -519,14 +540,12 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
     else:
         plan = fc.predicted_decomposition(A, label=label, f=cp)
         pred = _transport(plan, _transpose(_mat3_inv(plan.transform.rows_int, spec)), spec)
-    observed, fvals = _audit(f_a, pred, disc)
-    singular = observed["singular_points"]
-    if singular is None or observed["residual_degree"] != f_a.degree:
-        # the audited residual is not F_A itself, so F_A is scanned here
-        singular = len(singular_Fq_points(f_a, fvals))
+    if obs is None:
+        obs = _Scanned(f_a)
+    observed = _audit(f_a, pred, disc, obs)
     observed.update(
-        curve_points=fvals.count(0),
-        curve_singular=bool(singular),
+        curve_points=len(obs.zeros),
+        curve_singular=bool(obs.singular),
         zero_polynomial=False,
     )
     return report({**pred.to_json(), "zero_polynomial": False}, observed)
@@ -536,14 +555,15 @@ def decomposition_report(A: fc.Matrix3) -> DecompositionReport:
 # the affine family
 
 
-def affine_report(M: aff.Matrix23, lines=None) -> DecompositionReport:
+def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     """Oracle audit of the curve of a nonzero 2x3 matrix.
 
     Checks the canonical reduction round trip, the substitution law for
     the witness, the transported line/residual structure, rational points
     at infinity by two routes, affine coverage, and the rank-2 criterion
-    for a nonlinear component.  ``lines`` are the lines dividing the curve
-    if already observed, as for ``_audit``.
+    for a nonlinear component.  ``obs`` observes the curve if already
+    observed, as for ``_audit``; without it the curve is evaluated at
+    every point.
     """
     spec = M.spec
     plane = _plane_for(spec)
@@ -564,13 +584,16 @@ def affine_report(M: aff.Matrix23, lines=None) -> DecompositionReport:
         t_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     pred = _transport(plan, t_rows, spec)
-    observed, vals = _audit(g_m, pred, disc, lines)
-    if any(vals[i] for i in plane.affine_idx):
+    if obs is None:
+        obs = _Scanned(g_m)
+    observed = _audit(g_m, pred, disc, obs)
+    on_curve = set(obs.zeros)
+    if not on_curve.issuperset(plane.affine_idx):
         disc.append("curve misses an affine rational point")
-    inf_observed = sum(1 for i in plane.infinity_idx if vals[i] == 0)
+    inf_set = {plane.points[i].key for i in plane.infinity_idx if i in on_curve}
+    inf_observed = len(inf_set)
     if inf_observed != plan.infinity_points:
         disc.append(f"{inf_observed} points at infinity, expected {plan.infinity_points}")
-    inf_set = {plane.points[i].key for i in plane.infinity_idx if vals[i] == 0}
     if {p.key for p in aff.points_at_infinity(M)} != inf_set:
         disc.append("points at infinity disagree with the left-block quadratic roots")
 
@@ -592,7 +615,7 @@ def affine_report(M: aff.Matrix23, lines=None) -> DecompositionReport:
         **pred.to_json(),
         "infinity_points": plan.infinity_points,
     }
-    observed.update(curve_points=vals.count(0), infinity_points=inf_observed)
+    observed.update(curve_points=len(obs.zeros), infinity_points=inf_observed)
     return DecompositionReport(
         spec.q, "affine", M.to_ints(), label.tag, None, None,
         predicted, observed, not disc, disc,
@@ -662,6 +685,11 @@ def _audit_residual_bound(counters: dict, r: DecompositionReport):
 
 
 def _case_range(args) -> dict:
+    """Reports for the matrices lo, ..., hi-1, each non-scalar one auditing
+    F_A with the observation read off the packed kernel of
+    planefill.batch."""
+    from . import batch
+
     p, e, lo, hi = args
     spec = make_field(p, e)
     counters = {
@@ -675,9 +703,8 @@ def _case_range(args) -> dict:
         "cases": {},
         "first_discrepancy": None,
     }
-    for n in range(lo, hi):
-        a = _matrix_at(fc.Matrix3, 9, spec, n)
-        r = decomposition_report(a)
+    for a, obs in batch.case_observations(spec, lo, hi):
+        r = decomposition_report(a, obs)
         counters["checked"] += 1
         counters["cases"][r.case] = counters["cases"].get(r.case, 0) + 1
         if a.is_scalar():
@@ -808,9 +835,8 @@ def _affine_report_range(args) -> dict:
         "labels": {},
         "first_discrepancy": None,
     }
-    for entries, lines in batch.degenerate_lines(spec, lo, hi):
-        m = aff.Matrix23.from_ints(spec, entries)
-        r = affine_report(m, lines)
+    for m, obs in batch.degenerate_observations(spec, lo, hi):
+        r = affine_report(m, obs)
         counters["checked"] += 1
         counters["labels"][r.case] = counters["labels"].get(r.case, 0) + 1
         if not r.match:

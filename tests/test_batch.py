@@ -9,7 +9,6 @@ that the sweeps report it at the first failing matrix in counting order.
 """
 
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -55,6 +54,22 @@ def _chunks(values, size):
     return [values[i:i + size] for i in range(0, len(values), size)]
 
 
+def _chart_blocks(f, charts):
+    """For k = 0, 1, 2, the coefficients of s^(d-k-j) t^j w^k in
+    f(R(s, t, w)), j = 0, ..., d-k, for each chart R."""
+    d = f.degree
+    restrictions = [linear_substitute(f, rows).terms for rows in charts]
+    return [
+        [[terms.get((d - k - j, j, k), 0) for j in range(d - k + 1)] for terms in restrictions]
+        for k in range(3)
+    ]
+
+
+def _kernel_blocks(kern, image, d):
+    """The w^0, w^1 and w^2 sections of a packed image, one block per line."""
+    return [_chunks(kern.section(image, f"w{k}"), d - k + 1) for k in range(3)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_fill_kernel_matches_build_FA(q):
     spec = field(q)
@@ -73,18 +88,25 @@ def test_cycle_kernel_matches_the_oracle(q):
     spec = field(q)
     kern = batch.cycle_kernel(spec)
     plane = vf._plane_for(spec)
+    charts = list(batch._line_charts(spec))
     lines_blocks = kern.blocks("w0", q + 3)
     point_blocks = kern.blocks("points", 4)
-    for a in _matrices(q):
+    matrices = _matrices(q)
+    # the chart substitutions cost most: every 19th matrix at q = 3, where
+    # test_observation_matches_the_oracle checks what w^1, w^2 say of all
+    stride = 1 if q != 3 else 19
+    for n, a in enumerate(matrices):
         image = kern.image(a)
+        if a.is_scalar():
+            assert not image
+            continue
         points = _chunks(kern.section(image, "points"), 4)
         lines = _chunks(kern.section(image, "w0"), q + 3)
-        if a.is_scalar():
-            assert not any(map(any, points)) and not any(map(any, lines))
-            continue
         f = fc.build_FA(a)
         columns = [plane.values(g) for g in (f, *partials(f))]
         assert points == [list(p) for p in zip(*columns)]
+        if n % stride == 0:
+            assert _kernel_blocks(kern, image, q + 2) == _chart_blocks(f, charts), a.to_ints()
 
         divisors = {plane.line_coeffs[i] for i, block in enumerate(lines) if not any(block)}
         observed = {l.line_coeffs() for l, _ in vf.find_linear_components(f).lines}
@@ -112,12 +134,7 @@ def test_affine_kernel_matches_the_oracle(q):
         image = kern.image(m)
         columns = [plane.values(h) for h in (g, *partials(g))]
         assert _chunks(kern.section(image, "points"), 4) == [list(p) for p in zip(*columns)]
-        restrictions = [linear_substitute(g, rows).terms for rows in charts]
-        for k in range(3):
-            assert _chunks(kern.section(image, f"w{k}"), d - k + 1) == [
-                [terms.get((d - k - j, j, k), 0) for j in range(d - k + 1)]
-                for terms in restrictions
-            ], (m.to_ints(), k)
+        assert _kernel_blocks(kern, image, d) == _chart_blocks(g, charts), m.to_ints()
         vals = columns[0]
         assert kern.infinity.count_zero(image) == sum(not vals[i] for i in plane.infinity_idx)
 
@@ -126,22 +143,69 @@ def test_affine_kernel_matches_the_oracle(q):
 def test_packed_lines_with_multiplicity_match_the_line_search(q):
     spec = field(q)
     if q <= 3:
-        pairs = list(batch.degenerate_lines(spec, 0, q**6))
+        pairs = list(batch.degenerate_observations(spec, 0, q**6))
         degenerate = [
             m.to_ints() for m in _affine_matrices(q)
             if aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
         ]
-        assert [entries for entries, _lines in pairs] == degenerate
+        assert [m.to_ints() for m, _obs in pairs] == degenerate
     else:
         pairs = []
         for m in _affine_matrices(q):
-            n = sum(v * q**k for k, v in enumerate(m.to_ints()))
-            pairs += batch.degenerate_lines(spec, n, n + 1)
+            n = _counting_index(m)
+            pairs += batch.degenerate_observations(spec, n, n + 1)
     assert pairs
-    for entries, lines in pairs:
-        g = aff.build_GM(aff.Matrix23.from_ints(spec, entries))
+    for m, obs in pairs:
         # no line of the affine family divides with multiplicity 3
-        assert lines == _line_search(g), entries
+        assert obs.lines == _line_search(aff.build_GM(m)), m.to_ints()
+
+
+def _counting_index(m):
+    q = m.spec.q
+    return sum(v * q**k for k, v in enumerate(m.to_ints()))
+
+
+@pytest.mark.parametrize("family", ["projective", "affine"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_observation_matches_the_oracle(family, q):
+    spec = field(q)
+    plane = vf._plane_for(spec)
+    if family == "projective":
+        kern, build = batch.cycle_kernel(spec), fc.build_FA
+        matrices = [a for a in _matrices(q) if not a.is_scalar()]
+    else:
+        kern, build, matrices = batch.affine_kernel(spec), aff.build_GM, _affine_matrices(q)
+    for m in matrices:
+        f = build(m)
+        obs = batch.observe(kern, kern.image(m))
+        search = _line_search(f)
+        if obs.lines is None:
+            assert max(mult for _i, mult in search) >= 3, m.to_ints()
+        else:
+            assert obs.lines == search, m.to_ints()
+        assert obs.zeros == [i for i, v in enumerate(plane.values(f)) if not v], m.to_ints()
+        assert obs.singular == len(vf.singular_Fq_points(f)), m.to_ints()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_reports_with_the_observation_equal_the_reference(q):
+    spec = field(q)
+    if q <= 3:
+        projective = list(batch.case_observations(spec, 0, q**9))
+        affine = list(batch.degenerate_observations(spec, 0, q**6))
+        assert [a.to_ints() for a, _obs in projective] == [a.to_ints() for a in _matrices(q)]
+    else:
+        projective, affine = [], []
+        for a in _matrices(q):
+            projective += batch.case_observations(spec, _counting_index(a), _counting_index(a) + 1)
+        for m in _affine_matrices(q):
+            affine += batch.degenerate_observations(spec, _counting_index(m), _counting_index(m) + 1)
+    assert affine
+    for a, obs in projective:
+        assert (obs is None) == a.is_scalar(), a.to_ints()
+        assert vf.decomposition_report(a, obs).to_json() == vf.decomposition_report(a).to_json(), a.to_ints()
+    for m, obs in affine:
+        assert vf.affine_report(m, obs).to_json() == vf.affine_report(m).to_json(), m.to_ints()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -168,9 +232,12 @@ def test_observed_lines_resolve_multiplicities_up_to_two():
     )
 
 
-def test_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
+def _line_searches(monkeypatch, sweep):
+    """The summary of sweep at q = 2, and how many line searches it made as
+    it is and with every packed line set unresolved; both runs must give
+    that summary."""
     spec = field(2)
-    reference = vf.sweep_affine_reports(spec)
+    reference = sweep(spec)
     searched = []
     real = vf.find_linear_components
 
@@ -179,17 +246,23 @@ def test_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(vf, "find_linear_components", counting)
-    assert vf.sweep_affine_reports(spec) == reference
-    assert searched == []
+    assert sweep(spec) == reference
+    plain = len(searched)
     monkeypatch.setattr(batch, "observed_lines", lambda kern, packed: None)
-    assert vf.sweep_affine_reports(spec) == reference
-    assert len(searched) == reference["checked"]
+    assert sweep(spec) == reference
+    return reference, plain, len(searched) - plain
 
 
-@lru_cache(maxsize=None)
-def _fa_line_kernel(spec):
-    """F_A packed with the w^0, w^1 and w^2 blocks of every line chart."""
-    return batch._kernel(spec, batch._units(spec, fc.Matrix3, 9, fc.build_FA), 3)
+def test_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
+    reference, plain, unresolved = _line_searches(monkeypatch, vf.sweep_affine_reports)
+    assert plain == 0
+    assert unresolved == reference["checked"]
+
+
+def test_case_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
+    reference, plain, unresolved = _line_searches(monkeypatch, vf.sweep_case_reports)
+    assert plain == 0
+    assert unresolved == reference["checked"] - reference["scalars"]
 
 
 @st.composite
@@ -206,7 +279,7 @@ def _curves(draw):
     else:
         m = fc.Matrix3.from_ints(spec, entries)
         assume(not m.is_scalar())
-        f, kern = fc.build_FA(m), _fa_line_kernel(spec)
+        f, kern = fc.build_FA(m), batch.cycle_kernel(spec)
     return f, batch.observed_lines(kern, kern.image(m))
 
 
@@ -401,34 +474,105 @@ def test_affine_fill_sweep_reports_a_flipped_quad_table_entry(monkeypatch):
     assert out["pass"] is False
 
 
-def test_affine_report_sweep_reports_a_wrong_w1_coefficient(monkeypatch):
-    spec = field(3)
-    q, d = spec.q, spec.q + 1
-    kern = batch.affine_kernel(spec)
-    first, _count = kern.sections["w1"]
-    entry, c, slot = 0, 1, 1  # slot 1 of the w^1 block of the line x = 0
-    _corrupt(monkeypatch, kern, entry, c, [first + slot])
-    # what the corrupted blocks say about x = 0, against the line search:
-    # a double line looks single, a single one double unless its w^2 block
-    # is zero too, which sends the matrix to the line search
+def _w1_corruption_failures(spec, matrices, build, entry, c, slot):
+    """The matrices among ``matrices`` (with nonzero curves) whose report
+    must fail once 1 is added to ``tables[entry][c]`` at slot ``slot`` of
+    the w^1 block of the line x = 0.  By what the corrupted blocks say
+    about x = 0, against the line search: a double line looks single, a
+    single one double unless its w^2 block is zero too, which sends the
+    matrix to the line search."""
     chart = next(batch._line_charts(spec))
     failing = []
-    for m in _affine_matrices(q):
-        if m.to_ints()[entry] != c or aff.left_quad_shape(m).tag == QUAD_IRREDUCIBLE:
+    for m in matrices:
+        if m.to_ints()[entry] != c:
             continue
-        g = aff.build_GM(m)
-        true = dict(_line_search(g)).get(0)
+        f = build(m)
+        true = dict(_line_search(f)).get(0)
         if true is None:
             continue
-        terms = linear_substitute(g, chart).terms
+        d = f.degree
+        terms = linear_substitute(f, chart).terms
         w1 = [terms.get((d - 1 - j, j, 1), 0) for j in range(d)]
         w1[slot] = spec._add[w1[slot]][1]
         w2_zero = not any(terms.get((d - 2 - j, j, 2), 0) for j in range(d - 1))
         packed = 1 if any(w1) else 3 if w2_zero else 2
         if packed != 3 and packed != true:
             failing.append(m.to_ints())
+    return failing
+
+
+def test_affine_report_sweep_reports_a_wrong_w1_coefficient(monkeypatch):
+    spec = field(3)
+    kern = batch.affine_kernel(spec)
+    first, _count = kern.sections["w1"]
+    entry, c, slot = 0, 1, 1  # slot 1 of the w^1 block of the line x = 0
+    degenerate = [
+        m for m in _affine_matrices(spec.q) if aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
+    ]
+    failing = _w1_corruption_failures(spec, degenerate, aff.build_GM, entry, c, slot)
+    _corrupt(monkeypatch, kern, entry, c, [first + slot])
     out = vf.sweep_affine_reports(spec)
     assert failing
     assert out["match_failures"] == len(failing)
     assert out["first_discrepancy"].startswith(f"matrix {failing[0]} (")
+    assert out["pass"] is False
+
+
+def test_case_report_sweep_reports_a_wrong_w1_coefficient(monkeypatch):
+    spec = field(2)
+    kern = batch.cycle_kernel(spec)
+    first, _count = kern.sections["w1"]
+    entry, c, slot = 0, 1, 1  # slot 1 of the w^1 block of the line x = 0
+    non_scalar = [a for a in _matrices(spec.q) if not a.is_scalar()]
+    failing = _w1_corruption_failures(spec, non_scalar, fc.build_FA, entry, c, slot)
+    _corrupt(monkeypatch, kern, entry, c, [first + slot])
+    out = vf.sweep_case_reports(spec)
+    assert failing
+    assert out["match_failures"] == len(failing)
+    assert out["cycle_failures"] == out["minpoly_criterion_failures"] == 0
+    assert out["first_discrepancy"].startswith(f"matrix {failing[0]} (case ")
+    assert out["pass"] is False
+
+
+def test_case_report_sweep_reports_a_wrong_point_value(monkeypatch):
+    spec = field(2)
+    kern = batch.cycle_kernel(spec)
+    first, _count = kern.sections["points"]
+    entry, c = 4, 1
+    _corrupt(monkeypatch, kern, entry, c, [first])  # F_A at the first point
+    # every F_A vanishes there, so the observation loses that point: a
+    # nonsingular curve, its own residual, then has a point too few, and a
+    # curve singular only there looks nonsingular
+    point = vf._plane_for(spec).points[0].key
+    short, smooth = [], []  # in counting order, as the sweep meets them
+    for a in _matrices(spec.q):
+        if a.to_ints()[entry] != c or a.is_scalar():
+            continue
+        if fc.classify(a).tag == fc.CASE_NONSINGULAR:
+            short.append(a.to_ints())
+        elif [p.key for p in vf.singular_Fq_points(fc.build_FA(a))] == [point]:
+            smooth.append(a.to_ints())
+    out = vf.sweep_case_reports(spec)
+    assert short and smooth
+    assert out["match_failures"] == len(short)
+    assert out["cycle_failures"] == len(smooth)
+    first = min(short[0], smooth[0], key=lambda v: v[::-1])
+    assert out["first_discrepancy"].startswith(f"matrix {first}")
+    assert out["pass"] is False
+
+
+def test_affine_report_sweep_reports_a_wrong_affine_value(monkeypatch):
+    spec = field(3)
+    kern = batch.affine_kernel(spec)
+    first, _count = kern.sections["points"]
+    point = vf._plane_for(spec).affine_idx[0]
+    _corrupt(monkeypatch, kern, 2, 1, [first + 4 * point])
+    out = vf.sweep_affine_reports(spec)
+    # every degenerate matrix with a2 = 1 misses that point, and only those
+    failing = [
+        m.to_ints() for m in _affine_matrices(spec.q)
+        if m.to_ints()[2] == 1 and aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
+    ]
+    assert out["match_failures"] == len(failing) > 0
+    assert out["first_discrepancy"] == f"matrix {failing[0]} (III-3): curve misses an affine rational point"
     assert out["pass"] is False

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from planefill import affine as aff
+from planefill import batch
 from planefill import fillcurve as fc
 from planefill import verify as vf
 from planefill.cli import main
@@ -279,9 +280,12 @@ def test_affine_report_divides_by_the_observed_lines():
         for l, mult in vf.find_linear_components(g).lines
     ]
     assert len(lines) == 1
-    assert vf.affine_report(m, lines).to_json() == vf.affine_report(m).to_json()
+    kern = batch.affine_kernel(spec)
+    obs = batch.observe(kern, kern.image(m))
+    assert obs.lines == lines
+    assert vf.affine_report(m, obs).to_json() == vf.affine_report(m).to_json()
     (i, _mult), = lines
-    r = vf.affine_report(m, [(i, 2)])
+    r = vf.affine_report(m, obs._replace(lines=[(i, 2)]))
     assert r.match is False
     assert r.discrepancies == ["observed lines do not divide the curve with their multiplicities"]
     # the line search stands in, so the observation itself is right

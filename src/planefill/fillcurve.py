@@ -33,7 +33,6 @@ from .poly import (
     CUBIC_THREE_DISTINCT,
     UniPoly,
     cubic_shape,
-    divrem,
 )
 
 CASE_NONSINGULAR = "nonsingular"
@@ -121,9 +120,6 @@ class Matrix3:
             self.spec, tuple(tuple(mul[v] for v in row) for row in self.rows_int)
         )
 
-    def apply(self, v) -> tuple:
-        return _matvec(self.rows_int, v, self.spec)
-
     def is_scalar(self) -> bool:
         r = self.rows_int
         return (
@@ -161,40 +157,7 @@ def build_FA(A: Matrix3) -> HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
-
-
-def charpoly(A: Matrix3) -> UniPoly:
-    """det(tE - A), monic of degree 3."""
-    spec = A.spec
-    (a, b, c), (d, e, f), (g, h, i) = A.rows_int
-    add, sub, mul, neg = spec._add, spec._sub, spec._mul, spec._neg
-    tr = add[add[a][e]][i]
-    minors = add[
-        add[sub[mul[e][i]][mul[f][h]]][sub[mul[a][i]][mul[c][g]]]
-    ][sub[mul[a][e]][mul[b][d]]]
-    det = _mat3_det(A.rows_int, spec)
-    return UniPoly(spec, (neg[det], minors, neg[tr], 1))
-
-
-def minpoly(A: Matrix3) -> UniPoly:
-    """Monic minimal polynomial, found by testing degrees 1 and 2.
-
-    Degree 2 asks whether A^2 lies in the span of E and A; if not, by
-    Cayley-Hamilton the minimal polynomial is the characteristic one.
-    """
-    spec = A.spec
-    if A.is_scalar():
-        return UniPoly(spec, (spec._neg[A.rows_int[0][0]], 1))
-    columns = (Matrix3.identity(spec), A, A @ A)
-    rows, pivots = _rref(zip(*(c.to_ints() for c in columns)), 2, spec)
-    if pivots == [0, 1] and not any(row[2] for row in rows[2:]):
-        return UniPoly(spec, (spec._neg[rows[0][2]], spec._neg[rows[1][2]], 1))
-    return charpoly(A)
-
-
-# ---------------------------------------------------------------------------
-# case classification
+# case table
 
 
 @dataclass(frozen=True)
@@ -211,20 +174,112 @@ class CaseLabel:
     quad: UniPoly | None = None
 
 
-def _case_labels(shape) -> list[tuple[CaseLabel, int]]:
-    """(label, degree of the minimal polynomial) for every non-scalar
-    similarity type whose characteristic polynomial has this factor shape."""
+def _case_labels(f: UniPoly) -> tuple[tuple[CaseLabel, UniPoly], ...]:
+    """(label, minimal polynomial) for every non-scalar similarity type
+    whose characteristic polynomial is f, the one with minimal polynomial f
+    first."""
+    shape = cubic_shape(f)
     if shape.tag == CUBIC_IRREDUCIBLE:
-        return [(CaseLabel(CASE_NONSINGULAR, ()), 3)]
+        return ((CaseLabel(CASE_NONSINGULAR, ()), f),)
     if shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC:
-        return [(CaseLabel(CASE_1, shape.roots, shape.quad), 3)]
+        return ((CaseLabel(CASE_1, shape.roots, shape.quad), f),)
     if shape.tag == CUBIC_THREE_DISTINCT:
-        return [(CaseLabel(CASE_2, shape.roots), 3)]
+        return ((CaseLabel(CASE_2, shape.roots), f),)
+    # a degree-2 minimal polynomial drops one factor t - alpha of the
+    # double or triple root alpha
+    m = UniPoly.from_roots(f.spec, shape.roots[1:])
     if shape.tag == CUBIC_DOUBLE_PLUS_SIMPLE:
         roots = (shape.roots[0], shape.roots[2])
-        return [(CaseLabel(CASE_3_1, roots), 3), (CaseLabel(CASE_3_2, roots), 2)]
+        return ((CaseLabel(CASE_3_1, roots), f), (CaseLabel(CASE_3_2, roots), m))
     roots = shape.roots[:1]
-    return [(CaseLabel(CASE_4_1, roots), 3), (CaseLabel(CASE_4_2, roots), 2)]
+    return ((CaseLabel(CASE_4_1, roots), f), (CaseLabel(CASE_4_2, roots), m))
+
+
+# ---------------------------------------------------------------------------
+# characteristic and minimal polynomials
+
+
+@lru_cache(maxsize=None)
+def _characteristic(spec: FieldSpec, tr: int, s2: int, det: int):
+    """(t^3 - tr t^2 + s2 t - det, its case table entry): the memo behind
+    charpoly, minpoly and classify, filled one key at a time, with at most
+    q^3 entries per field."""
+    neg = spec._neg
+    f = UniPoly(spec, (neg[det], s2, neg[tr], 1))
+    return f, _case_labels(f)
+
+
+def _invariants(A: Matrix3) -> tuple[int, int, int]:
+    """The trace, the sum of the principal 2x2 minors and the determinant
+    of A."""
+    spec = A.spec
+    (a, b, c), (d, e, f), (g, h, i) = A.rows_int
+    add, sub, mul = spec._add, spec._sub, spec._mul
+    tr = add[add[a][e]][i]
+    s2 = add[
+        add[sub[mul[e][i]][mul[f][h]]][sub[mul[a][i]][mul[c][g]]]
+    ][sub[mul[a][e]][mul[b][d]]]
+    return tr, s2, _mat3_det(A.rows_int, spec)
+
+
+def _entry(A: Matrix3, f: UniPoly | None = None):
+    """The memo entry of A's characteristic polynomial, read off f when
+    given."""
+    if f is None:
+        return _characteristic(A.spec, *_invariants(A))
+    neg = A.spec._neg
+    c0, c1, c2, _one = f.coeffs
+    return _characteristic(A.spec, neg[c2], c1, neg[c0])
+
+
+def _shifted(rows, alpha: int, spec: FieldSpec):
+    """rows - alpha*E."""
+    if not alpha:
+        return rows
+    sub = spec._sub
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return ((sub[a][alpha], b, c), (d, sub[e][alpha], f), (g, h, sub[i][alpha]))
+
+
+def _repeated_root_degree(A: Matrix3, label: CaseLabel) -> int:
+    """Degree of the minimal polynomial of A, whose characteristic
+    polynomial has the repeated root of label (case 3.1 or 4.1): 2 when
+    (A - alpha)(A - beta) = 0 for the double root alpha and the simple root
+    beta, or when (A - alpha)^2 = 0 for the triple root alpha; 1 when A is
+    scalar; otherwise 3."""
+    spec = A.spec
+    rows = A.rows_int
+    alpha = label.roots[0].val
+    if label.tag == CASE_4_1 and A.is_scalar():
+        return 1
+    other = label.roots[1].val if label.tag == CASE_3_1 else alpha
+    n = _matmul(_shifted(rows, alpha, spec), _shifted(rows, other, spec), spec)
+    return 3 if any(map(any, n)) else 2
+
+
+def _case_and_minpoly(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None):
+    """(case label, minimal polynomial) of A.  Without a repeated root both
+    follow from the characteristic polynomial; with one, the degree of the
+    minimal polynomial (mp's when given) picks the similarity type."""
+    labels = _entry(A, f)[1]
+    if len(labels) == 1:
+        return labels[0]
+    mdeg = mp.degree if mp is not None else _repeated_root_degree(A, labels[0][0])
+    if mdeg == 1:
+        roots = labels[0][0].roots
+        return CaseLabel(CASE_4_3, roots), UniPoly(A.spec, (A.spec._neg[roots[0].val], 1))
+    return next((label, m) for label, m in labels if m.degree == mdeg)
+
+
+def charpoly(A: Matrix3) -> UniPoly:
+    """det(tE - A), monic of degree 3."""
+    return _entry(A)[0]
+
+
+def minpoly(A: Matrix3) -> UniPoly:
+    """Monic minimal polynomial: the characteristic one unless it has a
+    repeated root and A passes the test of ``_repeated_root_degree``."""
+    return _case_and_minpoly(A)[1]
 
 
 def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) -> CaseLabel:
@@ -233,22 +288,24 @@ def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) ->
 
     Both polynomials may be passed in when the caller already has them.
     """
-    shape = cubic_shape(f if f is not None else charpoly(A))
-    labels = _case_labels(shape)
-    if len(labels) == 1:
-        # without a repeated root the minimal polynomial is the characteristic one
-        return labels[0][0]
-    mdeg = (mp if mp is not None else minpoly(A)).degree
-    if mdeg == 1:
-        return CaseLabel(CASE_4_3, shape.roots[:1])
-    return next(label for label, d in labels if d == mdeg)
+    return _case_and_minpoly(A, f, mp)[0]
 
 
 # ---------------------------------------------------------------------------
 # similarity to the case-canonical form
 
 
-def _kernel_basis(rows, spec: FieldSpec):
+def _kernel_vectors(rows, spec: FieldSpec):
+    """The nonzero solutions v of rows*v = 0, lazily, ascending by base-q
+    enumeration index x + q*y + q^2*z (every nonzero vector for no rows).
+
+    Gauss-Jordan elimination puts the basis vector of each free column f
+    at 1 in f, at 0 in the other free columns, and elsewhere nonzero only
+    in pivot columns before f.  Read z first, that basis is a reduced
+    echelon form with its leading ones at the free columns, so the
+    combination with the base-q digits of n, the lowest free column
+    taking the lowest digit, is the n-th kernel vector in counting order.
+    """
     m, pivots = _rref(rows, 3, spec)
     basis = []
     for free in (c for c in range(3) if c not in pivots):
@@ -256,35 +313,18 @@ def _kernel_basis(rows, spec: FieldSpec):
         v[free] = 1
         for r, col in enumerate(pivots):
             v[col] = spec._neg[m[r][free]]
-        basis.append(tuple(v))
-    return basis
-
-
-def _kernel_vectors(rows, spec: FieldSpec):
-    """Nonzero kernel vectors, ascending by base-q enumeration index."""
-    basis = _kernel_basis(rows, spec)
-    d = len(basis)
-    if d == 0:
-        return []
-    q = spec.q
+        basis.append(v)
     cols = _transpose(basis)
-    seen = {_matvec(cols, base_digits(n, q, d), spec) for n in range(1, q**d)}
-    return sorted(seen, key=lambda v: v[0] + q * v[1] + q * q * v[2])
+    for n in range(1, spec.q ** len(basis)):
+        yield _matvec(cols, base_digits(n, spec.q, len(basis)), spec)
 
 
-def _first_vector(spec: FieldSpec, pred):
-    for n in range(1, spec.q**3):
-        v = base_digits(n, spec.q, 3)
+def _first(vectors, pred=any):
+    """The first of vectors that satisfies pred."""
+    for v in vectors:
         if pred(v):
             return v
-    raise AssertionError("no vector satisfies the predicate")
-
-
-def _shifted(A: Matrix3, alpha: int) -> Matrix3:
-    if not alpha:
-        return A
-    neg = A.spec._neg[alpha]
-    return A + Matrix3.diagonal(A.spec, neg, neg, neg)
+    raise ValueError("the matrix is not in the case of its label")
 
 
 def _companion(f: UniPoly) -> Matrix3:
@@ -329,7 +369,8 @@ def rcf_similarity(
     The basis vectors are chosen by cyclic-vector and eigenvector
     construction, always taking the first suitable vector in base-q
     enumeration order, so the output is deterministic and a matrix already
-    in canonical form returns S = E.
+    in canonical form returns S = E.  A ValueError says that A is not in
+    the case of the label passed in.
     """
     spec = A.spec
     if f is None:
@@ -339,54 +380,51 @@ def rcf_similarity(
     C = _case_canonical(spec, label, f)
     if label.tag == CASE_4_3:
         return A, Matrix3.identity(spec)
+    rows = A.rows_int
+
+    def image(m, v):
+        return _matvec(m, v, spec)
 
     def eigvec(alpha: int):
-        shifted = _shifted(A, alpha)
-        return _kernel_vectors(shifted.rows_int, spec)[0]
+        return _first(_kernel_vectors(_shifted(rows, alpha, spec), spec))
 
     if label.tag == CASE_NONSINGULAR:
         v1 = (1, 0, 0)
-        v2 = A.apply(v1)
-        v3 = A.apply(v2)
+        v2 = image(rows, v1)
+        v3 = image(rows, v2)
     elif label.tag == CASE_1:
-        g = label.quad
-        a2 = A @ A
-        gA = a2 + A.scale(g.coeffs[1]) + Matrix3.identity(spec).scale(g.coeffs[0])
-        v1 = _kernel_vectors(gA.rows_int, spec)[0]
-        v2 = A.apply(v1)
+        g0, g1 = label.quad.coeffs[:2]
+        neg = spec._neg
+        # g(A) = A (A + g1) + g0
+        g_a = _shifted(_matmul(rows, _shifted(rows, neg[g1], spec), spec), neg[g0], spec)
+        v1 = _first(_kernel_vectors(g_a, spec))
+        v2 = image(rows, v1)
         v3 = eigvec(label.roots[0].val)
     elif label.tag == CASE_2:
         v1, v2, v3 = (eigvec(r.val) for r in label.roots)
     elif label.tag == CASE_3_1:
         alpha, beta = label.roots[0].val, label.roots[1].val
-        n = _shifted(A, alpha)
-        n2 = n @ n
-        v2 = next(
-            v for v in _kernel_vectors(n2.rows_int, spec) if any(n.apply(v))
-        )
-        v1 = n.apply(v2)
+        n = _shifted(rows, alpha, spec)
+        v2 = _first(_kernel_vectors(_matmul(n, n, spec), spec), lambda v: any(image(n, v)))
+        v1 = image(n, v2)
         v3 = eigvec(beta)
     elif label.tag == CASE_3_2:
         alpha, beta = label.roots[0].val, label.roots[1].val
-        kern = _kernel_vectors(_shifted(A, alpha).rows_int, spec)
-        v1 = kern[0]
-        v2 = next(v for v in kern if any(_cross(v1, v, spec)))
+        kern = _kernel_vectors(_shifted(rows, alpha, spec), spec)
+        v1 = _first(kern)
+        v2 = _first(kern, lambda v: any(_cross(v1, v, spec)))
         v3 = eigvec(beta)
     elif label.tag == CASE_4_1:
-        n = _shifted(A, label.roots[0].val)
-        n2 = n @ n
-        v3 = _first_vector(spec, lambda v: any(n2.apply(v)))
-        v2 = n.apply(v3)
-        v1 = n.apply(v2)
+        n = _shifted(rows, label.roots[0].val, spec)
+        n2 = _matmul(n, n, spec)
+        v3 = _first(_kernel_vectors((), spec), lambda v: any(image(n2, v)))
+        v2 = image(n, v3)
+        v1 = image(n, v2)
     else:  # CASE_4_2
-        n = _shifted(A, label.roots[0].val)
-        v2 = _first_vector(spec, lambda v: any(n.apply(v)))
-        v1 = n.apply(v2)
-        v3 = next(
-            v
-            for v in _kernel_vectors(n.rows_int, spec)
-            if any(_cross(v1, v, spec))
-        )
+        n = _shifted(rows, label.roots[0].val, spec)
+        v2 = _first(_kernel_vectors((), spec), lambda v: any(image(n, v)))
+        v1 = image(n, v2)
+        v3 = _first(_kernel_vectors(n, spec), lambda v: any(_cross(v1, v, spec)))
     s = Matrix3(spec, _mat3_inv(_transpose((v1, v2, v3)), spec))
     return C, s
 
@@ -646,12 +684,7 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
     seen = set()
     for n in range(q**3):
         f = UniPoly(spec, base_digits(n, q, 3) + (1,))
-        for label, mdeg in _case_labels(cubic_shape(f)):
-            # a degree-2 minimal polynomial drops one factor t - alpha
-            # of the double or triple root alpha
-            m = f
-            if mdeg == 2:
-                m = divrem(f, UniPoly(spec, (spec._neg[label.roots[0].val], 1)))[0]
+        for label, m in _case_labels(f):
             if (f.coeffs, m.coeffs) in seen:
                 continue
             orbit = _orbit(f, m)

@@ -300,7 +300,7 @@ def _rref(rows, ncols: int, spec: FieldSpec):
 
 
 def _row_power(row, n: int, spec: FieldSpec, cache: dict):
-    """Sparse expansion of (r0*x + r1*y + r2*z)^n.
+    """Sparse expansion of (r0*x + r1*y + r2*z)^n for n >= 1.
 
     For n >= q the Frobenius split (L^q has the original coefficients on
     x^q, y^q, z^q) keeps the expansion sparse instead of dense.
@@ -309,15 +309,14 @@ def _row_power(row, n: int, spec: FieldSpec, cache: dict):
     if got is not None:
         return got
     q = spec.q
-    if n == 0:
-        out = {(0, 0, 0): 1}
-    elif n == 1:
+    if n == 1:
         out = HomogPoly.linear_form(spec, row).terms
     elif n >= q:
         m, r = divmod(n, q)
         base = _row_power(row, m, spec, cache)
-        frob = {(i * q, j * q, k * q): c for (i, j, k), c in base.items()}
-        out = _dict_mul(frob, _row_power(row, r, spec, cache), spec)
+        out = {(i * q, j * q, k * q): c for (i, j, k), c in base.items()}
+        if r:
+            out = _dict_mul(out, _row_power(row, r, spec, cache), spec)
     else:
         out = _dict_mul(
             _row_power(row, n - 1, spec, cache), _row_power(row, 1, spec, cache), spec
@@ -371,12 +370,16 @@ def linear_substitute(f: HomogPoly, b) -> HomogPoly:
         raise ValueError("substitution matrix is singular")
     caches = ({}, {}, {})
 
-    def image(i, j, k):
-        prod = _row_power(rows[0], i, spec, caches[0])
-        prod = _dict_mul(prod, _row_power(rows[1], j, spec, caches[1]), spec)
-        return _dict_mul(prod, _row_power(rows[2], k, spec, caches[2]), spec)
+    def image(key):
+        """The product of the row powers, leaving out the x^0 factors."""
+        prod = None
+        for row, e, cache in zip(rows, key, caches):
+            if e:
+                power = _row_power(row, e, spec, cache)
+                prod = power if prod is None else _dict_mul(prod, power, spec)
+        return {(0, 0, 0): 1} if prod is None else prod
 
-    return _combination(spec, f.degree, ((c, image(*key)) for key, c in f.terms.items()))
+    return _combination(spec, f.degree, ((c, image(key)) for key, c in f.terms.items()))
 
 
 def partials(f: HomogPoly) -> tuple[HomogPoly, HomogPoly, HomogPoly]:

@@ -538,8 +538,15 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
     if label.tag == fc.CASE_NONSINGULAR:
         pred = _Prediction([], fc.ResidualSpec(fc.RESIDUAL_PLANE_FILLING, f_a), None)
     else:
-        plan = fc.predicted_decomposition(A, label=label, f=cp)
-        pred = _transport(plan, _transpose(_mat3_inv(plan.transform.rows_int, spec)), spec)
+        try:
+            plan = fc.predicted_decomposition(A, label=label, f=cp)
+        except ValueError as exc:
+            # A is not similar to the canonical form of its label: predict
+            # nothing, so that the audit still records what the curve has
+            disc.append(f"no similarity to the canonical form of case {label.tag}: {exc}")
+            pred = _Prediction([], None, None)
+        else:
+            pred = _transport(plan, _transpose(_mat3_inv(plan.transform.rows_int, spec)), spec)
     if obs is None:
         obs = _Scanned(f_a)
     observed = _audit(f_a, pred, disc, obs)

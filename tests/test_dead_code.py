@@ -40,7 +40,6 @@ ALLOWED = {
     "gf.FieldElement.inverse": "tests check the field axioms on elements",
     "gf.FieldSpec.element": "tests build elements from their encodings",
     "gf.FieldSpec.from_coeffs": "tests build extension-field elements from base-field digits",
-    "poly.UniPoly.from_roots": "tests write expected polynomials by their roots",
 }
 
 

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -6,7 +5,16 @@ import pytest
 
 from planefill import fillcurve as fc
 from planefill.homog import HomogPoly, linear_substitute, scalar_ratio
-from planefill.poly import UniPoly, divrem
+from planefill.poly import (
+    CUBIC_DOUBLE_PLUS_SIMPLE,
+    CUBIC_IRREDUCIBLE,
+    CUBIC_LINEAR_TIMES_QUADRATIC,
+    CUBIC_THREE_DISTINCT,
+    CUBIC_TRIPLE,
+    UniPoly,
+    cubic_shape,
+    divrem,
+)
 from support import field, rand_invertible3, rand_matrix3
 
 
@@ -110,35 +118,111 @@ def _matrices3(q, samples=300, seed=37):
 
 
 def _dot(spec, u, v):
-    return functools.reduce(lambda s, c: spec._add[s][c], map(spec.mul, u, v), 0)
+    add, mul = spec._add, spec._mul
+    s = 0
+    for a, b in zip(u, v):
+        s = add[s][mul[a][b]]
+    return s
 
 
 def _ref_product(spec, a, b):
     return [[_dot(spec, row, col) for col in zip(*b)] for row in a]
 
 
+def _power_columns(spec, a):
+    """The entries of E, A, A^2, A^3, one column per matrix entry."""
+    powers = [[[int(i == j) for j in range(3)] for i in range(3)], a.rows_int]
+    while len(powers) < 4:
+        powers.append(_ref_product(spec, powers[-1], a.rows_int))
+    return list(zip(*([v for row in p for v in row] for p in powers)))
+
+
+def _annihilates(spec, columns, coeffs):
+    """Whether the polynomial with these coefficients, low degree first,
+    annihilates the matrix whose _power_columns are given."""
+    return not any(_dot(spec, coeffs, column) for column in columns)
+
+
+def _minimal_degree(spec, columns):
+    """The least degree of a monic polynomial that annihilates the matrix,
+    by trying every one of degree 1 and 2 (Cayley-Hamilton gives 3
+    otherwise)."""
+    for d in (1, 2):
+        for low in itertools.product(range(spec.q), repeat=d):
+            if _annihilates(spec, columns, low + (1,)):
+                return d
+    return 3
+
+
 def test_minpoly_divides_and_annihilates():
-    # exhaustive at q = 2, 3 and seeded at q = 4, 5: the minimal polynomial
-    # annihilates A, divides the characteristic polynomial, and no monic
-    # polynomial of lower degree annihilates A (brute force over all of them)
-    for q in (2, 3, 4, 5):
+    # exhaustive at q = 2, 3 and seeded at q = 4, 5, 7, 8, 9: the minimal
+    # polynomial annihilates A, divides the characteristic polynomial, and
+    # no monic polynomial of lower degree annihilates A (brute force over
+    # all of them)
+    for q in (2, 3, 4, 5, 7, 8, 9):
         spec = field(q)
         for a in _matrices3(q):
             mp = fc.minpoly(a)
             assert mp.coeffs[-1] == 1
             assert divrem(fc.charpoly(a), mp)[1].is_zero()
-            powers = [[[int(i == j) for j in range(3)] for i in range(3)], a.rows_int]
-            while len(powers) <= mp.degree:
-                powers.append(_ref_product(spec, powers[-1], a.rows_int))
-            entries = [[v for row in p for v in row] for p in powers]
+            columns = _power_columns(spec, a)
+            assert _annihilates(spec, columns, mp.coeffs)
+            assert _minimal_degree(spec, columns) == mp.degree
 
-            def annihilates(coeffs):
-                return not any(_dot(spec, coeffs, column) for column in zip(*entries))
 
-            assert annihilates(mp.coeffs)
-            for d in range(1, mp.degree):
-                for low in itertools.product(range(q), repeat=d):
-                    assert not annihilates(low + (1,))
+def _typed_samples(q):
+    """Every matrix for q <= 3; else a seeded sample, a scalar, and seeded
+    conjugates of the canonical matrix of every case, so that the rare
+    repeated-root cases come up too."""
+    out = _matrices3(q)
+    if q > 3:
+        spec = field(q)
+        rng = random.Random(q)
+        out.append(fc.Matrix3.identity(spec).scale(q - 1))
+        for _tag, c in canonical_samples(spec):
+            for _ in range(5):
+                p = rand_invertible3(spec, rng)
+                out.append(p @ c @ p.inverse())
+    return out
+
+
+def _ref_charpoly(spec, a):
+    """det(tE - A) by cofactor expansion along the first row."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+        [UniPoly(spec, (spec.neg(v), int(i == j))) for j, v in enumerate(row)]
+        for i, row in enumerate(a.rows_int)
+    )
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+
+CASE_OF_SHAPE = {
+    (CUBIC_IRREDUCIBLE, 3): fc.CASE_NONSINGULAR,
+    (CUBIC_LINEAR_TIMES_QUADRATIC, 3): fc.CASE_1,
+    (CUBIC_THREE_DISTINCT, 3): fc.CASE_2,
+    (CUBIC_DOUBLE_PLUS_SIMPLE, 3): fc.CASE_3_1,
+    (CUBIC_DOUBLE_PLUS_SIMPLE, 2): fc.CASE_3_2,
+    (CUBIC_TRIPLE, 3): fc.CASE_4_1,
+    (CUBIC_TRIPLE, 2): fc.CASE_4_2,
+    (CUBIC_TRIPLE, 1): fc.CASE_4_3,
+}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_characteristic_data_against_references(q):
+    # exhaustive at q = 2, 3, seeded at q >= 4: charpoly is the cofactor
+    # determinant, and classify follows its factor shape and the brute-force
+    # degree of the minimal polynomial, with the distinct roots in the order
+    # cubic_shape lists them
+    spec = field(q)
+    for a in _typed_samples(q):
+        f = fc.charpoly(a)
+        assert f == _ref_charpoly(spec, a)
+        shape = cubic_shape(f)
+        label = fc.classify(a)
+        assert label.tag == CASE_OF_SHAPE[shape.tag, _minimal_degree(spec, _power_columns(spec, a))]
+        assert label.roots == tuple(dict.fromkeys(shape.roots))
+        assert label.quad == shape.quad
+        assert fc.classify(a, f=f, mp=fc.minpoly(a)) == label
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
@@ -152,7 +236,7 @@ def test_kernel_vectors_are_the_brute_force_null_space(q):
     }
     for a in _matrices3(q):
         expected = [v for v in vectors if all(v in null[row] for row in a.rows_int)]
-        assert fc._kernel_vectors(a.rows_int, spec) == expected
+        assert list(fc._kernel_vectors(a.rows_int, spec)) == expected
 
 
 def test_classify_examples():
@@ -215,6 +299,73 @@ def test_rcf_similarity_random_sweep():
             c2, s2 = fc.rcf_similarity(conj)
             assert c2.rows_int == c.rows_int
             assert (s2 @ conj @ s2.inverse()).rows_int == c2.rows_int
+
+
+def _ref_basis(spec, a, label):
+    """The columns of S^-1 by the construction rcf_similarity documents,
+    each vector the first suitable one of a brute-force null space listed in
+    base-q order."""
+    q = spec.q
+    vectors = [(n % q, n // q % q, n // (q * q)) for n in range(1, q**3)]
+
+    def image(m, v):
+        return tuple(_dot(spec, row, v) for row in m)
+
+    def shift(m, alpha):
+        return [[spec._sub[v][alpha] if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
+
+    def null(m):
+        return [v for v in vectors if not any(image(m, v))]
+
+    def apart(u, v):
+        return all(tuple(spec.mul(c, x) for x in u) != v for c in range(q))
+
+    rows = a.rows_int
+    roots = [r.val for r in label.roots]
+    if label.tag == fc.CASE_NONSINGULAR:
+        v1 = (1, 0, 0)
+        v2 = image(rows, v1)
+        return v1, v2, image(rows, v2)
+    if label.tag == fc.CASE_1:
+        g0, g1, _one = label.quad.coeffs
+        g_a = [
+            [spec._add[spec._add[x][spec.mul(g1, y)]][g0 if i == j else 0] for j, (x, y) in enumerate(zip(r2, r))]
+            for i, (r2, r) in enumerate(zip(_ref_product(spec, rows, rows), rows))
+        ]
+        v1 = null(g_a)[0]
+        return v1, image(rows, v1), null(shift(rows, roots[0]))[0]
+    if label.tag == fc.CASE_2:
+        return tuple(null(shift(rows, r))[0] for r in roots)
+    n = shift(rows, roots[0])
+    if label.tag == fc.CASE_3_1:
+        v2 = next(v for v in null(_ref_product(spec, n, n)) if any(image(n, v)))
+        return image(n, v2), v2, null(shift(rows, roots[1]))[0]
+    if label.tag == fc.CASE_3_2:
+        kern = null(n)
+        return kern[0], next(v for v in kern if apart(kern[0], v)), null(shift(rows, roots[1]))[0]
+    if label.tag == fc.CASE_4_1:
+        n2 = _ref_product(spec, n, n)
+        v3 = next(v for v in vectors if any(image(n2, v)))
+        v2 = image(n, v3)
+        return image(n, v2), v2, v3
+    assert label.tag == fc.CASE_4_2
+    v2 = next(v for v in vectors if any(image(n, v)))
+    v1 = image(n, v2)
+    return v1, v2, next(v for v in null(n) if apart(v1, v))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_rcf_similarity_is_the_reference_construction(q):
+    # every non-scalar matrix at q = 2, 3, seeded at q >= 4: S times the
+    # matrix with the reference columns is E
+    spec = field(q)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    for a in _typed_samples(q):
+        if a.is_scalar():
+            continue
+        _c, s = fc.rcf_similarity(a)
+        basis = _ref_basis(spec, a, fc.classify(a))
+        assert _ref_product(spec, s.rows_int, list(zip(*basis))) == ident
 
 
 def test_case2_residual_coefficients_sum_to_zero():

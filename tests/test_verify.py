@@ -324,6 +324,46 @@ def test_curve_singularity_is_observed_on_a_mislabelled_curve(monkeypatch):
     assert r.observed["curve_singular"] is True
 
 
+def test_sweeps_report_an_irreducible_cubic_memoized_as_case_1(monkeypatch):
+    spec = field(2)
+    key = (spec, 0, 1, 1)  # trace 0, sigma_2 1, det 1: t^3 + t + 1
+    real = fc._characteristic
+    f, labels = real(*key)
+    assert [label.tag for label, _m in labels] == [fc.CASE_NONSINGULAR]
+    flipped = (fc.CaseLabel(fc.CASE_1, (spec.element(1),), UniPoly(spec, (1, 1, 1))), f)
+    mislabelled = [
+        a.to_ints() for a in (vf._matrix_at(fc.Matrix3, 9, spec, n) for n in range(2**9))
+        if fc.charpoly(a) == f
+    ]
+    monkeypatch.setattr(fc, "_characteristic", lambda *k: (f, (flipped,)) if k == key else real(*k))
+    cycle = vf.sweep_irreducibility_cycle(spec)
+    assert cycle["cycle_failures"] == len(mislabelled) > 0
+    assert cycle["first_discrepancy"].startswith(f"matrix {mislabelled[0]}: irreducible=False")
+    out = vf.sweep_case_reports(spec)
+    assert out["match_failures"] == out["cycle_failures"] == len(mislabelled)
+    assert out["first_discrepancy"] == (
+        f"matrix {mislabelled[0]} (case 1): no similarity to the canonical form of case 1: "
+        "the matrix is not in the case of its label"
+    )
+    assert out["pass"] is False
+
+
+def test_case_report_sweep_reports_a_repeated_root_test_that_always_splits(monkeypatch):
+    spec = field(2)
+    cyclic = sum(
+        fc.classify(vf._matrix_at(fc.Matrix3, 9, spec, n)).tag in (fc.CASE_3_1, fc.CASE_4_1)
+        for n in range(2**9)
+    )
+    monkeypatch.setattr(fc, "_repeated_root_degree", lambda A, label: 1 if A.is_scalar() else 2)
+    out = vf.sweep_case_reports(spec)
+    # every 3.1 and 4.1 matrix now reads as 3.2 or 4.2, with a quadratic
+    # minimal polynomial though its curve keeps a nonlinear component
+    assert out["minpoly_criterion_failures"] == cyclic > 0
+    assert out["match_failures"] > 0
+    assert fc.CASE_3_1 not in out["cases"] and fc.CASE_4_1 not in out["cases"]
+    assert out["pass"] is False
+
+
 def test_curve_without_lines_is_scanned_for_singular_points_once(monkeypatch):
     # with no rational line the audited residual is F_A itself, so its scan
     # also decides curve_singular; a curve with lines scans residual and F_A

@@ -81,9 +81,15 @@ def quad_form_triple(M: Matrix23) -> tuple[int, int, int]:
     return a0, M.spec._add[a1][b0], b1
 
 
+@lru_cache(maxsize=None)
+def memo_quad_shape(spec: FieldSpec, a: int, b: int, c: int) -> QuadShape:
+    """``quad_shape`` of a s^2 + b st + c t^2 for encodings a, b, c: one
+    memo per field, holding at most q^3 shapes."""
+    return quad_shape(spec, a, b, c)
+
+
 def left_quad_shape(M: Matrix23) -> QuadShape:
-    a, b, c = quad_form_triple(M)
-    return quad_shape(M.spec, a, b, c)
+    return memo_quad_shape(M.spec, *quad_form_triple(M))
 
 
 def _det2(block, spec: FieldSpec) -> int:

@@ -32,7 +32,7 @@ from . import affine as aff
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits, make_field
 from .homog import linear_substitute, partials
-from .poly import QUAD_IRREDUCIBLE, quad_shape
+from .poly import QUAD_IRREDUCIBLE
 from .verify import _check_cycle, _matrix_at, _note_failure, _plane_for
 
 
@@ -255,8 +255,10 @@ def affine_kernel(spec: FieldSpec) -> Kernel:
     """``_kernel`` of G_M with the w^0, w^1 and w^2 blocks, which give the
     lines dividing G_M with multiplicity up to 2.
 
-    ``quad[a][b][c]`` is the tag of ``quad_shape`` of a s^2 + b st + c t^2,
-    so the left-block quadratic of M is ``quad[a0][a1 + b0][b1]``;
+    ``quad[a][b][c]`` is the tag of ``affine.memo_quad_shape`` of
+    a s^2 + b st + c t^2, so the left-block quadratic of M is
+    ``quad[a0][a1 + b0][b1]``, and the reports' ``left_quad_shape`` reads
+    the memo this table filled;
     ``affine_values`` masks G_M at the affine points and ``infinity``
     blocks it at the points of z = 0.
     """
@@ -265,7 +267,7 @@ def affine_kernel(spec: FieldSpec) -> Kernel:
     plane = _plane_for(spec)
     lanes = kern.lanes
     kern.quad = [
-        [[quad_shape(spec, a, b, c).tag for c in range(q)] for b in range(q)]
+        [[aff.memo_quad_shape(spec, a, b, c).tag for c in range(q)] for b in range(q)]
         for a in range(q)
     ]
     kern.affine_values = sum(lanes.mask(4 * i, 1) for i in plane.affine_idx)

@@ -389,17 +389,9 @@ def partials(f: HomogPoly) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
     spec = f.spec
     p = spec.p
     mul = spec._mul
-    outs = []
-    for var in range(3):
-        terms: dict = {}
-        for key, c in f.terms.items():
-            e = key[var]
-            m = e % p
-            if not m:
-                continue
-            new = list(key)
-            new[var] = e - 1
-            # m < p, so m is its own element encoding
-            terms[tuple(new)] = mul[c][m]
-        outs.append(HomogPoly._raw(spec, f.degree - 1, terms))
-    return tuple(outs)
+    items = f.terms.items()
+    # an exponent taken mod p is below p, so it is its own element encoding
+    fx = {(i - 1, j, k): mul[c][i % p] for (i, j, k), c in items if i % p}
+    fy = {(i, j - 1, k): mul[c][j % p] for (i, j, k), c in items if j % p}
+    fz = {(i, j, k - 1): mul[c][k % p] for (i, j, k), c in items if k % p}
+    return tuple(HomogPoly._raw(spec, f.degree - 1, terms) for terms in (fx, fy, fz))

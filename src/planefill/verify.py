@@ -38,7 +38,9 @@ from .poly import QUAD_IRREDUCIBLE
 
 
 class _Plane:
-    __slots__ = ("spec", "points", "lines", "line_coeffs", "_mono", "affine_idx", "infinity_idx")
+    __slots__ = (
+        "spec", "points", "lines", "line_coeffs", "_mono", "_powers", "affine_idx", "infinity_idx"
+    )
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -54,6 +56,8 @@ class _Plane:
         self.affine_idx = [i for i, p in enumerate(self.points) if p.key[2]]
         self.infinity_idx = [i for i, p in enumerate(self.points) if not p.key[2]]
         self._mono: dict = {}
+        # _powers[e][a] is a^e for the exponents of a form of degree <= q
+        self._powers = [[spec.pow_int(a, e) for a in elems] for e in range(spec.q + 1)]
 
     def mono_column(self, key):
         col = self._mono.get(key)
@@ -74,6 +78,34 @@ class _Plane:
             col = self.mono_column(key)
             crow = mul[c]
             vals = [add[v][crow[cv]] for v, cv in zip(vals, col)]
+        return vals
+
+    def value_at(self, f: HomogPoly, i: int) -> int:
+        """The value of f at the i-th point, from the monomial columns."""
+        add, mul = self.spec._add, self.spec._mul
+        acc = 0
+        for key, c in f.terms.items():
+            acc = add[acc][mul[c][self.mono_column(key)[i]]]
+        return acc
+
+    def substituted_values(self, f: HomogPoly, rows) -> list[int]:
+        """The values of f composed with the substitution x -> rows*x, for f
+        of degree at most q: f evaluated on the value columns of the three
+        row forms, so the composite is never expanded."""
+        add, mul = self.spec._add, self.spec._mul
+        # a point's coordinates are the coefficients of the line of its index
+        u, v, w = (
+            [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in self.line_coeffs]
+            for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
+        )
+        powers = self._powers
+        vals = [0] * len(self.points)
+        for (i, j, k), c in f.terms.items():
+            pi, pj, pk, crow = powers[i], powers[j], powers[k], mul[c]
+            vals = [
+                add[s][crow[mul[mul[pi[a]][pj[b]]][pk[d]]]]
+                for s, a, b, d in zip(vals, u, v, w)
+            ]
         return vals
 
 
@@ -231,13 +263,11 @@ def singular_Fq_points(f: HomogPoly, fvals=None) -> list[ProjPoint]:
         fvals = plane.values(f)
     fx, fy, fz = partials(f)
     fxvals = plane.values(fx)
-    out = []
-    for i, pt in enumerate(plane.points):
-        if fvals[i] or fxvals[i]:
-            continue
-        if fy.eval(pt).val == 0 and fz.eval(pt).val == 0:
-            out.append(pt)
-    return out
+    return [
+        plane.points[i]
+        for i, (v, vx) in enumerate(zip(fvals, fxvals))
+        if not (v or vx or plane.value_at(fy, i) or plane.value_at(fz, i))
+    ]
 
 
 def concurrency_check(lines) -> ProjPoint | None:
@@ -360,11 +390,14 @@ def _pencil_structure(forms, spec: FieldSpec):
 
 
 class _Prediction(NamedTuple):
-    """A predicted decomposition, transported to the curve's coordinates."""
+    """A predicted decomposition in the curve's coordinates: the lines
+    transported, the residual equation composed with ``rows`` (or as it
+    stands when ``rows`` is None) holds up to a scalar."""
 
     lines: list  # (normalized line coefficients, multiplicity)
-    residual: fc.ResidualSpec | None  # its equation holds up to a scalar
+    residual: fc.ResidualSpec | None
     concurrency: str | None
+    rows: tuple | None = None
 
     def to_json(self) -> dict:
         res = self.residual
@@ -378,18 +411,49 @@ class _Prediction(NamedTuple):
 
 
 def _transport(plan, rows, spec: FieldSpec) -> _Prediction:
-    """Carry the lines, residual and concurrency of a canonical plan
-    through the substitution x -> rows*x; a line's coefficient row c
-    becomes c*rows, normalized like a point."""
-    res = plan.residual
+    """Carry the lines and concurrency of a canonical plan through the
+    substitution x -> rows*x; a line's coefficient row c becomes c*rows,
+    normalized like a point.  The residual keeps its canonical equation,
+    with rows beside it for ``transported_multiple``."""
     images = _matmul([l.line_coeffs() for l, _m in plan.lines], rows, spec)
     return _Prediction(
         lines=[(ProjPoint(spec, c).key, m) for c, (_l, m) in zip(images, plan.lines)],
-        residual=None if res is None else fc.ResidualSpec(
-            res.kind, linear_substitute(res.equation, rows)
-        ),
+        residual=plan.residual,
         concurrency=plan.concurrency,
+        rows=rows,
     )
+
+
+def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None) -> bool:
+    """Whether g is a nonzero scalar multiple of eq composed with
+    x -> rows*x (of eq itself when rows is None), or both are zero:
+    ``scalar_ratio(g, linear_substitute(eq, rows)) is not None``.
+
+    Up to degree q the composite is compared by its values at the rational
+    points (gvals, if given, are those of g).  The ideal of all the points
+    of P^2(F_q) is generated by x^q y - x y^q, x^q z - x z^q and
+    y^q z - y z^q, of degree q + 1, so a nonzero form of degree at most q
+    is nonzero at some point, and g - c*h vanishes everywhere only when
+    g = c*h.  From degree q + 1 on x^q z - x z^q vanishes everywhere, so
+    the composite is expanded and compared coefficient by coefficient.
+    """
+    if g.degree != eq.degree:
+        return False
+    if rows is None:
+        return scalar_ratio(g, eq) is not None
+    spec = g.spec
+    if eq.degree > spec.q:
+        return scalar_ratio(g, linear_substitute(eq, rows)) is not None
+    plane = _plane_for(spec)
+    if gvals is None:
+        gvals = plane.values(g)
+    hvals = plane.substituted_values(eq, rows)
+    i = next((i for i, h in enumerate(hvals) if h), None)
+    if i is None:
+        return not any(gvals)
+    c = spec.div(gvals[i], hvals[i])
+    mrow = spec._mul[c]
+    return c != 0 and gvals == [mrow[h] for h in hvals]
 
 
 class _Scanned:
@@ -444,12 +508,12 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     residual_points = None
     singular_count = None
     if res and comps.residual_degree == res.degree:
-        if scalar_ratio(comps.residual, res.equation) is None:
+        rvals = None if comps.residual_degree == f.degree else plane.values(comps.residual)
+        if not transported_multiple(comps.residual, res.equation, pred.rows, rvals):
             disc.append("residual equation is not a scalar multiple of the transported prediction")
-        if comps.residual_degree == f.degree:
+        if rvals is None:
             residual_points, singular_count = len(obs.zeros), obs.singular
         else:
-            rvals = plane.values(comps.residual)
             residual_points = rvals.count(0)
             singular_count = len(singular_Fq_points(comps.residual, rvals))
         if residual_points != res.expected_points:
@@ -562,6 +626,22 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
 # the affine family
 
 
+@lru_cache(maxsize=None)
+def witness_law_holds(t: aff.BTransform) -> bool:
+    """Whether G_M composed with t is G of ``apply_transform(M, t)`` for
+    every M.  M -> G_M, M -> apply_transform(M, t) and f -> f composed
+    with t are all GF(q)-linear, so the six matrix units decide it; the
+    memo checks each distinct witness once per process."""
+    spec = t.spec
+    rows = t.matrix_rows()
+    for k in range(6):
+        unit = aff.Matrix23.from_ints(spec, [int(i == k) for i in range(6)])
+        image = aff.build_GM(aff.apply_transform(unit, t))
+        if linear_substitute(aff.build_GM(unit), rows) != image:
+            return False
+    return True
+
+
 def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     """Oracle audit of the curve of a nonzero 2x3 matrix.
 
@@ -581,12 +661,15 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     plan = aff.predicted_decomposition(label)
 
     if label.tag != aff.AFFINE_FILLING:
-        if aff.apply_transform(M, label.witness).rows_int != label.canonical.rows_int:
+        # with the law for the witness, G_M composed with it is G of the
+        # transformed matrix, and M -> G_M is injective: the canonical
+        # equation comes out exactly when the canonical matrix does
+        reproduces = aff.apply_transform(M, label.witness).rows_int == label.canonical.rows_int
+        if not reproduces:
             disc.append("witness transform does not reproduce the canonical matrix")
-        r_rows = label.witness.matrix_rows()
-        if linear_substitute(g_m, r_rows) != aff.build_GM(label.canonical):
+        if not (reproduces and witness_law_holds(label.witness)):
             disc.append("substituting the witness does not give the canonical equation")
-        t_rows = _mat3_inv(r_rows, spec)
+        t_rows = _mat3_inv(label.witness.matrix_rows(), spec)
     else:
         t_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

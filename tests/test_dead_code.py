@@ -40,6 +40,7 @@ ALLOWED = {
     "gf.FieldElement.inverse": "tests check the field axioms on elements",
     "gf.FieldSpec.element": "tests build elements from their encodings",
     "gf.FieldSpec.from_coeffs": "tests build extension-field elements from base-field digits",
+    "homog.HomogPoly.eval": "tests evaluate at one point as the reference for the plane's value columns",
 }
 
 

@@ -3,7 +3,9 @@
 Each case runs ``planefill.cli.main`` and compares its stdout and exit code
 with a file under ``tests/golden/``.  The files pin the reports of every
 projective case and every affine label at q = 3, both atlases at q = 2 and
-q = 3, and the six verification suites at q = 2.
+q = 3, the six verification suites at q = 2, and ``affine-6`` at q = 3,
+where all eight degenerate affine labels occur, so its file pins the label
+histogram and the audit counts.
 
 To rewrite the files after an intended output change:
 
@@ -61,6 +63,7 @@ def _cases():
             cases[f"atlas_q{q}_{family}"] = ["atlas", "--q", str(q), "--family", family]
     for suite in SUITES:
         cases[f"verify_q2_{suite}"] = ["verify", "--q", "2", "--suite", suite]
+    cases["verify_q3_affine-6"] = ["verify", "--q", "3", "--suite", "affine-6"]
     return cases
 
 

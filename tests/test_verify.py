@@ -9,9 +9,11 @@ from planefill import batch
 from planefill import fillcurve as fc
 from planefill import verify as vf
 from planefill.cli import main
-from planefill.homog import HomogPoly, linear_substitute, scalar_ratio
+from planefill.homog import HomogPoly, linear_substitute, partials, scalar_ratio
 from planefill.poly import UniPoly
-from support import field, rand_btransform, rand_invertible3, rand_matrix3
+from support import (
+    field, rand_btransform, rand_homog, rand_invertible3, rand_matrix3, rand_matrix23,
+)
 
 
 def test_enumerate_P2_counts():
@@ -449,6 +451,273 @@ def test_sziklai_audits_the_class_representatives_above_q4(monkeypatch, capsys, 
     assert main(["verify", "--suite", "sziklai", "--q", str(q)]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["audit_failures"] > 0 and not summary["pass"]
+
+
+# ---------------------------------------------------------------------------
+# residuals of degree <= q compared by their values, and the witness law
+# checked once per witness
+
+
+def _forms_vanishing_everywhere(spec, degree):
+    """Every coefficient vector of a form of the given degree whose values
+    at all the rational points are zero, by walking all q^monomials
+    vectors with their value vectors."""
+    plane = vf._plane_for(spec)
+    monos = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    columns = [plane.mono_column(key) for key in monos]
+    add, mul = spec._add, spec._mul
+    found = []
+
+    def walk(k, coeffs, vals):
+        if k == len(monos):
+            if not any(vals):
+                found.append(tuple(coeffs))
+            return
+        for c in range(spec.q):
+            crow = mul[c]
+            walk(k + 1, coeffs + [c], [add[v][crow[x]] for v, x in zip(vals, columns[k])])
+
+    walk(0, [], [0] * len(plane.points))
+    return found
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_no_nonzero_form_of_degree_at_most_q_vanishes_everywhere(q):
+    spec = field(q)
+    for degree in range(q + 1):
+        assert _forms_vanishing_everywhere(spec, degree) == [(0,) * ((degree + 1) * (degree + 2) // 2)]
+    # the bound is sharp: x^q z - x z^q vanishes at every rational point
+    h = HomogPoly(spec, q + 1, {(q, 0, 1): 1, (1, 0, q): spec.neg(1)})
+    assert not any(vf._plane_for(spec).values(h))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("family", ("affine", "projective"))
+def test_residuals_of_degree_q_plus_1_are_compared_as_polynomials(monkeypatch, q, family):
+    # II-2 and 4.1, each moved off its canonical form
+    spec = field(q)
+    if family == "affine":
+        shear = aff.BTransform(spec, ((1, 1), (0, 1)), (1, 0), 1)
+        m = aff.apply_transform(aff.Matrix23.from_ints(spec, [0, 0, 1, 0, 1, 0]), shear)
+        report = vf.affine_report
+    else:
+        b = fc.Matrix3.from_ints(spec, [1, 1, 0, 0, 1, 1, 0, 0, 1])
+        m = b @ fc.Matrix3.from_ints(spec, [0, 0, 1, 1, 0, 0, 0, 0, 0]) @ b.inverse()
+        report = vf.decomposition_report
+    captured = []
+    real = vf.transported_multiple
+
+    def capture(g, eq, rows, gvals=None):
+        captured.append((g, eq, rows))
+        return real(g, eq, rows, gvals)
+
+    monkeypatch.setattr(vf, "transported_multiple", capture)
+    r = report(m)
+    assert r.case in (aff.AFFINE_II2, fc.CASE_4_1) and r.match, r.discrepancies
+    ((g, eq, rows),) = captured
+    assert g.degree == eq.degree == q + 1 and rows is not None
+    h = HomogPoly(spec, q + 1, {(q, 0, 1): 1, (1, 0, q): spec.neg(1)})
+    plane = vf._plane_for(spec)
+    assert plane.values(g + h) == plane.values(g)
+    assert vf.transported_multiple(g, eq, rows)
+    assert not vf.transported_multiple(g + h, eq, rows)
+
+
+def test_transported_multiple_needs_a_nonzero_scalar():
+    spec = field(3)
+    rows = ((1, 1, 0), (0, 1, 2), (0, 0, 1))
+    eq = HomogPoly(spec, 2, {(2, 0, 0): 1, (0, 1, 1): 2})
+    zero = HomogPoly.zero(spec, 2)
+    g = linear_substitute(eq, rows)
+    assert vf.transported_multiple(g.scaled(2), eq, rows)
+    assert not vf.transported_multiple(zero, eq, rows)
+    assert not vf.transported_multiple(g, zero, rows)
+    assert vf.transported_multiple(zero, zero, rows)
+    assert not vf.transported_multiple(HomogPoly.zero(spec, 3), eq, rows)
+
+
+def _perturbed(eq):
+    """eq with 1 added to the coefficient of its leading monomial."""
+    spec = eq.spec
+    terms = dict(eq.terms)
+    lead = max(terms)
+    terms[lead] = spec._add[terms[lead]][1]
+    return HomogPoly(spec, eq.degree, terms)
+
+
+def _reference_multiple(g, eq, rows):
+    h = eq if rows is None else linear_substitute(eq, rows)
+    return scalar_ratio(g, h) is not None
+
+
+@pytest.fixture
+def checked_residuals(monkeypatch):
+    """Wraps transported_multiple so that each call, and the same call with
+    a perturbed equation, must agree with scalar_ratio against
+    linear_substitute; returns the tally of (value path, result) pairs."""
+    real = vf.transported_multiple
+    tally = {}
+
+    def checking(g, eq, rows, gvals=None):
+        got = real(g, eq, rows, gvals)
+        value_path = rows is not None and eq.degree <= g.spec.q
+        wrong = _perturbed(eq)
+        for e, result in ((eq, got), (wrong, real(g, wrong, rows, gvals))):
+            assert result == _reference_multiple(g, e, rows), (g, e, rows)
+            tally[value_path, result] = tally.get((value_path, result), 0) + 1
+        return got
+
+    monkeypatch.setattr(vf, "transported_multiple", checking)
+    return tally
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_value_criterion_agrees_with_substitution_on_every_report(checked_residuals, q):
+    spec = field(q)
+    proj = vf._case_range((spec.p, spec.e, 0, q**9))
+    affine = vf._affine_report_range((spec.p, spec.e, 0, q**6))
+    assert proj["match_failures"] == affine["match_failures"] == 0
+    # every correct residual agrees, and some perturbed ones are rejected on
+    # the value path
+    assert checked_residuals[True, True] > 0 and checked_residuals[True, False] > 0
+    assert checked_residuals[False, True] > 0
+
+
+@pytest.mark.parametrize("q", (4, 5))
+def test_value_criterion_agrees_with_substitution_on_seeded_reports(checked_residuals, q):
+    spec = field(q)
+    rng = random.Random(q * 101)
+    for _ in range(60):
+        a = rand_matrix3(spec, rng)
+        if not a.is_scalar():
+            assert vf.decomposition_report(a).match
+        m = aff.Matrix23.from_ints(spec, [rng.randrange(q) for _ in range(6)])
+        if not m.is_zero():
+            assert vf.affine_report(m).match
+    assert checked_residuals[True, True] > 0 and checked_residuals[True, False] > 0
+
+
+def _per_matrix_law(m, label):
+    """The per-matrix check: G_M composed with the witness is the canonical
+    equation."""
+    g = linear_substitute(aff.build_GM(m), label.witness.matrix_rows())
+    return g == aff.build_GM(label.canonical)
+
+
+def _memo_law(m, label):
+    """The check affine_report makes: the witness reproduces the canonical
+    matrix, and the law holds for the witness."""
+    reproduces = aff.apply_transform(m, label.witness).rows_int == label.canonical.rows_int
+    return reproduces and vf.witness_law_holds(label.witness)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_witness_law_memo_agrees_with_the_per_matrix_substitution(q):
+    # every degenerate matrix at q = 2, 3, seeded samples above; each with
+    # its own witness and with the witness of the matrix before it
+    spec = field(q)
+    # M -> G_M is injective: its six unit images have distinct leading terms
+    assert len({max(terms) for terms in aff._gm_basis(spec)}) == 6
+    if q <= 3:
+        matrices = [vf._matrix_at(aff.Matrix23, 6, spec, n) for n in range(1, q**6)]
+    else:
+        rng = random.Random(q)
+        matrices = [
+            aff.Matrix23.from_ints(spec, [rng.randrange(q) for _ in range(6)]) for _ in range(150)
+        ]
+    matrices = [m for m in matrices if not m.is_zero() and aff.affine_tag(m) != aff.AFFINE_FILLING]
+    labels = [aff.classify_affine(m) for m in matrices]
+    borrowed = 0
+    for m, label, before in zip(matrices, labels, labels[-1:] + labels[:-1]):
+        assert _memo_law(m, label) and _per_matrix_law(m, label)
+        other = aff.AffineLabel(label.tag, label.canonical, before.witness)
+        assert _memo_law(m, other) == _per_matrix_law(m, other)
+        borrowed += not _memo_law(m, other)
+    assert borrowed > 0
+
+
+@pytest.fixture
+def fresh_witness_memo():
+    vf.witness_law_holds.cache_clear()
+    yield
+    vf.witness_law_holds.cache_clear()
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_affine_sweep_reports_a_wrong_substitution(monkeypatch, fresh_witness_memo, k):
+    # linear_substitute goes wrong on the curve of the k-th matrix unit only
+    spec = field(3)
+    unit = aff.build_GM(aff.Matrix23.from_ints(spec, [int(i == k) for i in range(6)]))
+    real = vf.linear_substitute
+
+    def perturbed(f, b):
+        out = real(f, b)
+        return _perturbed(out) if f == unit else out
+
+    monkeypatch.setattr(vf, "linear_substitute", perturbed)
+    out = vf._affine_report_range((spec.p, spec.e, 0, 3**6))
+    # every witness fails the law, so every report does
+    assert out["match_failures"] == out["checked"] > 0
+    assert out["first_discrepancy"].endswith(
+        "substituting the witness does not give the canonical equation"
+    )
+
+
+def test_affine_report_flags_a_witness_with_an_altered_shift(monkeypatch):
+    spec = field(3)
+    m = aff.Matrix23.from_ints(spec, [2, 1, 1, 1, 0, 2])
+    real = aff.classify_affine(m)
+    assert real.tag == aff.AFFINE_I1
+    # the left block is invertible, so any other shift moves the third column
+    shifted = dataclasses.replace(
+        real.witness, shift=(spec._add[real.witness.shift[0]][1], real.witness.shift[1])
+    )
+    monkeypatch.setattr(aff, "classify_affine", lambda M: dataclasses.replace(real, witness=shifted))
+    r = vf.affine_report(m)
+    assert r.discrepancies[:2] == [
+        "witness transform does not reproduce the canonical matrix",
+        "substituting the witness does not give the canonical equation",
+    ]
+
+
+def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):
+    spec = field(3)
+    shaped = []
+    real = aff.quad_shape
+
+    def counting(s, a, b, c):
+        shaped.append((a, b, c))
+        return real(s, a, b, c)
+
+    monkeypatch.setattr(aff, "quad_shape", counting)
+    aff.memo_quad_shape.cache_clear()
+    try:
+        out = vf._affine_report_range((spec.p, spec.e, 0, 3**6))
+    finally:
+        aff.memo_quad_shape.cache_clear()
+    assert out["match_failures"] == 0
+    assert len(shaped) == len(set(shaped)) <= 3**3
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_singular_points_match_evaluating_the_partials(q):
+    rng = random.Random(q + 40)
+    spec = field(q)
+    plane = vf._plane_for(spec)
+    curves = [rand_homog(spec, rng, degree, max_terms=8) for degree in (2, 3, q + 1) for _ in range(40)]
+    curves += [fc.build_FA(rand_matrix3(spec, rng)) for _ in range(20)]
+    curves += [aff.build_GM(m) for m in (rand_matrix23(spec, rng) for _ in range(20))]
+    singular = 0
+    for f in curves:
+        if f.is_zero():
+            continue
+        expected = [
+            p for p in plane.points
+            if all(g.eval(p).val == 0 for g in (f, *partials(f)))
+        ]
+        assert vf.singular_Fq_points(f) == expected
+        singular += bool(expected)
+    assert singular > 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits
-from .homog import HomogPoly, ProjPoint, _combination, _cross, _matmul, _rref, _transpose
+from .homog import HomogPoly, ProjPoint, _combination, _cross, _rref
 from .poly import (
     QUAD_DOUBLE,
     QUAD_IRREDUCIBLE,
@@ -123,18 +123,42 @@ class BTransform:
         return ((p, r, self.shift[0]), (s, t, self.shift[1]), (0, 0, self.lam))
 
     def then(self, other: "BTransform") -> "BTransform":
-        """The composite whose matrix is self's matrix times other's."""
-        (p, r, b0), (s, t, b1), (_, _, lam) = _matmul(
-            self.matrix_rows(), other.matrix_rows(), self.spec
-        )
-        return BTransform(self.spec, ((p, r), (s, t)), (b0, b1), lam)
+        """The composite whose matrix is self's matrix times other's:
+        blockwise (B1 B2, B1 b2 + lam2 b1, lam1 lam2)."""
+        add, mul = self.spec._add, self.spec._mul
+        (p2, r2), (s2, t2) = other.block
+        c0, c1 = other.shift
+        lam2 = mul[other.lam]
+        block, shift = [], []
+        for (p, r), b in zip(self.block, self.shift):
+            block.append((add[mul[p][p2]][mul[r][s2]], add[mul[p][r2]][mul[r][t2]]))
+            shift.append(add[add[mul[p][c0]][mul[r][c1]]][lam2[b]])
+        return BTransform(self.spec, tuple(block), tuple(shift), mul[self.lam][other.lam])
 
 
 def apply_transform(M: Matrix23, t: BTransform) -> Matrix23:
-    """tB M (B b; 0 lam), or blockwise N' = tB M' B and n = tB(M'b + lam m)."""
-    spec = M.spec
-    moved = _matmul(M.rows_int, t.matrix_rows(), spec)
-    return Matrix23(spec, _matmul(_transpose(t.block), moved, spec))
+    """tB M (B b; 0 lam), blockwise N' = tB M' B and n = tB(M'b + lam m)."""
+    add, mul = M.spec._add, M.spec._mul
+    (p, r), (s, u) = t.block
+    b0, b1 = t.shift
+    lam = mul[t.lam]
+    # the rows of M (B b; 0 lam), that is of (M'B | M'b + lam m)
+    (x0, x1, x2), (y0, y1, y2) = [
+        (
+            add[mul[a0][p]][mul[a1][s]],
+            add[mul[a0][r]][mul[a1][u]],
+            add[add[mul[a0][b0]][mul[a1][b1]]][lam[m]],
+        )
+        for a0, a1, m in M.rows_int
+    ]
+    # tB has the rows (p, s) and (r, u)
+    return Matrix23(
+        M.spec,
+        tuple(
+            (add[mul[c][x0]][mul[d][y0]], add[mul[c][x1]][mul[d][y1]], add[mul[c][x2]][mul[d][y2]])
+            for c, d in ((p, s), (r, u))
+        ),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import affine as aff
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits, make_field
-from .homog import linear_substitute, partials
+from .homog import HomogPoly, linear_substitute, partials
 from .poly import QUAD_IRREDUCIBLE
 from .verify import _check_cycle, _matrix_at, _note_failure, _plane_for
 
@@ -45,6 +45,10 @@ class Lanes:
         self.size = size
         # bits per lane: a sum of two digits stays below the guard bit
         self.width = w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+        # patterns[v]: the e lanes of the element v
+        self.patterns = [
+            sum(d << (j * w) for j, d in enumerate(base_digits(v, p, e))) for v in range(spec.q)
+        ]
         if p == 2:
             self.add = operator.xor
             return
@@ -60,22 +64,25 @@ class Lanes:
         self.add = add
 
     def pack(self, values) -> int:
-        p, e, w = self.spec.p, self.spec.e, self.width
+        patterns, step = self.patterns, self.spec.e * self.width
         out = 0
         for i, v in enumerate(values):
-            for j, d in enumerate(base_digits(v, p, e)):
-                out |= d << ((i * e + j) * w)
+            out |= patterns[v] << (i * step)
         return out
 
-    def unpack(self, packed: int, size: int | None = None) -> list[int]:
-        """The first ``size`` elements (all by default)."""
+    def unpack(self, packed: int, size: int | None = None, stride: int = 1) -> list[int]:
+        """The first ``size`` elements (all by default), or with ``stride``
+        the elements 0, stride, 2 stride, ... of which there are ``size``."""
         p, e, w = self.spec.p, self.spec.e, self.width
-        lane = (1 << w) - 1
+        lane, step = (1 << w) - 1, e * w
+        positions = range(0, (self.size if size is None else size) * stride * step, stride * step)
+        if e == 1:
+            return [(packed >> i) & lane for i in positions]
         out = []
-        for i in range(self.size if size is None else size):
+        for i in positions:
             v = 0
-            for j in reversed(range(e)):
-                v = v * p + ((packed >> ((i * e + j) * w)) & lane)
+            for j in range(i + step - w, i - 1, -w):  # the element's lanes, top digit first
+                v = v * p + ((packed >> j) & lane)
             out.append(v)
         return out
 
@@ -211,6 +218,12 @@ def _line_charts(spec: FieldSpec):
             yield ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _point_jets(plane, f: HomogPoly) -> list[int]:
+    """f, df/dx, df/dy and df/dz at each rational point in plane order."""
+    columns = [plane.values(g) for g in (f, *partials(f))]
+    return [v for point in zip(*columns) for v in point]
+
+
 def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
     """Images holding (f, df/dx, df/dy, df/dz) at each rational point in
     plane order ("points"), then for each k < chart_powers and each chart R
@@ -218,7 +231,8 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
     f(R(s, t, w)), m = 0, ..., d-k, for f of degree d ("w<k>");
     ``line_blocks[k]`` has one block of "w<k>" per line, ``values`` one
     block per point holding f and ``singular`` one per point holding f and
-    its partials."""
+    its partials.  ``jets`` memoizes, per (monomial, c) met, the packed
+    "points" section of c times the monomial, filled by ``Observation.scan``."""
     plane = _plane_for(spec)
     d = units[0].degree
     sections = {"points": (0, 4 * len(plane.points))}
@@ -229,8 +243,7 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
         first += count
     vectors = []
     for f in units:
-        columns = [plane.values(g) for g in (f, *partials(f))]
-        vec = [v for point in zip(*columns) for v in point]
+        vec = _point_jets(plane, f)
         charts = [linear_substitute(f, rows).terms for rows in _line_charts(spec)]
         for k in range(chart_powers):
             for terms in charts:
@@ -240,6 +253,7 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
     kern.line_blocks = tuple(kern.blocks(f"w{k}", d - k + 1) for k in range(chart_powers))
     kern.values = Blocks(kern.lanes, range(0, 4 * len(plane.points), 4), 1)
     kern.singular = kern.blocks("points", 4)
+    kern.jets = {}
     return kern
 
 
@@ -453,17 +467,43 @@ def observed_lines(kern: Kernel, packed: int):
 class Observation(NamedTuple):
     """What the packed image of a nonzero curve shows: the rational lines
     dividing it as ``observed_lines`` gives them, the rational points on
-    it as indices in plane order, and the number of its singular rational
-    points."""
+    it as indices in plane order, the number of its singular rational
+    points, and the kernel it came from, on which ``scan`` observes the
+    residual left after dividing out the lines."""
 
     lines: list | None
     zeros: list
     singular: int
+    kern: Kernel
+
+    def scan(self, g: HomogPoly) -> tuple[list, int, int]:
+        """The values of a curve g at the rational points, with the number
+        of its rational points and of its singular rational points, read
+        off the packed "points" section of g: the sum of one ``jets`` entry
+        per term."""
+        kern = self.kern
+        plane = _plane_for(kern.spec)
+        jets, add = kern.jets, kern.add
+        packed = 0
+        for term in g.terms.items():
+            entry = jets.get(term)
+            if entry is None:
+                monomial = HomogPoly._raw(kern.spec, g.degree, dict([term]))
+                entry = jets[term] = kern.lanes.pack(_point_jets(plane, monomial))
+            packed = add(packed, entry)
+        return (
+            kern.lanes.unpack(packed, len(plane.points), 4),
+            kern.values.count_zero(packed),
+            kern.singular.count_zero(packed),
+        )
 
 
 def observe(kern: Kernel, packed: int) -> Observation:
     return Observation(
-        observed_lines(kern, packed), kern.values.zero_indices(packed), kern.singular.count_zero(packed)
+        observed_lines(kern, packed),
+        kern.values.zero_indices(packed),
+        kern.singular.count_zero(packed),
+        kern,
     )
 
 

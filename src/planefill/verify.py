@@ -461,7 +461,8 @@ class _Scanned:
     ``batch.Observation``: its rational points by evaluating f at every
     point of the plane, its singular rational points by
     ``singular_Fq_points`` on first use, and no lines, so that the audit
-    tries every rational line."""
+    tries every rational line; ``scan`` observes another curve the same
+    way."""
 
     lines = None
 
@@ -473,6 +474,11 @@ class _Scanned:
     @cached_property
     def singular(self) -> int:
         return len(singular_Fq_points(self.f, self.values))
+
+    @staticmethod
+    def scan(g: HomogPoly) -> tuple[list, int, int]:
+        vals = _plane_for(g.spec).values(g)
+        return vals, vals.count(0), len(singular_Fq_points(g, vals))
 
 
 def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
@@ -486,9 +492,9 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     when its ``lines`` are given, as (index in plane order, multiplicity)
     in plane order, f is divided by those alone instead of trying every
     rational line, and a residual without lines, which is f, takes its
-    points and singular points from it."""
+    points and singular points from it; any other residual is observed
+    by its ``scan``."""
     spec = f.spec
-    plane = _plane_for(spec)
     comps = None if obs.lines is None else _divide_out(f, obs.lines)
     if comps is None:
         if obs.lines is not None:
@@ -508,14 +514,12 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     residual_points = None
     singular_count = None
     if res and comps.residual_degree == res.degree:
-        rvals = None if comps.residual_degree == f.degree else plane.values(comps.residual)
+        if comps.residual_degree == f.degree:
+            rvals, residual_points, singular_count = None, len(obs.zeros), obs.singular
+        else:
+            rvals, residual_points, singular_count = obs.scan(comps.residual)
         if not transported_multiple(comps.residual, res.equation, pred.rows, rvals):
             disc.append("residual equation is not a scalar multiple of the transported prediction")
-        if rvals is None:
-            residual_points, singular_count = len(obs.zeros), obs.singular
-        else:
-            residual_points = rvals.count(0)
-            singular_count = len(singular_Fq_points(comps.residual, rvals))
         if residual_points != res.expected_points:
             disc.append(f"residual has {residual_points} points, expected {res.expected_points}")
         if singular_count != res.expected_singular_points:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from planefill import affine as aff
-from planefill.homog import HomogPoly, linear_substitute
+from planefill.homog import HomogPoly, _matmul, _transpose, linear_substitute
 from planefill.verify import _plane_for
 from support import field, rand_btransform, rand_matrix23
 
@@ -101,6 +101,20 @@ def test_apply_transform_identity_and_composition():
                 aff.apply_transform(aff.apply_transform(m, s), t).rows_int
                 == aff.apply_transform(m, s.then(t)).rows_int
             )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_blockwise_algebra_matches_the_matrix_products(q):
+    # apply_transform is tB M (B b; 0 lam) and then the product of the 3x3
+    # matrices, both computed block by block
+    spec = field(q)
+    rng = random.Random(20261019 + q)
+    for _ in range(200):
+        m = rand_matrix23(spec, rng, nonzero=False)
+        s, t = rand_btransform(spec, rng), rand_btransform(spec, rng)
+        moved = _matmul(m.rows_int, s.matrix_rows(), spec)
+        assert aff.apply_transform(m, s).rows_int == _matmul(_transpose(s.block), moved, spec)
+        assert s.then(t).matrix_rows() == _matmul(s.matrix_rows(), t.matrix_rows(), spec)
 
 
 def test_transform_matches_substitution_exactly():

@@ -3,9 +3,11 @@
 Every packed image is compared with ``build_FA`` or ``build_GM`` +
 ``plane.values``, the packed line divisibility with
 ``find_linear_components`` and the packed singular points with
-``singular_Fq_points``: exhaustively at q = 2 and 3, on a seeded sample at
-q = 4, 5 and 9.  The failure-path tests corrupt one table entry and check
-that the sweeps report it at the first failing matrix in counting order.
+``singular_Fq_points``, and so is the packed observation of each residual
+the report sweeps scan: exhaustively at q = 2 and 3, on a seeded sample at
+q = 4, 5 and 9.  The failure-path tests corrupt one table or memo entry and
+check that the sweeps report it at the first failing matrix in counting
+order.
 """
 
 import random
@@ -18,6 +20,7 @@ from planefill import affine as aff
 from planefill import batch
 from planefill import fillcurve as fc
 from planefill import verify as vf
+from planefill.gf import base_digits
 from planefill.homog import HomogPoly, linear_substitute, partials
 from planefill.poly import QUAD_IRREDUCIBLE, QUAD_TWO_DISTINCT, quad_shape
 from support import field, rand_matrix3, rand_matrix23
@@ -187,6 +190,45 @@ def test_observation_matches_the_oracle(family, q):
         assert obs.singular == len(vf.singular_Fq_points(f)), m.to_ints()
 
 
+def _scanned_residuals(spec, family, lo, hi):
+    """(matrix, observation, residual) for the matrices lo, ..., hi-1
+    whose curve keeps a residual of positive degree after dividing by its
+    observed lines: the residuals the report sweeps observe with
+    ``scan``."""
+    if family == "projective":
+        observations, build = batch.case_observations(spec, lo, hi), fc.build_FA
+    else:
+        observations, build = batch.degenerate_observations(spec, lo, hi), aff.build_GM
+    for m, obs in observations:
+        if obs is None or obs.lines is None:
+            continue
+        f = build(m)
+        comps = vf._divide_out(f, obs.lines)
+        if 0 < comps.residual_degree < f.degree:
+            yield m, obs, comps.residual
+
+
+@pytest.mark.parametrize("family", ["projective", "affine"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_residual_scan_matches_the_oracle(family, q):
+    # every residual at q = 2 and 3, a seeded run of matrices above
+    spec = field(q)
+    plane = vf._plane_for(spec)
+    total = q**9 if family == "projective" else q**6
+    lo, hi = 0, total
+    if q > 3:
+        lo = random.Random(20261019 + q).randrange(total - 1500)
+        hi = lo + 1500
+    scanned = 0
+    for m, obs, residual in _scanned_residuals(spec, family, lo, hi):
+        values, points, singular = obs.scan(residual)
+        assert values == plane.values(residual), m.to_ints()
+        assert points == values.count(0), m.to_ints()
+        assert singular == len(vf.singular_Fq_points(residual)), m.to_ints()
+        scanned += 1
+    assert scanned > 0
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_reports_with_the_observation_equal_the_reference(q):
     spec = field(q)
@@ -325,6 +367,32 @@ def test_packed_add_is_lane_wise_field_addition(operands):
     assert lanes.unpack(lanes.add(ab, lanes.pack(c))) == [
         add[add[x][y]][z] for x, y, z in zip(a, b, c)
     ]
+
+
+def _digit_pack(lanes, values):
+    """Lanes.pack digit by digit: digit j of element i at lane i e + j."""
+    p, e, w = lanes.spec.p, lanes.spec.e, lanes.width
+    out = 0
+    for i, v in enumerate(values):
+        for j, d in enumerate(base_digits(v, p, e)):
+            out |= d << ((i * e + j) * w)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pack_matches_the_digit_loop(q):
+    spec = field(q)
+    values = list(range(q)) + list(reversed(range(q))) + [q - 1, 0, 1]
+    lanes = batch.Lanes(spec, len(values))
+    for v in range(q):
+        assert lanes.pack([v]) == _digit_pack(lanes, [v])
+        assert lanes.unpack(lanes.pack([v]), 1) == [v]
+    packed = lanes.pack(values)
+    assert packed == _digit_pack(lanes, values)
+    assert lanes.unpack(packed) == values
+    for stride in (2, 3, 4):
+        count = (len(values) + stride - 1) // stride
+        assert lanes.unpack(packed, count, stride) == values[::stride]
 
 
 @pytest.mark.parametrize(
@@ -576,3 +644,33 @@ def test_affine_report_sweep_reports_a_wrong_affine_value(monkeypatch):
     assert out["match_failures"] == len(failing) > 0
     assert out["first_discrepancy"] == f"matrix {failing[0]} (III-3): curve misses an affine rational point"
     assert out["pass"] is False
+
+
+@pytest.mark.parametrize("family, term", [("affine", ((3, 0, 0), 1)), ("projective", ((1, 0, 3), 2))])
+def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term):
+    # 1 is added to the df/dx lane at one point of the memo entry of one
+    # term: a residual holding that term changes its singular count exactly
+    # when f, df/dy and df/dz vanish there and df/dx is 0 or -1; all affine
+    # matrices at q = 3, and the first 729 projective ones
+    spec = field(3)
+    hi = 3**6
+    plane = vf._plane_for(spec)
+    point = 12
+    kern, sweep = (
+        (batch.affine_kernel(spec), vf._affine_report_range)
+        if family == "affine"
+        else (batch.cycle_kernel(spec), vf._case_range)
+    )
+    jet = batch._point_jets(plane, HomogPoly._raw(spec, sum(term[0]), dict([term])))
+    jet[4 * point + 1] = spec._add[jet[4 * point + 1]][1]
+    monkeypatch.setattr(kern, "jets", {term: kern.lanes.pack(jet)})
+    failing = []
+    for m, _obs, residual in _scanned_residuals(spec, family, 0, hi):
+        f, fx, fy, fz = (plane.value_at(g, point) for g in (residual, *partials(residual)))
+        monomial, c = term
+        if residual.terms.get(monomial) == c and not (f or fy or fz) and fx in (0, spec._neg[1]):
+            failing.append(m.to_ints())
+    out = sweep((spec.p, spec.e, 0, hi))
+    assert out["match_failures"] == len(failing) > 0
+    assert out["first_discrepancy"].startswith(f"matrix {failing[0]} (")
+    assert "singular rational points" in out["first_discrepancy"]

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +232,24 @@ def test_broken_pipe_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
         os.close(fd)
     assert code == 1
     assert capsys.readouterr().err == ""
+
+
+def test_reference_paths_never_import_the_packed_kernels():
+    # classify and the class-representative sweep observe every curve and
+    # residual by evaluation; only the exhaustive sweeps use planefill.batch
+    script = (
+        "import contextlib, io, sys\n"
+        "from planefill.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['classify', '--q', '3', '--affine', '--matrix', '0,1,0,1,0,0'])\n"
+        "    main(['classify', '--q', '3', '--matrix', '1,1,0,1,0,0,0,0,0'])\n"
+        "    main(['verify', '--q', '5', '--suite', 'theorem-4'])\n"
+        "print('planefill.batch' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "False\n"

@@ -2,7 +2,8 @@
 
 Each case runs ``planefill.cli.main`` and compares its stdout and exit code
 with a file under ``tests/golden/``.  The files pin the reports of every
-projective case and every affine label at q = 3, both atlases at q = 2 and
+projective case and every affine label at q = 3 and q = 4 (characteristic
+2, with witnesses that combine a basis change and a shift), both atlases at q = 2 and
 q = 3, the six verification suites at q = 2, and ``affine-6`` at q = 3,
 where all eight degenerate affine labels occur, so its file pins the label
 histogram and the audit counts.
@@ -47,6 +48,18 @@ AFFINE_Q3 = {
     "III-3": "0,0,1,0,0,0",
 }
 
+AFFINE_Q4 = {
+    "filling": "2,0,1,3,2,2",
+    "I-1": "0,2,2,1,0,2",
+    "I-2": "0,2,1,0,2,3",
+    "I-3": "1,1,0,3,3,0",
+    "II-1": "2,2,2,2,0,1",
+    "II-2": "2,2,3,2,2,2",
+    "II-3": "3,2,0,2,1,0",
+    "III-1": "0,1,2,1,0,0",
+    "III-3": "0,0,2,0,0,0",
+}
+
 SUITES = ("plane-filling", "theorem-2.4", "theorem-4", "affine-6", "sziklai", "collinear")
 
 
@@ -57,6 +70,10 @@ def _cases():
     for name, matrix in AFFINE_Q3.items():
         cases[f"classify_affine_q3_{name}"] = [
             "classify", "--q", "3", "--affine", "--matrix", matrix,
+        ]
+    for name, matrix in AFFINE_Q4.items():
+        cases[f"classify_affine_q4_{name}"] = [
+            "classify", "--q", "4", "--affine", "--matrix", matrix,
         ]
     for q in (2, 3):
         for family in ("projective", "affine"):

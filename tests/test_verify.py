@@ -9,7 +9,7 @@ from planefill import batch
 from planefill import fillcurve as fc
 from planefill import verify as vf
 from planefill.cli import main
-from planefill.homog import HomogPoly, linear_substitute, partials, scalar_ratio
+from planefill.homog import HomogPoly, _matmul, _transpose, linear_substitute, partials, scalar_ratio
 from planefill.poly import UniPoly
 from support import (
     field, rand_btransform, rand_homog, rand_invertible3, rand_matrix3, rand_matrix23,
@@ -678,6 +678,31 @@ def test_affine_report_flags_a_witness_with_an_altered_shift(monkeypatch):
         "witness transform does not reproduce the canonical matrix",
         "substituting the witness does not give the canonical equation",
     ]
+
+
+def test_affine_sweep_reports_witnesses_composed_in_the_wrong_order(monkeypatch):
+    # the mutant composes (B2 B1, B2 b1 + lam1 b2, lam1 lam2): the witness of
+    # a reduction in two non-commuting steps no longer reaches the canonical
+    # matrix, which the matrix products confirm
+    spec = field(3)
+    real = aff.BTransform.then
+    monkeypatch.setattr(aff.BTransform, "then", lambda self, other: real(other, self))
+    failing = []
+    for n in range(1, 3**6):
+        m = vf._matrix_at(aff.Matrix23, 6, spec, n)
+        if aff.affine_tag(m) == aff.AFFINE_FILLING:
+            continue
+        label = aff.classify_affine(m)
+        w = label.witness
+        moved = _matmul(_transpose(w.block), _matmul(m.rows_int, w.matrix_rows(), spec), spec)
+        if moved != label.canonical.rows_int:
+            failing.append(m.to_ints())
+    out = vf._affine_report_range((spec.p, spec.e, 0, 3**6))
+    assert out["match_failures"] == len(failing) > 0
+    assert out["first_discrepancy"] == (
+        f"matrix {failing[0]} ({aff.affine_tag(aff.Matrix23.from_ints(spec, failing[0]))}): "
+        "witness transform does not reproduce the canonical matrix"
+    )
 
 
 def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):

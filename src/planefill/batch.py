@@ -30,10 +30,10 @@ from typing import NamedTuple
 
 from . import affine as aff
 from . import fillcurve as fc
-from .gf import FieldSpec, base_digits, make_field
-from .homog import HomogPoly, linear_substitute, partials
+from .gf import FieldSpec, base_digits
+from .homog import HomogPoly, _plane_for, linear_substitute, partials
 from .poly import QUAD_IRREDUCIBLE
-from .verify import _check_cycle, _matrix_at, _note_failure, _plane_for
+from .sweep import _check_cycle, _note_failure
 
 
 class Lanes:
@@ -181,7 +181,7 @@ class Kernel:
 
 def _units(spec: FieldSpec, cls, size: int, build):
     """build(E) for the ``size`` matrix units E of cls, in counting order."""
-    return [build(_matrix_at(cls, size, spec, spec.q**k)) for k in range(size)]
+    return [build(cls.from_ints(spec, [int(i == k) for i in range(size)])) for k in range(size)]
 
 
 @lru_cache(maxsize=None)
@@ -329,11 +329,38 @@ def _scalar_entry(digits) -> int:
     return digits[4] if digits[4] == digits[8] else -1
 
 
-def fill_range(args) -> dict:
+def projective_images(spec: FieldSpec, lo: int, hi: int):
+    """The 3x3 matrices lo, ..., hi-1 in counting order, each with its
+    packed F_A on ``cycle_kernel``, or None for a scalar matrix, whose F_A
+    is zero: yields (Matrix3, packed)."""
+    kern = cycle_kernel(spec)
+    add, row = kern.add, kern.tables[0]
+    for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
+        scalar = _scalar_entry(digits)
+        rest = ((digits[3], digits[4], digits[5]), (digits[6], digits[7], digits[8]))
+        for c in range(c_lo, c_hi):
+            a = fc.Matrix3(spec, ((c, digits[1], digits[2]), *rest))
+            yield a, None if c == scalar else add(base, row[c])
+
+
+def affine_images(spec: FieldSpec, lo: int, hi: int):
+    """The nonzero 2x3 matrices among lo, ..., hi-1 in counting order, each
+    with its packed G_M on ``affine_kernel`` and whether ``quad`` calls its
+    left-block quadratic irreducible: yields (entries, packed, irreducible),
+    the entries a row-major list."""
+    kern = affine_kernel(spec)
+    add, row, quad = kern.add, kern.tables[0], kern.quad
+    for _n, c_lo, c_hi, digits, base in walk(kern, max(lo, 1), hi):
+        rest = digits[1:]
+        b1 = digits[4]
+        mid = spec._add[digits[1]][digits[3]]
+        for c in range(c_lo, c_hi):
+            yield [c, *rest], add(base, row[c]), quad[c][mid][b1] == QUAD_IRREDUCIBLE
+
+
+def fill_range(spec: FieldSpec, lo: int, hi: int) -> dict:
     """Plane-filling and kernel checks on matrices lo, ..., hi-1: F_A is
     zero exactly for scalars, and vanishes at every rational point."""
-    p, e, lo, hi = args
-    spec = make_field(p, e)
     kern = fill_kernel(spec)
     add, row = kern.add, kern.tables[0]
     coefficients, values = kern.mask("coefficients"), kern.mask("values")
@@ -344,11 +371,7 @@ def fill_range(args) -> dict:
         "kernel_failures": 0,
         "first_discrepancy": None,
     }
-
-    def name(n):
-        return _matrix_at(fc.Matrix3, 9, spec, n).to_ints()
-
-    for n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
+    for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
         counters["checked"] += c_hi - c_lo
         scalar = _scalar_entry(digits)
         if c_lo <= scalar < c_hi:
@@ -359,35 +382,26 @@ def fill_range(args) -> dict:
             if zero != (c == scalar):
                 _note_failure(
                     counters, "kernel_failures",
-                    f"matrix {name(n + c - c_lo)}: zero polynomial iff scalar violated",
+                    f"matrix {[c, *digits[1:]]}: zero polynomial iff scalar violated",
                 )
             elif not zero and s & values:
                 _note_failure(
                     counters, "fill_failures",
-                    f"matrix {name(n + c - c_lo)}: curve misses a rational point",
+                    f"matrix {[c, *digits[1:]]}: curve misses a rational point",
                 )
     return counters
 
 
-def cycle_range(args) -> dict:
+def cycle_range(spec: FieldSpec, lo: int, hi: int) -> dict:
     """Theorem 2.4 on the non-scalar matrices among lo, ..., hi-1:
     irreducible characteristic polynomial <=> no rational line divides F_A
     <=> F_A has no singular rational point."""
-    p, e, lo, hi = args
-    spec = make_field(p, e)
     kern = cycle_kernel(spec)
-    add, row = kern.add, kern.tables[0]
     singular, lines = kern.singular, kern.line_blocks[0]
     counters = {"checked": 0, "cycle_failures": 0, "first_discrepancy": None}
-    for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
-        counters["checked"] += c_hi - c_lo
-        scalar = _scalar_entry(digits)
-        rest = ((digits[3], digits[4], digits[5]), (digits[6], digits[7], digits[8]))
-        for c in range(c_lo, c_hi):
-            if c == scalar:
-                continue
-            a = fc.Matrix3(spec, ((c, digits[1], digits[2]), *rest))
-            s = add(base, row[c])
+    for a, s in projective_images(spec, lo, hi):
+        counters["checked"] += 1
+        if s is not None:
             _check_cycle(
                 counters, a, fc.classify(a).tag == fc.CASE_NONSINGULAR,
                 lines.any_zero(s), singular.any_zero(s),
@@ -395,17 +409,14 @@ def cycle_range(args) -> dict:
     return counters
 
 
-def affine_fill_range(args) -> dict:
+def affine_fill_range(spec: FieldSpec, lo: int, hi: int) -> dict:
     """The affine-filling characterization on the nonzero 2x3 matrices among
     lo, ..., hi-1: every curve contains the affine plane; the left-block
     quadratic is irreducible exactly when no point at infinity lies on the
     curve; and then the curve has exactly one singular rational point and
     no rational line divides it."""
-    p, e, lo, hi = args
-    spec = make_field(p, e)
     q = spec.q
     kern = affine_kernel(spec)
-    add, row, quad = kern.add, kern.tables[0], kern.quad
     affine_values, infinity = kern.affine_values, kern.infinity
     singular, lines = kern.singular, kern.line_blocks[0]
     counters = {
@@ -416,38 +427,32 @@ def affine_fill_range(args) -> dict:
         "singular_failures": 0,
         "first_discrepancy": None,
     }
-    for _n, c_lo, c_hi, digits, base in walk(kern, max(lo, 1), hi):
-        counters["checked"] += c_hi - c_lo
-        b1 = digits[4]
-        mid = spec._add[digits[1]][digits[3]]
-        for c in range(c_lo, c_hi):
-            s = add(base, row[c])
-            if s & affine_values:
+    for entries, s, irreducible in affine_images(spec, lo, hi):
+        counters["checked"] += 1
+        if s & affine_values:
+            _note_failure(
+                counters, "coverage_failures",
+                f"matrix {entries}: curve misses an affine point",
+            )
+            continue
+        at_infinity = infinity.count_zero(s)
+        if irreducible != (not at_infinity):
+            _note_failure(
+                counters, "iff_failures",
+                f"matrix {entries}: irreducible={irreducible} but points={q * q + at_infinity}",
+            )
+        if irreducible:
+            counters["filling"] += 1
+            if singular.count_zero(s) != 1:
                 _note_failure(
-                    counters, "coverage_failures",
-                    f"matrix {[c, *digits[1:]]}: curve misses an affine point",
+                    counters, "singular_failures",
+                    f"matrix {entries}: filling curve without a unique singular point",
                 )
-                continue
-            irreducible = quad[c][mid][b1] == QUAD_IRREDUCIBLE
-            at_infinity = infinity.count_zero(s)
-            if irreducible != (not at_infinity):
+            if lines.any_zero(s):
                 _note_failure(
                     counters, "iff_failures",
-                    f"matrix {[c, *digits[1:]]}: irreducible={irreducible} but "
-                    f"points={q * q + at_infinity}",
+                    f"matrix {entries}: filling curve lost a rational linear component",
                 )
-            if irreducible:
-                counters["filling"] += 1
-                if singular.count_zero(s) != 1:
-                    _note_failure(
-                        counters, "singular_failures",
-                        f"matrix {[c, *digits[1:]]}: filling curve without a unique singular point",
-                    )
-                if lines.any_zero(s):
-                    _note_failure(
-                        counters, "iff_failures",
-                        f"matrix {[c, *digits[1:]]}: filling curve lost a rational linear component",
-                    )
     return counters
 
 
@@ -512,15 +517,9 @@ def degenerate_observations(spec: FieldSpec, lo: int, hi: int):
     quadratic is reducible, in counting order, each with the ``observe``
     of its packed G_M: yields (Matrix23, observation)."""
     kern = affine_kernel(spec)
-    add, row, quad = kern.add, kern.tables[0], kern.quad
-    for _n, c_lo, c_hi, digits, base in walk(kern, max(lo, 1), hi):
-        b1 = digits[4]
-        mid = spec._add[digits[1]][digits[3]]
-        rest = (digits[3], digits[4], digits[5])
-        for c in range(c_lo, c_hi):
-            if quad[c][mid][b1] != QUAD_IRREDUCIBLE:
-                m = aff.Matrix23(spec, ((c, digits[1], digits[2]), rest))
-                yield m, observe(kern, add(base, row[c]))
+    for entries, s, irreducible in affine_images(spec, lo, hi):
+        if not irreducible:
+            yield aff.Matrix23(spec, (tuple(entries[:3]), tuple(entries[3:]))), observe(kern, s)
 
 
 def case_observations(spec: FieldSpec, lo: int, hi: int):
@@ -528,10 +527,5 @@ def case_observations(spec: FieldSpec, lo: int, hi: int):
     ``observe`` of its packed F_A, or None for a scalar matrix, whose F_A
     is zero: yields (Matrix3, observation)."""
     kern = cycle_kernel(spec)
-    add, row = kern.add, kern.tables[0]
-    for _n, c_lo, c_hi, digits, base in walk(kern, lo, hi):
-        scalar = _scalar_entry(digits)
-        rest = ((digits[3], digits[4], digits[5]), (digits[6], digits[7], digits[8]))
-        for c in range(c_lo, c_hi):
-            a = fc.Matrix3(spec, ((c, digits[1], digits[2]), *rest))
-            yield a, None if c == scalar else observe(kern, add(base, row[c]))
+    for a, s in projective_images(spec, lo, hi):
+        yield a, None if s is None else observe(kern, s)

@@ -18,7 +18,6 @@ from . import fillcurve as fc
 from . import verify
 from .gf import field_for_order
 
-SUITES = ("plane-filling", "theorem-2.4", "theorem-4", "affine-6", "sziklai", "collinear")
 # admits theorem-2.4 at q = 5 (1,953,125 matrices), refuses every q^9 sweep at q = 7
 MAX_MATRICES = 2_000_000
 
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--q", type=int, required=True)
-    p_verify.add_argument("--suite", choices=SUITES, required=True)
+    p_verify.add_argument("--suite", choices=verify.SUITES, required=True)
     p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument("--samples", type=_positive_int, default=200)
     p_verify.add_argument(

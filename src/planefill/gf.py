@@ -305,6 +305,11 @@ class FieldSpec:
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
+    def __reduce__(self):
+        # a worker process rebuilds (or fetches) the field from (p, e)
+        # instead of unpickling its tables
+        return make_field, (self.p, self.e)
+
     def __repr__(self):
         return f"GF({self.q})"
 

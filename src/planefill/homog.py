@@ -9,6 +9,8 @@ declared degree and an empty term map.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .gf import FieldElement, FieldSpec, _coerce
 
 
@@ -201,6 +203,87 @@ def scalar_ratio(f: HomogPoly, g: HomogPoly):
         if f.terms[k] != mul[v]:
             return None
     return spec._elems[c]
+
+
+# ---------------------------------------------------------------------------
+# the plane: points, lines, cached monomial columns
+
+
+class _Plane:
+    __slots__ = (
+        "spec", "points", "lines", "line_coeffs", "_mono", "_powers", "affine_idx", "infinity_idx"
+    )
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        elems = range(spec.q)
+        triples = (
+            [(1, y, z) for y in elems for z in elems]
+            + [(0, 1, z) for z in elems]
+            + [(0, 0, 1)]
+        )
+        self.points = [ProjPoint(spec, t) for t in triples]
+        self.line_coeffs = list(triples)
+        self.lines = [HomogPoly.linear_form(spec, t) for t in triples]
+        self.affine_idx = [i for i, p in enumerate(self.points) if p.key[2]]
+        self.infinity_idx = [i for i, p in enumerate(self.points) if not p.key[2]]
+        self._mono: dict = {}
+        # _powers[e][a] is a^e for the exponents of a form of degree <= q
+        self._powers = [[spec.pow_int(a, e) for a in elems] for e in range(spec.q + 1)]
+
+    def mono_column(self, key):
+        col = self._mono.get(key)
+        if col is None:
+            i, j, k = key
+            powf, mul = self.spec.pow_int, self.spec._mul
+            col = [
+                mul[mul[powf(a, i)][powf(b, j)]][powf(c, k)]
+                for a, b, c in (p.key for p in self.points)
+            ]
+            self._mono[key] = col
+        return col
+
+    def values(self, f: HomogPoly) -> list[int]:
+        add, mul = self.spec._add, self.spec._mul
+        vals = [0] * len(self.points)
+        for key, c in f.terms.items():
+            col = self.mono_column(key)
+            crow = mul[c]
+            vals = [add[v][crow[cv]] for v, cv in zip(vals, col)]
+        return vals
+
+    def value_at(self, f: HomogPoly, i: int) -> int:
+        """The value of f at the i-th point, from the monomial columns."""
+        add, mul = self.spec._add, self.spec._mul
+        acc = 0
+        for key, c in f.terms.items():
+            acc = add[acc][mul[c][self.mono_column(key)[i]]]
+        return acc
+
+    def substituted_values(self, f: HomogPoly, rows) -> list[int]:
+        """The values of f composed with the substitution x -> rows*x, for f
+        of degree at most q: f evaluated on the value columns of the three
+        row forms, so the composite is never expanded."""
+        add, mul = self.spec._add, self.spec._mul
+        # a point's coordinates are the coefficients of the line of its index
+        u, v, w = (
+            [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in self.line_coeffs]
+            for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
+        )
+        powers = self._powers
+        vals = [0] * len(self.points)
+        for (i, j, k), c in f.terms.items():
+            pi, pj, pk, crow = powers[i], powers[j], powers[k], mul[c]
+            vals = [
+                add[s][crow[mul[mul[pi[a]][pj[b]]][pk[d]]]]
+                for s, a, b, d in zip(vals, u, v, w)
+            ]
+        return vals
+
+
+@lru_cache(maxsize=None)
+def _plane_for(spec: FieldSpec) -> _Plane:
+    return _Plane(spec)
 
 
 # ---------------------------------------------------------------------------

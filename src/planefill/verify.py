@@ -8,110 +8,30 @@ scratch and compares them with the transported canonical predictions.
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
-from multiprocessing import Pool
 from typing import NamedTuple
 
 from . import affine as aff
 from . import fillcurve as fc
-from .gf import FieldSpec, base_digits, field_for_order, make_field
+from .gf import FieldSpec, base_digits, field_for_order
 from .homog import (
     HomogPoly,
     ProjPoint,
+    _Plane,
     _cross,
     _mat3_inv,
     _matmul,
     _matvec,
+    _plane_for,
     _transpose,
     linear_substitute,
     partials,
     scalar_ratio,
 )
 from .poly import QUAD_IRREDUCIBLE
-
-
-# ---------------------------------------------------------------------------
-# the plane: points, lines, cached monomial columns
-
-
-class _Plane:
-    __slots__ = (
-        "spec", "points", "lines", "line_coeffs", "_mono", "_powers", "affine_idx", "infinity_idx"
-    )
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        elems = range(spec.q)
-        triples = (
-            [(1, y, z) for y in elems for z in elems]
-            + [(0, 1, z) for z in elems]
-            + [(0, 0, 1)]
-        )
-        self.points = [ProjPoint(spec, t) for t in triples]
-        self.line_coeffs = list(triples)
-        self.lines = [HomogPoly.linear_form(spec, t) for t in triples]
-        self.affine_idx = [i for i, p in enumerate(self.points) if p.key[2]]
-        self.infinity_idx = [i for i, p in enumerate(self.points) if not p.key[2]]
-        self._mono: dict = {}
-        # _powers[e][a] is a^e for the exponents of a form of degree <= q
-        self._powers = [[spec.pow_int(a, e) for a in elems] for e in range(spec.q + 1)]
-
-    def mono_column(self, key):
-        col = self._mono.get(key)
-        if col is None:
-            i, j, k = key
-            powf, mul = self.spec.pow_int, self.spec._mul
-            col = [
-                mul[mul[powf(a, i)][powf(b, j)]][powf(c, k)]
-                for a, b, c in (p.key for p in self.points)
-            ]
-            self._mono[key] = col
-        return col
-
-    def values(self, f: HomogPoly) -> list[int]:
-        add, mul = self.spec._add, self.spec._mul
-        vals = [0] * len(self.points)
-        for key, c in f.terms.items():
-            col = self.mono_column(key)
-            crow = mul[c]
-            vals = [add[v][crow[cv]] for v, cv in zip(vals, col)]
-        return vals
-
-    def value_at(self, f: HomogPoly, i: int) -> int:
-        """The value of f at the i-th point, from the monomial columns."""
-        add, mul = self.spec._add, self.spec._mul
-        acc = 0
-        for key, c in f.terms.items():
-            acc = add[acc][mul[c][self.mono_column(key)[i]]]
-        return acc
-
-    def substituted_values(self, f: HomogPoly, rows) -> list[int]:
-        """The values of f composed with the substitution x -> rows*x, for f
-        of degree at most q: f evaluated on the value columns of the three
-        row forms, so the composite is never expanded."""
-        add, mul = self.spec._add, self.spec._mul
-        # a point's coordinates are the coefficients of the line of its index
-        u, v, w = (
-            [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in self.line_coeffs]
-            for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
-        )
-        powers = self._powers
-        vals = [0] * len(self.points)
-        for (i, j, k), c in f.terms.items():
-            pi, pj, pk, crow = powers[i], powers[j], powers[k], mul[c]
-            vals = [
-                add[s][crow[mul[mul[pi[a]][pj[b]]][pk[d]]]]
-                for s, a, b, d in zip(vals, u, v, w)
-            ]
-        return vals
-
-
-@lru_cache(maxsize=None)
-def _plane_for(spec: FieldSpec) -> _Plane:
-    return _Plane(spec)
+from .sweep import _check_cycle, _note_failure, _run_ranges
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +274,7 @@ class DecompositionReport:
     discrepancies: list
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "family": self.family,
-            "matrix": self.matrix,
-            "case": self.case,
-            "charpoly": self.charpoly,
-            "minpoly": self.minpoly,
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "match": self.match,
-            "discrepancies": self.discrepancies,
-        }
+        return asdict(self)
 
 
 def _serialize_lines(pairs):
@@ -726,40 +635,6 @@ def _matrix_at(cls, size: int, spec: FieldSpec, n: int):
     return cls.from_ints(spec, base_digits(n, spec.q, size))
 
 
-def _merge(counters: list[dict]) -> dict:
-    out = dict(counters[0])
-    for c in counters[1:]:
-        for k, v in c.items():
-            if k == "first_discrepancy":
-                if out.get(k) is None:
-                    out[k] = v
-            elif isinstance(v, dict):
-                tgt = out.setdefault(k, {})
-                for kk, vv in v.items():
-                    tgt[kk] = tgt.get(kk, 0) + vv
-            else:
-                out[k] = out.get(k, 0) + v
-    return out
-
-
-def _note_failure(counters: dict, key: str, message: str):
-    counters[key] += 1
-    if counters["first_discrepancy"] is None:
-        counters["first_discrepancy"] = message
-
-
-def _check_cycle(counters: dict, a, irreducible: bool, has_lin: bool, has_sing: bool):
-    """Theorem 2.4 for one non-scalar Matrix3 a: irreducible characteristic
-    polynomial <=> no rational line divides F_A <=> F_A has no singular
-    rational point."""
-    if not (irreducible == (not has_lin) == (not has_sing)):
-        _note_failure(
-            counters, "cycle_failures",
-            f"matrix {a.to_ints()}: irreducible={irreducible} "
-            f"no-lines={not has_lin} no-singular={not has_sing}",
-        )
-
-
 def _audit_residual_bound(counters: dict, r: DecompositionReport):
     """Point-count bound N <= (d-1)q + 1 on a report's residual curve: tight
     for the maximal kinds, strict for the affine-filling residual."""
@@ -778,14 +653,12 @@ def _audit_residual_bound(counters: dict, r: DecompositionReport):
             )
 
 
-def _case_range(args) -> dict:
+def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
     """Reports for the matrices lo, ..., hi-1, each non-scalar one auditing
     F_A with the observation read off the packed kernel of
     planefill.batch."""
     from . import batch
 
-    p, e, lo, hi = args
-    spec = make_field(p, e)
     counters = {
         "checked": 0,
         "scalars": 0,
@@ -830,33 +703,9 @@ def _case_range(args) -> dict:
     return counters
 
 
-def _ranges(total: int, jobs: int):
-    chunks = max(jobs * 4, 1)
-    step = max(total // chunks, 1)
-    edges = list(range(0, total, step)) + [total]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1) if edges[i] < edges[i + 1]]
-
-
-def _run_ranges(worker, spec: FieldSpec, total: int, jobs: int) -> dict:
-    """worker((p, e, lo, hi)) over [0, total) in chunks, on at most
-    os.cpu_count() processes; the counters merge in counting order, and
-    ``pass`` holds when no ``*_failures`` counter is nonzero."""
-    jobs = min(jobs, os.cpu_count() or 1)
-    args = [(spec.p, spec.e, lo, hi) for lo, hi in _ranges(total, jobs)]
-    if jobs <= 1:
-        parts = [worker(a) for a in args]
-    else:
-        with Pool(processes=jobs) as pool:
-            parts = pool.map(worker, args)
-    out = _merge(parts)
-    out["pass"] = not any(v for k, v in out.items() if k.endswith("_failures"))
-    return out
-
-
 def sweep_plane_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     """Every non-scalar matrix fills the plane; the zero polynomial happens
     exactly for scalars.  Runs on the packed kernel of planefill.batch."""
-    # batch imports this module, and only the packed sweeps need it
     from . import batch
 
     return _run_ranges(batch.fill_range, spec, spec.q**9, jobs)
@@ -913,14 +762,12 @@ def sweep_affine_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     return _run_ranges(batch.affine_fill_range, spec, spec.q**6, jobs)
 
 
-def _affine_report_range(args) -> dict:
+def _affine_report_range(spec: FieldSpec, lo: int, hi: int) -> dict:
     """Reports for the degenerate nonzero 2x3 matrices among lo, ..., hi-1,
     each dividing its curve by the lines read off the packed kernel of
     planefill.batch."""
     from . import batch
 
-    p, e, lo, hi = args
-    spec = make_field(p, e)
     counters = {
         "checked": 0,
         "match_failures": 0,
@@ -988,11 +835,17 @@ def sweep_missing_point_images(spec: FieldSpec, samples: int = 200, seed: int = 
     return counters
 
 
+SUITES = ("plane-filling", "theorem-2.4", "theorem-4", "affine-6", "sziklai", "collinear")
+# theorem-4 and sziklai report on every matrix up to this q, on the class
+# representatives above it
+EXHAUSTIVE_MAX_Q = 4
+
+
 def suite_size(name: str, q: int, samples: int = 200) -> int:
     """How many matrices a suite visits, summed over its passes; samples
     for ``collinear``.  A sweep over class representatives counts the q^3
     characteristic polynomials it scans."""
-    proj = q**9 if q <= 4 else q**3
+    proj = q**9 if q <= EXHAUSTIVE_MAX_Q else q**3
     affine = q**6 - 1
     return {
         "plane-filling": q**9,
@@ -1007,25 +860,23 @@ def suite_size(name: str, q: int, samples: int = 200) -> int:
 def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:
     """Named verification suites behind the command-line front end."""
     spec = field_for_order(q)
+    exhaustive = q <= EXHAUSTIVE_MAX_Q
     if name == "plane-filling":
-        out = sweep_plane_filling(spec, jobs)
-    elif name == "theorem-2.4":
-        out = sweep_irreducibility_cycle(spec, jobs)
-    elif name == "theorem-4":
-        if q <= 4:
-            out = sweep_case_reports(spec, jobs)
-        else:
-            out = sweep_case_representatives(spec)
-    elif name == "affine-6":
+        return sweep_plane_filling(spec, jobs)
+    if name == "theorem-2.4":
+        return sweep_irreducibility_cycle(spec, jobs)
+    if name == "theorem-4":
+        return sweep_case_reports(spec, jobs) if exhaustive else sweep_case_representatives(spec)
+    if name == "affine-6":
         filling = sweep_affine_filling(spec, jobs)
         reports = sweep_affine_reports(spec, jobs)
-        out = {
+        return {
             "filling": filling,
             "reports": reports,
             "pass": filling["pass"] and reports["pass"],
         }
-    elif name == "sziklai":
-        if q <= 4:
+    if name == "sziklai":
+        if exhaustive:
             proj = sweep_case_reports(spec, jobs)
         else:
             proj = {"audit_checked": 0, "audit_failures": 0, "first_discrepancy": None}
@@ -1042,9 +893,7 @@ def run_suite(name: str, q: int, jobs: int = 1, samples: int = 200) -> dict:
             audit = sziklai_audit(exceptional_quartic(spec))
             out["exceptional_quartic"] = audit
             out["pass"] = out["pass"] and audit["is_exceptional"] and not audit["bound_holds"]
-    elif name == "collinear":
-        out = sweep_missing_point_images(spec, samples=samples)
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    return out
-
+        return out
+    if name == "collinear":
+        return sweep_missing_point_images(spec, samples=samples)
+    raise ValueError(f"unknown suite {name!r}")

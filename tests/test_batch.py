@@ -670,7 +670,7 @@ def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term
         monomial, c = term
         if residual.terms.get(monomial) == c and not (f or fy or fz) and fx in (0, spec._neg[1]):
             failing.append(m.to_ints())
-    out = sweep((spec.p, spec.e, 0, hi))
+    out = sweep(spec, 0, hi)
     assert out["match_failures"] == len(failing) > 0
     assert out["first_discrepancy"].startswith(f"matrix {failing[0]} (")
     assert "singular rational points" in out["first_discrepancy"]

@@ -12,6 +12,11 @@ Dunder methods are exempt: the language calls them.  The scan is syntactic
 keeps every definition of that name alive, and a use through a
 ``getattr`` string would go unseen (the package has none).
 
+The import-graph tests check that the package's modules import each other
+without a cycle, counting the relative imports inside functions, so that
+the sweep plumbing (``sweep``) and the plane (``homog``) stay below both the
+packed kernels (``batch``) and the oracle (``verify``).
+
 The last test checks the other direction for the names the benchmark's
 span tracer (``perfbench/spans.py``) wraps: each must still be a function
 of the package, since the tracer fails on a missing one.
@@ -120,6 +125,68 @@ def test_scan_flags_each_kind_of_dead_definition(tmp_path):
     )
     (tmp_path / "cli.py").write_text("from .core import Point, used\n\nused(Point(1))\n")
     assert unused(tmp_path) == {"core.Point.lead", "core.exported_only", "core.recursive"}
+
+
+def imports(package: Path = PACKAGE) -> dict:
+    """The package modules that each module other than ``__init__`` imports
+    by relative imports, at any depth (lazy imports in functions too)."""
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+        graph[path.stem] = targets
+    return graph
+
+
+def import_cycle(graph: dict):
+    """One cycle of the graph as [m, ..., m], or None when it has none."""
+    done, path = set(), []
+
+    def visit(m):
+        path.append(m)
+        for n in sorted(graph.get(m, ())):
+            if n in path:
+                return path[path.index(n):] + [n]
+            if n not in done:
+                cycle = visit(n)
+                if cycle:
+                    return cycle
+        path.pop()
+        done.add(m)
+        return None
+
+    for m in sorted(graph):
+        if m not in done:
+            cycle = visit(m)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_package_imports_form_no_cycle():
+    cycle = import_cycle(imports())
+    assert cycle is None, f"import cycle in src/planefill: {' -> '.join(cycle)}"
+
+
+def test_import_scan_sees_a_cycle_through_a_lazy_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .oracle import check\n")
+    (tmp_path / "gf.py").write_text("ONE = 1\n")
+    (tmp_path / "kernel.py").write_text("from .gf import ONE\nfrom .oracle import check\n")
+    (tmp_path / "oracle.py").write_text(
+        "from . import gf\n\ndef check():\n    from . import kernel\n    return kernel\n"
+    )
+    graph = imports(tmp_path)
+    assert graph == {"gf": set(), "kernel": {"gf", "oracle"}, "oracle": {"gf", "kernel"}}
+    assert import_cycle(graph) == ["kernel", "oracle", "kernel"]
+    del graph["oracle"]
+    assert import_cycle(graph) is None
 
 
 def test_every_traced_name_is_a_function_of_the_package():

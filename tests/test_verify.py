@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from planefill import affine as aff
 from planefill import batch
 from planefill import fillcurve as fc
+from planefill import sweep
 from planefill import verify as vf
 from planefill.cli import main
+from planefill.gf import make_field
 from planefill.homog import HomogPoly, _matmul, _transpose, linear_substitute, partials, scalar_ratio
 from planefill.poly import UniPoly
 from support import (
@@ -574,8 +577,8 @@ def checked_residuals(monkeypatch):
 @pytest.mark.parametrize("q", (2, 3))
 def test_value_criterion_agrees_with_substitution_on_every_report(checked_residuals, q):
     spec = field(q)
-    proj = vf._case_range((spec.p, spec.e, 0, q**9))
-    affine = vf._affine_report_range((spec.p, spec.e, 0, q**6))
+    proj = vf._case_range(spec, 0, q**9)
+    affine = vf._affine_report_range(spec, 0, q**6)
     assert proj["match_failures"] == affine["match_failures"] == 0
     # every correct residual agrees, and some perturbed ones are rejected on
     # the value path
@@ -655,7 +658,7 @@ def test_affine_sweep_reports_a_wrong_substitution(monkeypatch, fresh_witness_me
         return _perturbed(out) if f == unit else out
 
     monkeypatch.setattr(vf, "linear_substitute", perturbed)
-    out = vf._affine_report_range((spec.p, spec.e, 0, 3**6))
+    out = vf._affine_report_range(spec, 0, 3**6)
     # every witness fails the law, so every report does
     assert out["match_failures"] == out["checked"] > 0
     assert out["first_discrepancy"].endswith(
@@ -697,7 +700,7 @@ def test_affine_sweep_reports_witnesses_composed_in_the_wrong_order(monkeypatch)
         moved = _matmul(_transpose(w.block), _matmul(m.rows_int, w.matrix_rows(), spec), spec)
         if moved != label.canonical.rows_int:
             failing.append(m.to_ints())
-    out = vf._affine_report_range((spec.p, spec.e, 0, 3**6))
+    out = vf._affine_report_range(spec, 0, 3**6)
     assert out["match_failures"] == len(failing) > 0
     assert out["first_discrepancy"] == (
         f"matrix {failing[0]} ({aff.affine_tag(aff.Matrix23.from_ints(spec, failing[0]))}): "
@@ -717,7 +720,7 @@ def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):
     monkeypatch.setattr(aff, "quad_shape", counting)
     aff.memo_quad_shape.cache_clear()
     try:
-        out = vf._affine_report_range((spec.p, spec.e, 0, 3**6))
+        out = vf._affine_report_range(spec, 0, 3**6)
     finally:
         aff.memo_quad_shape.cache_clear()
     assert out["match_failures"] == 0
@@ -751,7 +754,7 @@ def test_singular_points_match_evaluating_the_partials(q):
 
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records the requested process
-    count and maps in this process, so no worker is started."""
+    count and runs the workers in this process, so none is started."""
 
     created = []
 
@@ -764,14 +767,14 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, args):
-        return [fn(a) for a in args]
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    monkeypatch.setattr(vf, "Pool", RecordingPool)
-    monkeypatch.setattr(vf.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep, "Pool", RecordingPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
     RecordingPool.created = []
     return RecordingPool.created
 
@@ -784,7 +787,7 @@ def test_jobs_are_clamped_to_the_cpu_count(recording_pool):
 
 
 def test_unknown_cpu_count_runs_in_process(recording_pool, monkeypatch):
-    monkeypatch.setattr(vf.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
     assert vf.run_suite("plane-filling", 2, jobs=2)["pass"]
     assert recording_pool == []
 
@@ -794,6 +797,16 @@ def test_affine_suites_use_a_pool(recording_pool):
     assert recording_pool == [2, 2]
     assert vf.run_suite("sziklai", 2, jobs=2)["pass"]
     assert recording_pool == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_a_worker_receives_the_cached_field(q):
+    # workers take (spec, lo, hi): a spec crosses to a worker as (p, e) and
+    # comes out as the field make_field caches there, not a copy of its tables
+    spec = field(q)
+    data = pickle.dumps(spec)
+    assert pickle.loads(data) is make_field(spec.p, spec.e)
+    assert len(data) < 100
 
 
 def test_affine_summaries_do_not_depend_on_jobs():

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import affine as aff
 from . import fillcurve as fc
 from .gf import FieldSpec, base_digits
-from .homog import HomogPoly, _plane_for, linear_substitute, partials
+from .homog import HomogPoly, _plane_for, linear_substitute
 from .poly import QUAD_IRREDUCIBLE
 from .sweep import _check_cycle, _note_failure
 
@@ -132,7 +132,11 @@ class Blocks:
 
     def zero_indices(self, packed: int) -> list[int]:
         """The numbers of the all-zero blocks, in increasing order."""
-        zero = self.zeros(packed)
+        return self.indices(self.zeros(packed))
+
+    def indices(self, zero: int) -> list[int]:
+        """The numbers of the blocks whose lowest bit is set in zero, in
+        increasing order; zero holds no other bits."""
         out = []
         while zero:
             low = zero & -zero
@@ -220,8 +224,7 @@ def _line_charts(spec: FieldSpec):
 
 def _point_jets(plane, f: HomogPoly) -> list[int]:
     """f, df/dx, df/dy and df/dz at each rational point in plane order."""
-    columns = [plane.values(g) for g in (f, *partials(f))]
-    return [v for point in zip(*columns) for v in point]
+    return [v for point in zip(*plane.jets(f)) for v in point]
 
 
 def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
@@ -471,15 +474,33 @@ def observed_lines(kern: Kernel, packed: int):
 
 class Observation(NamedTuple):
     """What the packed image of a nonzero curve shows: the rational lines
-    dividing it as ``observed_lines`` gives them, the rational points on
-    it as indices in plane order, the number of its singular rational
-    points, and the kernel it came from, on which ``scan`` observes the
-    residual left after dividing out the lines."""
+    dividing it as ``observed_lines`` gives them, the zero mask of its
+    values (the lowest bit of the value of each rational point on it) and
+    the number of those points, the number of its singular rational
+    points, the kernel it came from, on which ``scan`` observes the
+    residual left after dividing out the lines, and the image itself."""
 
     lines: list | None
-    zeros: list
+    zeros: int
+    points: int
     singular: int
     kern: Kernel
+    packed: int
+
+    def values(self) -> list[int]:
+        """The values of the curve at the rational points."""
+        return self.kern.lanes.unpack(self.packed, len(_plane_for(self.kern.spec).points), 4)
+
+    def covers_affine(self) -> bool:
+        """Whether every affine point lies on the curve (``affine_kernel``
+        only)."""
+        return not self.packed & self.kern.affine_values
+
+    def at_infinity(self) -> list[int]:
+        """The positions, among the points of z = 0 in plane order, of
+        those on the curve (``affine_kernel`` only)."""
+        infinity = self.kern.infinity
+        return infinity.indices(self.zeros & infinity.lows)
 
     def scan(self, g: HomogPoly) -> tuple[list, int, int]:
         """The values of a curve g at the rational points, with the number
@@ -504,11 +525,10 @@ class Observation(NamedTuple):
 
 
 def observe(kern: Kernel, packed: int) -> Observation:
+    zeros = kern.values.zeros(packed)
     return Observation(
-        observed_lines(kern, packed),
-        kern.values.zero_indices(packed),
-        kern.singular.count_zero(packed),
-        kern,
+        observed_lines(kern, packed), zeros, zeros.bit_count(),
+        kern.singular.count_zero(packed), kern, packed,
     )
 
 

@@ -11,7 +11,7 @@ realizes it, and computes a complete projective-equivalence key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .gf import FieldElement, FieldSpec, _coerce, base_digits
@@ -23,7 +23,6 @@ from .homog import (
     _mat3_inv,
     _matmul,
     _matvec,
-    _rref,
     _transpose,
 )
 from .poly import (
@@ -295,28 +294,61 @@ def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) ->
 # similarity to the case-canonical form
 
 
+@lru_cache(maxsize=None)
+def _kernel_memo(spec: FieldSpec):
+    """(the multiples of each rank-2 kernel line, the vectors perpendicular
+    to each normalized row): the lists behind ``_kernel_vectors``, each
+    filled on first use."""
+    return {}, {}
+
+
 def _kernel_vectors(rows, spec: FieldSpec):
-    """The nonzero solutions v of rows*v = 0, lazily, ascending by base-q
+    """The nonzero solutions v of rows*v = 0 as a list, ascending by base-q
     enumeration index x + q*y + q^2*z (every nonzero vector for no rows).
 
-    Gauss-Jordan elimination puts the basis vector of each free column f
-    at 1 in f, at 0 in the other free columns, and elsewhere nonzero only
-    in pivot columns before f.  Read z first, that basis is a reduced
-    echelon form with its leading ones at the free columns, so the
-    combination with the base-q digits of n, the lowest free column
-    taking the lowest digit, is the n-th kernel vector in counting order.
+    When two rows are independent their cross product c spans the kernel,
+    unless a row does not vanish on c and the kernel is zero.  Otherwise
+    the rows are multiples of one row r, and the kernel is the plane
+    perpendicular to r, or everything when every row is zero.  The lists
+    are memoized per c and per normalized r, and must not be changed.
     """
-    m, pivots = _rref(rows, 3, spec)
-    basis = []
-    for free in (c for c in range(3) if c not in pivots):
-        v = [0, 0, 0]
-        v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = spec._neg[m[r][free]]
-        basis.append(v)
-    cols = _transpose(basis)
-    for n in range(1, spec.q ** len(basis)):
-        yield _matvec(cols, base_digits(n, spec.q, len(basis)), spec)
+    lines, planes = _kernel_memo(spec)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            c = _cross(rows[i], rows[j], spec)
+            if any(c):
+                if any(_matvec(rows, c, spec)):
+                    return ()
+                got = lines.get(c)
+                if got is None:
+                    mul = spec._mul
+                    got = lines[c] = sorted(
+                        ((mul[k][c[0]], mul[k][c[1]], mul[k][c[2]]) for k in range(1, spec.q)),
+                        key=lambda v: (v[2], v[1], v[0]),
+                    )
+                return got
+    r = next((r for r in rows if any(r)), None)
+    if r is None:
+        key = (0, 0, 0)
+    else:
+        scale = spec._mul[spec._inv[next(v for v in r if v)]]
+        key = tuple(scale[v] for v in r)
+    got = planes.get(key)
+    if got is None:
+        # solve for the coordinate of the leading one, the others running
+        # in counting order; the first solution is zero
+        a, b, c = key
+        els, neg, add, mul = range(spec.q), spec._neg, spec._add, spec._mul
+        if a:
+            got = [(neg[add[mul[b][y]][mul[c][z]]], y, z) for z in els for y in els]
+        elif b:
+            got = [(x, neg[mul[c][z]], z) for z in els for x in els]
+        elif c:
+            got = [(x, y, 0) for y in els for x in els]
+        else:
+            got = [(x, y, z) for z in els for y in els for x in els]
+        got = planes[key] = got[1:]
+    return got
 
 
 def _first(vectors, pred=any):
@@ -361,25 +393,11 @@ def _case_canonical(spec: FieldSpec, label: CaseLabel, f: UniPoly) -> Matrix3:
     return Matrix3.diagonal(spec, alpha, alpha, alpha)
 
 
-def rcf_similarity(
-    A: Matrix3, label: CaseLabel | None = None, f: UniPoly | None = None
-) -> tuple[Matrix3, Matrix3]:
-    """(C, S) with S A S^-1 = C, the canonical matrix of A's case.
-
-    The basis vectors are chosen by cyclic-vector and eigenvector
-    construction, always taking the first suitable vector in base-q
-    enumeration order, so the output is deterministic and a matrix already
-    in canonical form returns S = E.  A ValueError says that A is not in
-    the case of the label passed in.
-    """
+def _basis(A: Matrix3, label: CaseLabel) -> tuple:
+    """The columns (v1, v2, v3) of S^-1 for the S of ``rcf_similarity``."""
     spec = A.spec
-    if f is None:
-        f = charpoly(A)
-    if label is None:
-        label = classify(A, f=f)
-    C = _case_canonical(spec, label, f)
     if label.tag == CASE_4_3:
-        return A, Matrix3.identity(spec)
+        return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     rows = A.rows_int
 
     def image(m, v):
@@ -425,8 +443,29 @@ def rcf_similarity(
         v2 = _first(_kernel_vectors((), spec), lambda v: any(image(n, v)))
         v1 = image(n, v2)
         v3 = _first(_kernel_vectors(n, spec), lambda v: any(_cross(v1, v, spec)))
-    s = Matrix3(spec, _mat3_inv(_transpose((v1, v2, v3)), spec))
-    return C, s
+    return v1, v2, v3
+
+
+def rcf_similarity(
+    A: Matrix3, label: CaseLabel | None = None, f: UniPoly | None = None
+) -> tuple[Matrix3, Matrix3]:
+    """(C, S) with S A S^-1 = C, the canonical matrix of A's case.
+
+    The basis vectors are chosen by cyclic-vector and eigenvector
+    construction, always taking the first suitable vector in base-q
+    enumeration order, so the output is deterministic and a matrix already
+    in canonical form returns S = E.  A ValueError says that A is not in
+    the case of the label passed in.
+    """
+    spec = A.spec
+    if f is None:
+        f = charpoly(A)
+    if label is None:
+        label = classify(A, f=f)
+    if label.tag == CASE_4_3:
+        return A, Matrix3.identity(spec)
+    s_inv = Matrix3(spec, _transpose(_basis(A, label)))
+    return _case_canonical(spec, label, f), s_inv.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +512,11 @@ class DecompositionPlan:
     """Predicted splitting of the curve of A.
 
     Lines and the residual equation are written in the canonical
-    coordinates of A's case; ``transform`` is the similarity S with
-    S A S^-1 = canonical, which lets a verifier transport everything back
-    to the original coordinates.
+    coordinates of A's case, which depend on A only through its label.
+    ``basis`` holds the columns (v1, v2, v3) of S^-1 for the similarity S
+    with S A S^-1 = canonical, as rows: a verifier transports everything
+    back to the original coordinates through the substitution
+    x -> basis*x.  The memoized plan of a label has no basis.
     """
 
     case: CaseLabel
@@ -483,7 +524,7 @@ class DecompositionPlan:
     residual: ResidualSpec | None
     concurrency: str | None
     canonical: Matrix3
-    transform: Matrix3
+    basis: tuple | None = None
     zero_polynomial: bool = False
 
 
@@ -508,23 +549,30 @@ def line_pencil(spec: FieldSpec, base: int, other: int) -> list:
 def predicted_decomposition(
     A: Matrix3, label: CaseLabel | None = None, f: UniPoly | None = None
 ) -> DecompositionPlan:
-    """The splitting the case analysis predicts for the curve of A.
+    """The splitting the case analysis predicts for the curve of A: the
+    canonical plan of its label with the basis of its similarity.
 
     Scalar matrices get the zero-polynomial plan; the irreducible
     (nonsingular) case is rejected since there is nothing to decompose.
     """
-    spec = A.spec
-    q = spec.q
     if label is None:
         label = classify(A, f=f)
+    return replace(canonical_plan(A.spec, label), basis=_basis(A, label))
+
+
+@lru_cache(maxsize=None)
+def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
+    """The splitting of the curve of the canonical matrix of a label other
+    than the nonsingular one, built once per label and process."""
     if label.tag == CASE_NONSINGULAR:
         raise ValueError("the curve of a matrix with irreducible characteristic polynomial does not split")
-    C, S = rcf_similarity(A, label=label, f=f)
+    q = spec.q
     neg = spec._neg
     x, y, z = coordinate_lines(spec)
+    C = _case_canonical(spec, label, None)
 
     if label.tag == CASE_4_3:
-        return DecompositionPlan(label, (), None, None, C, S, zero_polynomial=True)
+        return DecompositionPlan(label, (), None, None, C, zero_polynomial=True)
 
     if label.tag == CASE_1:
         alpha = label.roots[0].val
@@ -544,7 +592,7 @@ def predicted_decomposition(
             },
         )
         residual = ResidualSpec(RESIDUAL_AFFINE_FILLING, eq)
-        return DecompositionPlan(label, ((z, 1),), residual, None, C, S)
+        return DecompositionPlan(label, ((z, 1),), residual, None, C)
 
     if label.tag == CASE_2:
         a1, a2, a3 = (r.val for r in label.roots)
@@ -559,7 +607,7 @@ def predicted_decomposition(
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q_MINUS_1, eq)
         return DecompositionPlan(
-            label, ((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT, C, S
+            label, ((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT, C
         )
 
     if label.tag == CASE_3_1:
@@ -575,11 +623,11 @@ def predicted_decomposition(
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q, eq)
-        return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None, C, S)
+        return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None, C)
 
     if label.tag == CASE_3_2:
         lines = ((z, 1), (x, 1), (y, 1), *line_pencil(spec, 0, 1))
-        return DecompositionPlan(label, lines, None, CONCURRENT_ALL_BUT_ONE, C, S)
+        return DecompositionPlan(label, lines, None, CONCURRENT_ALL_BUT_ONE, C)
 
     if label.tag == CASE_4_1:
         eq = HomogPoly(
@@ -593,11 +641,11 @@ def predicted_decomposition(
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q_PLUS_1, eq)
-        return DecompositionPlan(label, ((x, 1),), residual, None, C, S)
+        return DecompositionPlan(label, ((x, 1),), residual, None, C)
 
     # CASE_4_2: a double line and q simple lines through one point
     lines = ((x, 2), (z, 1), *line_pencil(spec, 2, 0))
-    return DecompositionPlan(label, lines, None, CONCURRENT_ALL, C, S)
+    return DecompositionPlan(label, lines, None, CONCURRENT_ALL, C)
 
 
 # ---------------------------------------------------------------------------

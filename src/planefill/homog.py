@@ -211,7 +211,7 @@ def scalar_ratio(f: HomogPoly, g: HomogPoly):
 
 class _Plane:
     __slots__ = (
-        "spec", "points", "lines", "line_coeffs", "_mono", "_powers", "affine_idx", "infinity_idx"
+        "spec", "points", "lines", "line_coeffs", "_mono", "_scalings", "affine_idx", "infinity_idx"
     )
 
     def __init__(self, spec: FieldSpec):
@@ -228,8 +228,7 @@ class _Plane:
         self.affine_idx = [i for i, p in enumerate(self.points) if p.key[2]]
         self.infinity_idx = [i for i, p in enumerate(self.points) if not p.key[2]]
         self._mono: dict = {}
-        # _powers[e][a] is a^e for the exponents of a form of degree <= q
-        self._powers = [[spec.pow_int(a, e) for a in elems] for e in range(spec.q + 1)]
+        self._scalings = None
 
     def mono_column(self, key):
         col = self._mono.get(key)
@@ -243,14 +242,22 @@ class _Plane:
             self._mono[key] = col
         return col
 
-    def values(self, f: HomogPoly) -> list[int]:
+    def _column(self, terms: dict) -> list[int]:
         add, mul = self.spec._add, self.spec._mul
         vals = [0] * len(self.points)
-        for key, c in f.terms.items():
+        for key, c in terms.items():
             col = self.mono_column(key)
             crow = mul[c]
             vals = [add[v][crow[cv]] for v, cv in zip(vals, col)]
         return vals
+
+    def values(self, f: HomogPoly) -> list[int]:
+        return self._column(f.terms)
+
+    def jets(self, f: HomogPoly) -> tuple[list[int], ...]:
+        """The values of f, df/dx, df/dy and df/dz at the points, in plane
+        order."""
+        return tuple(self._column(g.terms) for g in (f, *partials(f)))
 
     def value_at(self, f: HomogPoly, i: int) -> int:
         """The value of f at the i-th point, from the monomial columns."""
@@ -260,25 +267,17 @@ class _Plane:
             acc = add[acc][mul[c][self.mono_column(key)[i]]]
         return acc
 
-    def substituted_values(self, f: HomogPoly, rows) -> list[int]:
-        """The values of f composed with the substitution x -> rows*x, for f
-        of degree at most q: f evaluated on the value columns of the three
-        row forms, so the composite is never expanded."""
-        add, mul = self.spec._add, self.spec._mul
-        # a point's coordinates are the coefficients of the line of its index
-        u, v, w = (
-            [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in self.line_coeffs]
-            for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
-        )
-        powers = self._powers
-        vals = [0] * len(self.points)
-        for (i, j, k), c in f.terms.items():
-            pi, pj, pk, crow = powers[i], powers[j], powers[k], mul[c]
-            vals = [
-                add[s][crow[mul[mul[pi[a]][pj[b]]][pk[d]]]]
-                for s, a, b, d in zip(vals, u, v, w)
-            ]
-        return vals
+    def scalings(self) -> dict:
+        """(i, lam) with v = lam * (the i-th point) for every nonzero
+        vector v, built on first use."""
+        if self._scalings is None:
+            mul = self.spec._mul
+            self._scalings = {
+                (mul[lam][a], mul[lam][b], mul[lam][c]): (i, lam)
+                for i, (a, b, c) in enumerate(self.line_coeffs)
+                for lam in range(1, self.spec.q)
+            }
+        return self._scalings
 
 
 @lru_cache(maxsize=None)

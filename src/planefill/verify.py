@@ -25,7 +25,6 @@ from .homog import (
     _matmul,
     _matvec,
     _plane_for,
-    _transpose,
     linear_substitute,
     partials,
     scalar_ratio,
@@ -324,13 +323,27 @@ def _transport(plan, rows, spec: FieldSpec) -> _Prediction:
     substitution x -> rows*x; a line's coefficient row c becomes c*rows,
     normalized like a point.  The residual keeps its canonical equation,
     with rows beside it for ``transported_multiple``."""
+    plane = _plane_for(spec)
+    scalings = plane.scalings()
     images = _matmul([l.line_coeffs() for l, _m in plan.lines], rows, spec)
     return _Prediction(
-        lines=[(ProjPoint(spec, c).key, m) for c, (_l, m) in zip(images, plan.lines)],
+        lines=[
+            (plane.line_coeffs[scalings[c][0]], m) for c, (_l, m) in zip(images, plan.lines)
+        ],
         residual=plan.residual,
         concurrency=plan.concurrency,
         rows=rows,
     )
+
+
+@lru_cache(maxsize=None)
+def _form_jets(spec: FieldSpec, degree: int, terms: tuple):
+    """The values at the points of the form with the given (monomial,
+    coefficient) terms, with its partials there in degree q + 1 only, once
+    per process: the canonical residual equations recur."""
+    f = HomogPoly._raw(spec, degree, dict(terms))
+    plane = _plane_for(spec)
+    return plane.jets(f) if degree == spec.q + 1 else (plane.values(f),)
 
 
 def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None) -> bool:
@@ -338,51 +351,100 @@ def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None) -> bool:
     x -> rows*x (of eq itself when rows is None), or both are zero:
     ``scalar_ratio(g, linear_substitute(eq, rows)) is not None``.
 
-    Up to degree q the composite is compared by its values at the rational
-    points (gvals, if given, are those of g).  The ideal of all the points
-    of P^2(F_q) is generated by x^q y - x y^q, x^q z - x z^q and
-    y^q z - y z^q, of degree q + 1, so a nonzero form of degree at most q
-    is nonzero at some point, and g - c*h vanishes everywhere only when
-    g = c*h.  From degree q + 1 on x^q z - x z^q vanishes everywhere, so
-    the composite is expanded and compared coefficient by coefficient.
+    The composite h is compared without expanding it, for degree d <= q + 1.
+    At the j-th rational point P_j, rows*P_j = lam*P_k gives
+    h(P_j) = lam^d eq(P_k), from the memoized values of eq (gvals, if
+    given, are those of g).  The ideal of all the points of P^2(F_q) is
+    generated by U = y^q z - y z^q, V = z^q x - z x^q and W = x^q y - x y^q,
+    of degree q + 1.  So a nonzero form of degree at most q is nonzero at
+    some point, and g - c*h vanishes everywhere only when g = c*h.  In
+    degree q + 1 it may be aU + bV + cW, whose d/dy at (1:0:0), d/dz at
+    (1:0:0) and d/dz at (0:1:0) are c, -b and a: these three partials of g
+    and c*h must agree too.  For g they are the coefficients of x^(d-1) y,
+    x^(d-1) z and y^(d-1) z; for h they are rows^t grad eq(rows*e).  When h
+    vanishes at every point, or d > q + 1, the composite is expanded.
     """
     if g.degree != eq.degree:
         return False
     if rows is None:
         return scalar_ratio(g, eq) is not None
     spec = g.spec
-    if eq.degree > spec.q:
+    q, d = spec.q, g.degree
+    if d > q + 1:
         return scalar_ratio(g, linear_substitute(eq, rows)) is not None
     plane = _plane_for(spec)
-    if gvals is None:
-        gvals = plane.values(g)
-    hvals = plane.substituted_values(eq, rows)
+    add, mul, powmod = spec._add, spec._mul, spec._powmod
+    # a point's coordinates are the coefficients of the line of its index
+    u, v, w = (
+        [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in plane.line_coeffs]
+        for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
+    )
+    scalings = plane.scalings()
+    try:
+        images = [scalings[t] for t in zip(u, v, w)]
+    except KeyError:
+        raise ValueError("substitution matrix is singular") from None
+    eq_vals, *eq_grad = _form_jets(spec, d, tuple(eq.terms.items()))
+    e = d % (q - 1)
+    hvals = [mul[powmod[lam][e]][eq_vals[k]] for k, lam in images]
     i = next((i for i, h in enumerate(hvals) if h), None)
     if i is None:
-        return not any(gvals)
+        return scalar_ratio(g, linear_substitute(eq, rows)) is not None
+    if gvals is None:
+        gvals = plane.values(g)
     c = spec.div(gvals[i], hvals[i])
-    mrow = spec._mul[c]
-    return c != 0 and gvals == [mrow[h] for h in hvals]
+    crow = mul[c]
+    if c == 0 or gvals != [crow[h] for h in hvals]:
+        return False
+    if d <= q:
+        return True
+
+    def partial(point: int, var: int) -> int:
+        """c * dh/d(var) at the point (1:0:0) (index 0) or (0:1:0)
+        (index q^2): the column var of rows against grad eq at its image,
+        which is lam^(d-1) grad eq(P_k)."""
+        k, lam = images[point]
+        s = 0
+        for row, grad in zip(rows, eq_grad):
+            s = add[s][mul[row[var]][grad[k]]]
+        return crow[mul[powmod[lam][(d - 1) % (q - 1)]][s]]
+
+    terms = g.terms
+    return (
+        terms.get((d - 1, 1, 0), 0) == partial(0, 1)
+        and terms.get((d - 1, 0, 1), 0) == partial(0, 2)
+        and terms.get((0, d - 1, 1), 0) == partial(q * q, 2)
+    )
 
 
 class _Scanned:
-    """The reference observation of a nonzero curve f, with the fields of
-    ``batch.Observation``: its rational points by evaluating f at every
-    point of the plane, its singular rational points by
-    ``singular_Fq_points`` on first use, and no lines, so that the audit
-    tries every rational line; ``scan`` observes another curve the same
-    way."""
+    """The reference observation of a nonzero curve f, with the fields and
+    methods of ``batch.Observation`` that the reports read: its rational
+    points by evaluating f at every point of the plane, its singular
+    rational points by ``singular_Fq_points`` on first use, and no lines,
+    so that the audit tries every rational line; ``scan`` observes another
+    curve the same way."""
 
     lines = None
 
     def __init__(self, f: HomogPoly):
         self.f = f
-        self.values = _plane_for(f.spec).values(f)
-        self.zeros = [i for i, v in enumerate(self.values) if not v]
+        self._values = _plane_for(f.spec).values(f)
+        self.points = self._values.count(0)
+
+    def values(self) -> list[int]:
+        return self._values
+
+    def covers_affine(self) -> bool:
+        return not any(self._values[i] for i in _plane_for(self.f.spec).affine_idx)
+
+    def at_infinity(self) -> list[int]:
+        infinity = _plane_for(self.f.spec).infinity_idx
+        return [b for b, i in enumerate(infinity) if not self._values[i]]
 
     @cached_property
     def singular(self) -> int:
-        return len(singular_Fq_points(self.f, self.values))
+        return len(singular_Fq_points(self.f, self._values))
 
     @staticmethod
     def scan(g: HomogPoly) -> tuple[list, int, int]:
@@ -401,8 +463,8 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     when its ``lines`` are given, as (index in plane order, multiplicity)
     in plane order, f is divided by those alone instead of trying every
     rational line, and a residual without lines, which is f, takes its
-    points and singular points from it; any other residual is observed
-    by its ``scan``."""
+    values, points and singular points from it; any other residual is
+    observed by its ``scan``."""
     spec = f.spec
     comps = None if obs.lines is None else _divide_out(f, obs.lines)
     if comps is None:
@@ -424,7 +486,8 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     singular_count = None
     if res and comps.residual_degree == res.degree:
         if comps.residual_degree == f.degree:
-            rvals, residual_points, singular_count = None, len(obs.zeros), obs.singular
+            rvals = None if pred.rows is None else obs.values()
+            residual_points, singular_count = obs.points, obs.singular
         else:
             rvals, residual_points, singular_count = obs.scan(comps.residual)
         if not transported_multiple(comps.residual, res.equation, pred.rows, rvals):
@@ -523,12 +586,12 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
             disc.append(f"no similarity to the canonical form of case {label.tag}: {exc}")
             pred = _Prediction([], None, None)
         else:
-            pred = _transport(plan, _transpose(_mat3_inv(plan.transform.rows_int, spec)), spec)
+            pred = _transport(plan, plan.basis, spec)
     if obs is None:
         obs = _Scanned(f_a)
     observed = _audit(f_a, pred, disc, obs)
     observed.update(
-        curve_points=len(obs.zeros),
+        curve_points=obs.points,
         curve_singular=bool(obs.singular),
         zero_polynomial=False,
     )
@@ -590,10 +653,9 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     if obs is None:
         obs = _Scanned(g_m)
     observed = _audit(g_m, pred, disc, obs)
-    on_curve = set(obs.zeros)
-    if not on_curve.issuperset(plane.affine_idx):
+    if not obs.covers_affine():
         disc.append("curve misses an affine rational point")
-    inf_set = {plane.points[i].key for i in plane.infinity_idx if i in on_curve}
+    inf_set = {plane.points[plane.infinity_idx[b]].key for b in obs.at_infinity()}
     inf_observed = len(inf_set)
     if inf_observed != plan.infinity_points:
         disc.append(f"{inf_observed} points at infinity, expected {plan.infinity_points}")
@@ -618,7 +680,7 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
         **pred.to_json(),
         "infinity_points": plan.infinity_points,
     }
-    observed.update(curve_points=len(obs.zeros), infinity_points=inf_observed)
+    observed.update(curve_points=obs.points, infinity_points=inf_observed)
     return DecompositionReport(
         spec.q, "affine", M.to_ints(), label.tag, None, None,
         predicted, observed, not disc, disc,

@@ -186,7 +186,15 @@ def test_observation_matches_the_oracle(family, q):
             assert max(mult for _i, mult in search) >= 3, m.to_ints()
         else:
             assert obs.lines == search, m.to_ints()
-        assert obs.zeros == [i for i, v in enumerate(plane.values(f)) if not v], m.to_ints()
+        values = plane.values(f)
+        zeros = sum(1 << kern.lanes.bit(4 * i) for i, v in enumerate(values) if not v)
+        assert (obs.zeros, obs.points) == (zeros, values.count(0)), m.to_ints()
+        assert obs.values() == values, m.to_ints()
+        if family == "affine":
+            assert obs.covers_affine() == (not any(values[i] for i in plane.affine_idx))
+            assert obs.at_infinity() == [
+                b for b, i in enumerate(plane.infinity_idx) if not values[i]
+            ], m.to_ints()
         assert obs.singular == len(vf.singular_Fq_points(f)), m.to_ints()
 
 

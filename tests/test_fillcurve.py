@@ -4,6 +4,7 @@ import random
 import pytest
 
 from planefill import fillcurve as fc
+from planefill.gf import base_digits
 from planefill.homog import HomogPoly, linear_substitute, scalar_ratio
 from planefill.poly import (
     CUBIC_DOUBLE_PLUS_SIMPLE,
@@ -225,18 +226,48 @@ def test_characteristic_data_against_references(q):
         assert fc.classify(a, f=f, mp=fc.minpoly(a)) == label
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def _low_rank_rows(spec, rng):
+    """A seeded 3x3 matrix of rank at most 0, 1, 2 or 3, the bound drawn
+    at random, as integer rows: combinations of that many random rows."""
+    q = spec.q
+    basis = [[rng.randrange(q) for _ in range(3)] for _ in range(rng.randrange(4))]
+    rows = []
+    for _ in range(3):
+        row = [0, 0, 0]
+        for b in basis:
+            c = rng.randrange(q)
+            row = [spec._add[x][spec._mul[c][y]] for x, y in zip(row, b)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
 def test_kernel_vectors_are_the_brute_force_null_space(q):
-    # exhaustive at q = 2, 3, seeded at q = 4, 5; vectors in base-q order
+    # every matrix at q = 2, 3, seeded matrices of every rank above; the
+    # first two rows of each as well; vectors in base-q order
     spec = field(q)
     vectors = [(n % q, n // q % q, n // (q * q)) for n in range(1, q**3)]
-    null = {
-        row: {v for v in vectors if not _dot(spec, row, v)}
-        for row in itertools.product(range(q), repeat=3)
-    }
-    for a in _matrices3(q):
-        expected = [v for v in vectors if all(v in null[row] for row in a.rows_int)]
-        assert list(fc._kernel_vectors(a.rows_int, spec)) == expected
+    if q <= 3:
+        matrices = [a.rows_int for a in _matrices3(q)]
+    else:
+        rng = random.Random(q * 17)
+        matrices = [_low_rank_rows(spec, rng) for _ in range(200 if q <= 5 else 40)]
+    null = {}
+
+    def brute(rows):
+        for row in rows:
+            if row not in null:
+                null[row] = {v for v in vectors if not _dot(spec, row, v)}
+        return [v for v in vectors if all(v in null[row] for row in rows)]
+
+    ranks = set()
+    for rows in matrices:
+        expected = brute(rows)
+        assert list(fc._kernel_vectors(rows, spec)) == expected, rows
+        assert list(fc._kernel_vectors(rows[:2], spec)) == brute(rows[:2]), rows
+        ranks.add(3 - {0: 0, q - 1: 1, q * q - 1: 2, q**3 - 1: 3}[len(expected)])
+    assert ranks == {0, 1, 2, 3}
+    assert list(fc._kernel_vectors((), spec)) == vectors
 
 
 def test_classify_examples():
@@ -431,6 +462,32 @@ def test_plan_components_multiply_to_curve():
                 plan.residual.degree if plan.residual else 0
             )
             assert total == q + 2
+
+
+def _plan_labels(spec):
+    """Every case label over the field but the nonsingular one."""
+    q = spec.q
+    labels = [
+        label
+        for n in range(q**3)
+        for label, _m in fc._case_labels(UniPoly(spec, base_digits(n, q, 3) + (1,)))
+        if label.tag != fc.CASE_NONSINGULAR
+    ]
+    return labels + [fc.CaseLabel(fc.CASE_4_3, (spec.element(a),)) for a in range(q)]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_memoized_canonical_plan_is_a_fresh_plan(q):
+    spec = field(q)
+    labels = _plan_labels(spec)
+    assert {label.tag for label in labels} >= {
+        fc.CASE_1, fc.CASE_3_1, fc.CASE_3_2, fc.CASE_4_1, fc.CASE_4_2, fc.CASE_4_3
+    }
+    memo = [fc.canonical_plan(spec, label) for label in labels]
+    for label, plan in zip(labels, memo):
+        assert fc.canonical_plan(spec, label) is plan
+        assert plan == fc.canonical_plan.__wrapped__(spec, label)
+        assert plan.case == label and plan.basis is None
 
 
 def test_predicted_decomposition_rejects_irreducible_case():

@@ -8,6 +8,7 @@ import pytest
 from planefill import affine as aff
 from planefill import batch
 from planefill import fillcurve as fc
+from planefill import homog
 from planefill import sweep
 from planefill import verify as vf
 from planefill.cli import main
@@ -553,25 +554,53 @@ def _reference_multiple(g, eq, rows):
     return scalar_ratio(g, h) is not None
 
 
+def _criterion(g, eq, rows):
+    """Which part of ``transported_multiple`` decides: "as it stands" for no
+    rows, "values" up to degree q, "partials" in degree q + 1."""
+    if rows is None:
+        return "as it stands"
+    return "values" if eq.degree <= g.spec.q else "partials"
+
+
 @pytest.fixture
 def checked_residuals(monkeypatch):
-    """Wraps transported_multiple so that each call, and the same call with
-    a perturbed equation, must agree with scalar_ratio against
-    linear_substitute; returns the tally of (value path, result) pairs."""
+    """Wraps transported_multiple so that each call, the same call with a
+    perturbed equation and, in degree q + 1, with U, V or W added to the
+    residual (which leaves its values alone), must agree with scalar_ratio
+    against linear_substitute; returns the tally of (criterion, result)
+    pairs, "U", "V" and "W" counting the residuals moved by a generator."""
     real = vf.transported_multiple
     tally = {}
 
+    def count(key):
+        tally[key] = tally.get(key, 0) + 1
+
     def checking(g, eq, rows, gvals=None):
         got = real(g, eq, rows, gvals)
-        value_path = rows is not None and eq.degree <= g.spec.q
+        criterion = _criterion(g, eq, rows)
         wrong = _perturbed(eq)
         for e, result in ((eq, got), (wrong, real(g, wrong, rows, gvals))):
             assert result == _reference_multiple(g, e, rows), (g, e, rows)
-            tally[value_path, result] = tally.get((value_path, result), 0) + 1
+            count((criterion, result))
+        if criterion == "partials":
+            for name, gen in zip("UVW", fc.build_UVW(g.spec)):
+                moved = g + gen
+                result = real(moved, eq, rows, gvals)
+                assert result == _reference_multiple(moved, eq, rows), (name, g, eq, rows)
+                count((name, result))
         return got
 
     monkeypatch.setattr(vf, "transported_multiple", checking)
     return tally
+
+
+def _assert_every_criterion_decided(tally):
+    # every correct residual agrees, some perturbed ones are rejected by
+    # their values, and every residual moved by U, V or W is rejected by
+    # its partials
+    assert tally["values", True] > 0 and tally["values", False] > 0
+    assert tally["partials", True] > 0 and tally["partials", False] > 0
+    assert all(tally[name, False] > 0 and (name, True) not in tally for name in "UVW")
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -580,14 +609,14 @@ def test_value_criterion_agrees_with_substitution_on_every_report(checked_residu
     proj = vf._case_range(spec, 0, q**9)
     affine = vf._affine_report_range(spec, 0, q**6)
     assert proj["match_failures"] == affine["match_failures"] == 0
-    # every correct residual agrees, and some perturbed ones are rejected on
-    # the value path
-    assert checked_residuals[True, True] > 0 and checked_residuals[True, False] > 0
-    assert checked_residuals[False, True] > 0
+    _assert_every_criterion_decided(checked_residuals)
+    assert checked_residuals["as it stands", True] > 0
 
 
 @pytest.mark.parametrize("q", (4, 5))
 def test_value_criterion_agrees_with_substitution_on_seeded_reports(checked_residuals, q):
+    # seeded matrices through the reference path, and seeded slices of both
+    # report sweeps
     spec = field(q)
     rng = random.Random(q * 101)
     for _ in range(60):
@@ -597,7 +626,56 @@ def test_value_criterion_agrees_with_substitution_on_seeded_reports(checked_resi
         m = aff.Matrix23.from_ints(spec, [rng.randrange(q) for _ in range(6)])
         if not m.is_zero():
             assert vf.affine_report(m).match
-    assert checked_residuals[True, True] > 0 and checked_residuals[True, False] > 0
+    lo = rng.randrange(q**9 - 300)
+    assert vf._case_range(spec, lo, lo + 300)["match_failures"] == 0
+    lo = rng.randrange(q**6 - 800)
+    assert vf._affine_report_range(spec, lo, lo + 800)["match_failures"] == 0
+    _assert_every_criterion_decided(checked_residuals)
+
+
+def test_transported_multiple_expands_a_composite_that_vanishes_everywhere(monkeypatch):
+    # U composed with an invertible substitution vanishes at every rational
+    # point, so only the expanded composite decides
+    spec = field(3)
+    u, v, w = fc.build_UVW(spec)
+    rows = ((1, 1, 0), (0, 1, 2), (2, 0, 1))
+    expanded = []
+    real = vf.linear_substitute
+
+    def counting(f, b):
+        expanded.append(f)
+        return real(f, b)
+
+    monkeypatch.setattr(vf, "linear_substitute", counting)
+    h = real(u, rows)
+    for g in (h, h.scaled(2), h + v, v, w, u, HomogPoly.zero(spec, 4)):
+        expanded.clear()
+        assert vf.transported_multiple(g, u, rows) == _reference_multiple(g, u, rows)
+        assert expanded == [u]
+    assert vf.transported_multiple(h.scaled(2), u, rows)
+
+
+def test_report_sweeps_never_expand_a_residual(monkeypatch):
+    # after a warm-up that builds the kernels and checks every witness law
+    # once, the report sweeps compose no polynomial with a substitution
+    spec = field(3)
+    vf._case_range(spec, 0, 1)
+    vf._affine_report_range(spec, 0, 3**6)
+    calls = []
+    real = linear_substitute
+
+    def counting(f, b):
+        calls.append(f)
+        return real(f, b)
+
+    for module in (homog, batch, vf, aff, fc):
+        if hasattr(module, "linear_substitute"):
+            monkeypatch.setattr(module, "linear_substitute", counting)
+    proj = vf._case_range(spec, 0, 3**9)
+    affine = vf._affine_report_range(spec, 0, 3**6)
+    assert proj["checked"] == 3**9 and affine["checked"] > 0
+    assert proj["match_failures"] == affine["match_failures"] == 0
+    assert calls == []
 
 
 def _per_matrix_law(m, label):

@@ -188,10 +188,15 @@ def points_at_infinity(M: Matrix23) -> list[ProjPoint]:
     """
     if M.is_zero():
         raise ValueError("the zero matrix defines no curve")
-    return [
-        ProjPoint(M.spec, (s, t, M.spec.zero))
-        for s, t in left_quad_shape(M).roots
-    ]
+    return list(_infinity_points(M.spec, *quad_form_triple(M)))
+
+
+@lru_cache(maxsize=None)
+def _infinity_points(spec: FieldSpec, a: int, b: int, c: int) -> tuple:
+    """The points (s:t:0) for the roots of a s^2 + b st + c t^2: one memo
+    per field, holding at most q^3 tuples."""
+    roots = memo_quad_shape(spec, a, b, c).roots
+    return tuple(ProjPoint(spec, (s, t, spec.zero)) for s, t in roots)
 
 
 @dataclass(frozen=True)
@@ -228,12 +233,12 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
     if shape.tag == QUAD_IRREDUCIBLE:
         raise ValueError("an irreducible left-block quadratic has no degenerate canonical form")
     neg = spec._neg
-    cur, total = M, BTransform.identity(spec)
+    cur, total = M, None
 
     def step(t: BTransform):
         nonlocal cur, total
         cur = apply_transform(cur, t)
-        total = total.then(t)
+        total = t if total is None else total.then(t)
 
     if shape.tag == QUAD_TWO_DISTINCT:
         (s1, t1), (s2, t2) = shape.roots
@@ -349,20 +354,28 @@ class AffinePlan:
 
 
 def predicted_decomposition(label: AffineLabel) -> AffinePlan:
-    """The splitting of the curve of ``label.canonical``.
+    """The splitting of the curve of ``label.canonical``: for a degenerate
+    label the memoized ``canonical_plan``, for a filling curve its own
+    equation, since its canonical matrix is the matrix itself."""
+    if label.tag == AFFINE_FILLING:
+        residual = fc.ResidualSpec(fc.RESIDUAL_AFFINE_FILLING, build_GM(label.canonical))
+        return AffinePlan((), residual, None, 0)
+    return canonical_plan(label.tag, label.canonical)
+
+
+@lru_cache(maxsize=None)
+def canonical_plan(tag: str, n: Matrix23) -> AffinePlan:
+    """The splitting of the curve of the canonical matrix n of a degenerate
+    tag, built once per canonical form and process.
 
     The shapes come from expanding the curve polynomial of each canonical
     form; the residual equations are written out directly.
     """
-    n = label.canonical
     spec = n.spec
     q = spec.q
     neg = spec._neg
     x, y, z = fc.coordinate_lines(spec)
 
-    tag = label.tag
-    if tag == AFFINE_FILLING:
-        return AffinePlan((), fc.ResidualSpec(fc.RESIDUAL_AFFINE_FILLING, build_GM(n)), None, 0)
     if tag == AFFINE_I1:
         a1 = n.rows_int[0][1]
         b0 = n.rows_int[1][0]

@@ -257,17 +257,18 @@ def _repeated_root_degree(A: Matrix3, label: CaseLabel) -> int:
 
 
 def _case_and_minpoly(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None):
-    """(case label, minimal polynomial) of A.  Without a repeated root both
+    """(case label, minimal polynomial, characteristic polynomial) of A,
+    from one lookup of the memo.  Without a repeated root the first two
     follow from the characteristic polynomial; with one, the degree of the
     minimal polynomial (mp's when given) picks the similarity type."""
-    labels = _entry(A, f)[1]
+    f, labels = _entry(A, f)
     if len(labels) == 1:
-        return labels[0]
+        return (*labels[0], f)
     mdeg = mp.degree if mp is not None else _repeated_root_degree(A, labels[0][0])
     if mdeg == 1:
         roots = labels[0][0].roots
-        return CaseLabel(CASE_4_3, roots), UniPoly(A.spec, (A.spec._neg[roots[0].val], 1))
-    return next((label, m) for label, m in labels if m.degree == mdeg)
+        return CaseLabel(CASE_4_3, roots), UniPoly(A.spec, (A.spec._neg[roots[0].val], 1)), f
+    return next((label, m, f) for label, m in labels if m.degree == mdeg)
 
 
 def charpoly(A: Matrix3) -> UniPoly:

@@ -245,9 +245,6 @@ class FieldSpec:
 
     # raw integer-encoding operations ------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
     def neg(self, a: int) -> int:
         return self._neg[a]
 

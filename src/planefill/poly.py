@@ -109,15 +109,16 @@ class UniPoly:
             raise ValueError("scale factor must be nonzero")
         if self.is_zero():
             return self
-        d = self.degree
-        shifted = UniPoly(spec, (spec.neg(mv), 1))  # t - mu
-        power = UniPoly(spec, (1,))
-        out = UniPoly.zero(spec)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out = out + power.scale(spec.mul(a, spec.pow_int(rv, d - i)))
-            power = power * shifted
-        return out
+        add, sub, mul = spec._add, spec._sub, spec._mul
+        rrow, mrow = mul[rv], mul[mv]
+        # Horner in t - mu from the top: out <- out*(t - mu) + a_i rho^(d-i)
+        out: list[int] = []
+        scale = 1
+        for a in reversed(self.coeffs):
+            out = [sub[x][mrow[y]] for x, y in zip([0, *out], [*out, 0])]
+            out[0] = add[out[0]][mul[a][scale]]
+            scale = rrow[scale]
+        return UniPoly(spec, out)
 
     def _same(self, other: "UniPoly") -> FieldSpec:
         if not isinstance(other, UniPoly) or other.spec != self.spec:

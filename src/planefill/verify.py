@@ -25,6 +25,7 @@ from .homog import (
     _matmul,
     _matvec,
     _plane_for,
+    _transpose,
     linear_substitute,
     partials,
     scalar_ratio,
@@ -300,12 +301,14 @@ def _pencil_structure(forms, spec: FieldSpec):
 class _Prediction(NamedTuple):
     """A predicted decomposition in the curve's coordinates: the lines
     transported, the residual equation composed with ``rows`` (or as it
-    stands when ``rows`` is None) holds up to a scalar."""
+    stands when ``rows`` is None) holds up to a scalar; ``images`` are the
+    point images of ``rows`` when already known (see ``_point_images``)."""
 
     lines: list  # (normalized line coefficients, multiplicity)
     residual: fc.ResidualSpec | None
     concurrency: str | None
     rows: tuple | None = None
+    images: tuple | None = None
 
     def to_json(self) -> dict:
         res = self.residual
@@ -318,21 +321,56 @@ class _Prediction(NamedTuple):
         }
 
 
-def _transport(plan, rows, spec: FieldSpec) -> _Prediction:
+def _point_images(rows, spec: FieldSpec) -> list:
+    """(k, lam) with rows*P_j = lam*P_k for each rational point P_j, in
+    plane order; a ValueError when rows is singular.  Applied to the
+    transpose of rows it maps the lines instead: the line with coefficient
+    row c goes to c*rows."""
+    plane = _plane_for(spec)
+    add, mul = spec._add, spec._mul
+    # a point's coordinates are the coefficients of the line of its index
+    u, v, w = (
+        [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in plane.line_coeffs]
+        for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
+    )
+    scalings = plane.scalings()
+    try:
+        return [scalings[t] for t in zip(u, v, w)]
+    except KeyError:
+        raise ValueError("substitution matrix is singular") from None
+
+
+class _Frame(NamedTuple):
+    """The substitution x -> rows*x from canonical coordinates to the
+    curve's, with what is precomputed of its action: the ``_point_images``
+    of rows, and the index in plane order of the image c*rows of each
+    rational line c; None where not precomputed."""
+
+    rows: tuple
+    points: tuple | None = None
+    lines: tuple | None = None
+
+
+def _transport(plan, frame: _Frame, spec: FieldSpec) -> _Prediction:
     """Carry the lines and concurrency of a canonical plan through the
-    substitution x -> rows*x; a line's coefficient row c becomes c*rows,
-    normalized like a point.  The residual keeps its canonical equation,
-    with rows beside it for ``transported_multiple``."""
+    frame's substitution; a line's coefficient row c becomes c*rows,
+    normalized like a point, or is read off the frame's line map.  The
+    residual keeps its canonical equation, with the rows and point images
+    beside it for ``transported_multiple``."""
     plane = _plane_for(spec)
     scalings = plane.scalings()
-    images = _matmul([l.line_coeffs() for l, _m in plan.lines], rows, spec)
+    coeffs = [l.line_coeffs() for l, _m in plan.lines]
+    if frame.lines is None:
+        images = [scalings[c][0] for c in _matmul(coeffs, frame.rows, spec)]
+    else:
+        # a canonical line is normalized: scalings gives its own index
+        images = [frame.lines[scalings[c][0]] for c in coeffs]
     return _Prediction(
-        lines=[
-            (plane.line_coeffs[scalings[c][0]], m) for c, (_l, m) in zip(images, plan.lines)
-        ],
+        lines=[(plane.line_coeffs[k], m) for k, (_l, m) in zip(images, plan.lines)],
         residual=plan.residual,
         concurrency=plan.concurrency,
-        rows=rows,
+        rows=frame.rows,
+        images=frame.points,
     )
 
 
@@ -346,7 +384,7 @@ def _form_jets(spec: FieldSpec, degree: int, terms: tuple):
     return plane.jets(f) if degree == spec.q + 1 else (plane.values(f),)
 
 
-def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None) -> bool:
+def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None, images=None) -> bool:
     """Whether g is a nonzero scalar multiple of eq composed with
     x -> rows*x (of eq itself when rows is None), or both are zero:
     ``scalar_ratio(g, linear_substitute(eq, rows)) is not None``.
@@ -354,7 +392,8 @@ def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None) -> bool:
     The composite h is compared without expanding it, for degree d <= q + 1.
     At the j-th rational point P_j, rows*P_j = lam*P_k gives
     h(P_j) = lam^d eq(P_k), from the memoized values of eq (gvals, if
-    given, are those of g).  The ideal of all the points of P^2(F_q) is
+    given, are those of g; images, if given, are the ``_point_images`` of
+    rows).  The ideal of all the points of P^2(F_q) is
     generated by U = y^q z - y z^q, V = z^q x - z x^q and W = x^q y - x y^q,
     of degree q + 1.  So a nonzero form of degree at most q is nonzero at
     some point, and g - c*h vanishes everywhere only when g = c*h.  In
@@ -374,16 +413,8 @@ def transported_multiple(g: HomogPoly, eq: HomogPoly, rows, gvals=None) -> bool:
         return scalar_ratio(g, linear_substitute(eq, rows)) is not None
     plane = _plane_for(spec)
     add, mul, powmod = spec._add, spec._mul, spec._powmod
-    # a point's coordinates are the coefficients of the line of its index
-    u, v, w = (
-        [add[add[m0[a]][m1[b]]][m2[c]] for a, b, c in plane.line_coeffs]
-        for m0, m1, m2 in ([mul[r] for r in row] for row in rows)
-    )
-    scalings = plane.scalings()
-    try:
-        images = [scalings[t] for t in zip(u, v, w)]
-    except KeyError:
-        raise ValueError("substitution matrix is singular") from None
+    if images is None:
+        images = _point_images(rows, spec)
     eq_vals, *eq_grad = _form_jets(spec, d, tuple(eq.terms.items()))
     e = d % (q - 1)
     hvals = [mul[powmod[lam][e]][eq_vals[k]] for k, lam in images]
@@ -490,7 +521,9 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
             residual_points, singular_count = obs.points, obs.singular
         else:
             rvals, residual_points, singular_count = obs.scan(comps.residual)
-        if not transported_multiple(comps.residual, res.equation, pred.rows, rvals):
+        if not transported_multiple(
+            comps.residual, res.equation, pred.rows, rvals, images=pred.images
+        ):
             disc.append("residual equation is not a scalar multiple of the transported prediction")
         if residual_points != res.expected_points:
             disc.append(f"residual has {residual_points} points, expected {res.expected_points}")
@@ -538,9 +571,7 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
     spec = A.spec
     q = spec.q
     f_a = fc.build_FA(A)
-    cp = fc.charpoly(A)
-    mp = fc.minpoly(A)
-    label = fc.classify(A, f=cp, mp=mp)
+    label, mp, cp = fc._case_and_minpoly(A)
     disc: list[str] = []
 
     def report(predicted, observed):
@@ -586,7 +617,7 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
             disc.append(f"no similarity to the canonical form of case {label.tag}: {exc}")
             pred = _Prediction([], None, None)
         else:
-            pred = _transport(plan, plan.basis, spec)
+            pred = _transport(plan, _Frame(plan.basis), spec)
     if obs is None:
         obs = _Scanned(f_a)
     observed = _audit(f_a, pred, disc, obs)
@@ -618,6 +649,17 @@ def witness_law_holds(t: aff.BTransform) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def witness_frame(t: aff.BTransform) -> _Frame:
+    """The ``_Frame`` of the rows T of t^-1, with its point images and line
+    map, once per distinct witness and process: everything the transport
+    of a canonical plan needs that does not depend on the matrix."""
+    spec = t.spec
+    rows = _mat3_inv(t.matrix_rows(), spec)
+    lines = tuple(k for k, _lam in _point_images(_transpose(rows), spec))
+    return _Frame(rows, tuple(_point_images(rows, spec)), lines)
+
+
 def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     """Oracle audit of the curve of a nonzero 2x3 matrix.
 
@@ -645,11 +687,8 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
             disc.append("witness transform does not reproduce the canonical matrix")
         if not (reproduces and witness_law_holds(label.witness)):
             disc.append("substituting the witness does not give the canonical equation")
-        t_rows = _mat3_inv(label.witness.matrix_rows(), spec)
-    else:
-        t_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    pred = _transport(plan, t_rows, spec)
+    pred = _transport(plan, witness_frame(label.witness), spec)
     if obs is None:
         obs = _Scanned(g_m)
     observed = _audit(g_m, pred, disc, obs)

@@ -144,7 +144,7 @@ def test_rank_two_iff_the_row_space_has_q_squared_elements(q):
     for m in matrices:
         r0, r1 = m.rows_int
         span = {
-            tuple(spec._add[spec.mul(a, x)][spec.mul(b, y)] for x, y in zip(r0, r1))
+            tuple(spec._add[spec._mul[a][x]][spec._mul[b][y]] for x, y in zip(r0, r1))
             for a in range(q)
             for b in range(q)
         }

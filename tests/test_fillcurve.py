@@ -349,7 +349,7 @@ def _ref_basis(spec, a, label):
         return [v for v in vectors if not any(image(m, v))]
 
     def apart(u, v):
-        return all(tuple(spec.mul(c, x) for x in u) != v for c in range(q))
+        return all(tuple(spec._mul[c][x] for x in u) != v for c in range(q))
 
     rows = a.rows_int
     roots = [r.val for r in label.roots]
@@ -360,7 +360,7 @@ def _ref_basis(spec, a, label):
     if label.tag == fc.CASE_1:
         g0, g1, _one = label.quad.coeffs
         g_a = [
-            [spec._add[spec._add[x][spec.mul(g1, y)]][g0 if i == j else 0] for j, (x, y) in enumerate(zip(r2, r))]
+            [spec._add[spec._add[x][spec._mul[g1][y]]][g0 if i == j else 0] for j, (x, y) in enumerate(zip(r2, r))]
             for i, (r2, r) in enumerate(zip(_ref_product(spec, rows, rows), rows))
         ]
         v1 = null(g_a)[0]
@@ -588,3 +588,39 @@ def test_orbit_sizes_partition_nonscalar_matrices(q):
     spec = field(q)
     total = sum(rep.orbit_size for rep in fc.equivalence_representatives(spec))
     assert total == q**9 - q
+
+
+def _expanded_affine_transform(f, rho, mu):
+    """rho^deg f((t - mu)/rho) expanded with polynomial arithmetic: the sum
+    of a_i rho^(d-i) (t - mu)^i over the coefficients a_i of f."""
+    spec = f.spec
+    d = f.degree
+    shifted = UniPoly(spec, (spec.neg(mu), 1))
+    power = UniPoly(spec, (1,))
+    out = UniPoly.zero(spec)
+    for i, a in enumerate(f.coeffs):
+        out = out + power.scale(spec._mul[a][spec.pow_int(rho, d - i)])
+        power = power * shifted
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_affine_transform_is_the_expanded_substitution(q):
+    # every (characteristic, minimal) pair of the case table, for every
+    # monic cubic at q <= 5 and seeded ones above, under every (rho, mu)
+    spec = field(q)
+    if q <= 5:
+        cubics = range(q**3)
+    else:
+        rng = random.Random(q + 70)
+        cubics = [rng.randrange(q**3) for _ in range(25)]
+    pairs = 0
+    for n in cubics:
+        f = UniPoly(spec, base_digits(n, q, 3) + (1,))
+        for _label, m in fc._case_labels(f):
+            pairs += 1
+            for rho in range(1, q):
+                for mu in range(q):
+                    for g in (f, m):
+                        assert g.affine_transform(rho, mu) == _expanded_affine_transform(g, rho, mu)
+    assert pairs >= len(cubics)

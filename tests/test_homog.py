@@ -48,8 +48,8 @@ def test_eval_respects_scaling():
             if not any((a, b, c)):
                 continue
             for lam in range(1, q):
-                lhs = f.eval((spec.mul(lam, a), spec.mul(lam, b), spec.mul(lam, c)))
-                assert lhs.val == spec.mul(spec.pow_int(lam, 4), f.eval((a, b, c)).val)
+                lhs = f.eval((spec._mul[lam][a], spec._mul[lam][b], spec._mul[lam][c]))
+                assert lhs.val == spec._mul[spec.pow_int(lam, 4)][f.eval((a, b, c)).val]
 
 
 def test_substitute_identity_and_swap():

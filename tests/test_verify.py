@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import pickle
 import random
@@ -13,7 +14,10 @@ from planefill import sweep
 from planefill import verify as vf
 from planefill.cli import main
 from planefill.gf import make_field
-from planefill.homog import HomogPoly, _matmul, _transpose, linear_substitute, partials, scalar_ratio
+from planefill.homog import (
+    HomogPoly, ProjPoint, _mat3_inv, _matmul, _matvec, _transpose, linear_substitute, partials,
+    scalar_ratio,
+)
 from planefill.poly import UniPoly
 from support import (
     field, rand_btransform, rand_homog, rand_invertible3, rand_matrix3, rand_matrix23,
@@ -323,11 +327,42 @@ def test_curve_singularity_is_observed_on_a_mislabelled_curve(monkeypatch):
     a = fc.Matrix3.from_ints(spec, [1, 0, 0, 0, 0, 0, 0, 0, 0])
     assert len(vf.singular_Fq_points(fc.build_FA(a))) == 5
     nonsingular = fc.CaseLabel(fc.CASE_NONSINGULAR, ())
-    monkeypatch.setattr(fc, "classify", lambda A, f=None, mp=None: nonsingular)
+    real = fc._case_and_minpoly
+    monkeypatch.setattr(
+        fc, "_case_and_minpoly", lambda A, f=None, mp=None: (nonsingular, *real(A, f, mp)[1:])
+    )
     r = vf.decomposition_report(a)
     assert r.match is False and r.observed["lines"]
     assert r.observed["singular_points"] is None
     assert r.observed["curve_singular"] is True
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_projective_report_looks_up_its_characteristic_once(monkeypatch, q):
+    # every non-scalar matrix at q = 2 through the reference path, and a
+    # slice at q = 3 with the packed observation
+    spec = field(q)
+    real = fc._characteristic
+    lookups = []
+
+    def counting(*key):
+        lookups.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(fc, "_characteristic", counting)
+    if q == 2:
+        pairs = ((vf._matrix_at(fc.Matrix3, 9, spec, n), None) for n in range(2**9))
+    else:
+        pairs = batch.case_observations(spec, 5000, 5600)
+    reports = 0
+    for a, obs in pairs:
+        if a.is_scalar():
+            continue
+        lookups.clear()
+        vf.decomposition_report(a, obs)
+        assert len(lookups) == 1, (a.to_ints(), lookups)
+        reports += 1
+    assert reports >= 500
 
 
 def test_sweeps_report_an_irreducible_cubic_memoized_as_case_1(monkeypatch):
@@ -511,9 +546,9 @@ def test_residuals_of_degree_q_plus_1_are_compared_as_polynomials(monkeypatch, q
     captured = []
     real = vf.transported_multiple
 
-    def capture(g, eq, rows, gvals=None):
+    def capture(g, eq, rows, gvals=None, images=None):
         captured.append((g, eq, rows))
-        return real(g, eq, rows, gvals)
+        return real(g, eq, rows, gvals, images)
 
     monkeypatch.setattr(vf, "transported_multiple", capture)
     r = report(m)
@@ -575,17 +610,17 @@ def checked_residuals(monkeypatch):
     def count(key):
         tally[key] = tally.get(key, 0) + 1
 
-    def checking(g, eq, rows, gvals=None):
-        got = real(g, eq, rows, gvals)
+    def checking(g, eq, rows, gvals=None, images=None):
+        got = real(g, eq, rows, gvals, images)
         criterion = _criterion(g, eq, rows)
         wrong = _perturbed(eq)
-        for e, result in ((eq, got), (wrong, real(g, wrong, rows, gvals))):
+        for e, result in ((eq, got), (wrong, real(g, wrong, rows, gvals, images))):
             assert result == _reference_multiple(g, e, rows), (g, e, rows)
             count((criterion, result))
         if criterion == "partials":
             for name, gen in zip("UVW", fc.build_UVW(g.spec)):
                 moved = g + gen
-                result = real(moved, eq, rows, gvals)
+                result = real(moved, eq, rows, gvals, images)
                 assert result == _reference_multiple(moved, eq, rows), (name, g, eq, rows)
                 count((name, result))
         return got
@@ -678,6 +713,20 @@ def test_report_sweeps_never_expand_a_residual(monkeypatch):
     assert calls == []
 
 
+def _degenerate_samples(spec):
+    """Every degenerate nonzero 2x3 matrix at q = 2, 3 in counting order;
+    seeded samples above."""
+    q = spec.q
+    if q <= 3:
+        matrices = [vf._matrix_at(aff.Matrix23, 6, spec, n) for n in range(1, q**6)]
+    else:
+        rng = random.Random(q)
+        matrices = [
+            aff.Matrix23.from_ints(spec, [rng.randrange(q) for _ in range(6)]) for _ in range(150)
+        ]
+    return [m for m in matrices if not m.is_zero() and aff.affine_tag(m) != aff.AFFINE_FILLING]
+
+
 def _per_matrix_law(m, label):
     """The per-matrix check: G_M composed with the witness is the canonical
     equation."""
@@ -699,14 +748,7 @@ def test_witness_law_memo_agrees_with_the_per_matrix_substitution(q):
     spec = field(q)
     # M -> G_M is injective: its six unit images have distinct leading terms
     assert len({max(terms) for terms in aff._gm_basis(spec)}) == 6
-    if q <= 3:
-        matrices = [vf._matrix_at(aff.Matrix23, 6, spec, n) for n in range(1, q**6)]
-    else:
-        rng = random.Random(q)
-        matrices = [
-            aff.Matrix23.from_ints(spec, [rng.randrange(q) for _ in range(6)]) for _ in range(150)
-        ]
-    matrices = [m for m in matrices if not m.is_zero() and aff.affine_tag(m) != aff.AFFINE_FILLING]
+    matrices = _degenerate_samples(spec)
     labels = [aff.classify_affine(m) for m in matrices]
     borrowed = 0
     for m, label, before in zip(matrices, labels, labels[-1:] + labels[:-1]):
@@ -783,6 +825,94 @@ def test_affine_sweep_reports_witnesses_composed_in_the_wrong_order(monkeypatch)
     assert out["first_discrepancy"] == (
         f"matrix {failing[0]} ({aff.affine_tag(aff.Matrix23.from_ints(spec, failing[0]))}): "
         "witness transform does not reproduce the canonical matrix"
+    )
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_witness_frame_and_canonical_plan_agree_with_a_direct_computation(q):
+    spec = field(q)
+    plane = vf._plane_for(spec)
+    index = {p.key: k for k, p in enumerate(plane.points)}
+    scalings = plane.scalings()
+    for m in _degenerate_samples(spec):
+        label = aff.classify_affine(m)
+        frame = vf.witness_frame(label.witness)
+        assert frame.rows == _mat3_inv(label.witness.matrix_rows(), spec)
+        # each line c goes to c*T, each point P to T*P = lam*(the point)
+        assert frame.lines == tuple(
+            scalings[c][0] for c in _matmul(plane.line_coeffs, frame.rows, spec)
+        )
+        images = [_matvec(frame.rows, p.key, spec) for p in plane.points]
+        assert frame.points == tuple(
+            (index[ProjPoint(spec, v).key], next(x for x in v if x)) for v in images
+        )
+        plan = aff.predicted_decomposition(label)
+        assert plan is aff.canonical_plan(label.tag, label.canonical)
+        assert plan == aff.canonical_plan.__wrapped__(label.tag, label.canonical)
+
+
+def _first_degenerate(spec, wanted):
+    """The first degenerate matrix in counting order whose plan is wanted,
+    with its label and plan."""
+    for m in _degenerate_samples(spec):
+        label = aff.classify_affine(m)
+        plan = aff.predicted_decomposition(label)
+        if wanted(plan):
+            return m, label, plan
+    raise AssertionError("no such matrix")
+
+
+def _corrupt_frame(monkeypatch, witness, **fields):
+    """Replace fields of the frame of one witness; every other witness keeps
+    its memoized frame."""
+    real = vf.witness_frame
+    bad = real(witness)._replace(**fields)
+    monkeypatch.setattr(vf, "witness_frame", lambda t: bad if t == witness else real(t))
+
+
+def test_affine_sweep_reports_a_swapped_line_map_entry(monkeypatch):
+    # the first matrix with a predicted line gets the image of another line
+    spec = field(3)
+    plane = vf._plane_for(spec)
+    m, label, plan = _first_degenerate(spec, lambda plan: plan.lines)
+    frame = vf.witness_frame(label.witness)
+    i = plane.line_coeffs.index(plan.lines[0][0].line_coeffs())
+    predicted = {frame.lines[plane.line_coeffs.index(l.line_coeffs())] for l, _m in plan.lines}
+    j = next(j for j, k in enumerate(frame.lines) if k not in predicted)
+    lines = list(frame.lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    _corrupt_frame(monkeypatch, label.witness, lines=tuple(lines))
+    out = vf._affine_report_range(spec, 0, 3**6)
+    assert out["match_failures"] > 0
+    assert out["first_discrepancy"].startswith(f"matrix {m.to_ints()} ({label.tag}): lines differ")
+
+
+def test_affine_sweep_reports_a_moved_point_image(monkeypatch):
+    # the first matrix with a residual reads the canonical equation at the
+    # wrong point for the last point of the plane
+    spec = field(3)
+    m, label, plan = _first_degenerate(spec, lambda plan: plan.residual is not None)
+    frame = vf.witness_frame(label.witness)
+    eq_vals = vf._plane_for(spec).values(plan.residual.equation)
+    k, lam = frame.points[-1]
+    moved = next(j for j, v in enumerate(eq_vals) if v != eq_vals[k])
+    _corrupt_frame(monkeypatch, label.witness, points=(*frame.points[:-1], (moved, lam)))
+    out = vf._affine_report_range(spec, 0, 3**6)
+    assert out["match_failures"] > 0
+    assert out["first_discrepancy"] == (
+        f"matrix {m.to_ints()} ({label.tag}): "
+        "residual equation is not a scalar multiple of the transported prediction"
+    )
+
+
+def test_affine_reports_at_q3_are_pinned():
+    # every degenerate matrix in counting order, through the reference path
+    spec = field(3)
+    text = "".join(
+        json.dumps(vf.affine_report(m).to_json(), sort_keys=True) for m in _degenerate_samples(spec)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6751a64cbe0d8374ad52b4e3e7e9fb21e0d11c0a2765875f058f1b74bdcb7ccc"
     )
 
 

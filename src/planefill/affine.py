@@ -188,15 +188,10 @@ def points_at_infinity(M: Matrix23) -> list[ProjPoint]:
     """
     if M.is_zero():
         raise ValueError("the zero matrix defines no curve")
-    return list(_infinity_points(M.spec, *quad_form_triple(M)))
-
-
-@lru_cache(maxsize=None)
-def _infinity_points(spec: FieldSpec, a: int, b: int, c: int) -> tuple:
-    """The points (s:t:0) for the roots of a s^2 + b st + c t^2: one memo
-    per field, holding at most q^3 tuples."""
-    roots = memo_quad_shape(spec, a, b, c).roots
-    return tuple(ProjPoint(spec, (s, t, spec.zero)) for s, t in roots)
+    return [
+        ProjPoint(M.spec, (s, t, M.spec.zero))
+        for s, t in left_quad_shape(M).roots
+    ]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .homog import (
     _matmul,
     _matvec,
     _plane_for,
-    _transpose,
     linear_substitute,
     partials,
     scalar_ratio,
@@ -298,17 +297,24 @@ def _pencil_structure(forms, spec: FieldSpec):
     return best, best_n
 
 
+class _Frame(NamedTuple):
+    """The substitution x -> rows*x from canonical coordinates to the
+    curve's (none when rows is None), with its ``_point_images`` when
+    already known."""
+
+    rows: tuple | None
+    points: tuple | None = None
+
+
 class _Prediction(NamedTuple):
     """A predicted decomposition in the curve's coordinates: the lines
-    transported, the residual equation composed with ``rows`` (or as it
-    stands when ``rows`` is None) holds up to a scalar; ``images`` are the
-    point images of ``rows`` when already known (see ``_point_images``)."""
+    transported, the residual equation composed with the frame's
+    substitution holds up to a scalar."""
 
     lines: list  # (normalized line coefficients, multiplicity)
     residual: fc.ResidualSpec | None
     concurrency: str | None
-    rows: tuple | None = None
-    images: tuple | None = None
+    frame: _Frame = _Frame(None)
 
     def to_json(self) -> dict:
         res = self.residual
@@ -323,9 +329,7 @@ class _Prediction(NamedTuple):
 
 def _point_images(rows, spec: FieldSpec) -> list:
     """(k, lam) with rows*P_j = lam*P_k for each rational point P_j, in
-    plane order; a ValueError when rows is singular.  Applied to the
-    transpose of rows it maps the lines instead: the line with coefficient
-    row c goes to c*rows."""
+    plane order; a ValueError when rows is singular."""
     plane = _plane_for(spec)
     add, mul = spec._add, spec._mul
     # a point's coordinates are the coefficients of the line of its index
@@ -340,37 +344,21 @@ def _point_images(rows, spec: FieldSpec) -> list:
         raise ValueError("substitution matrix is singular") from None
 
 
-class _Frame(NamedTuple):
-    """The substitution x -> rows*x from canonical coordinates to the
-    curve's, with what is precomputed of its action: the ``_point_images``
-    of rows, and the index in plane order of the image c*rows of each
-    rational line c; None where not precomputed."""
-
-    rows: tuple
-    points: tuple | None = None
-    lines: tuple | None = None
-
-
 def _transport(plan, frame: _Frame, spec: FieldSpec) -> _Prediction:
     """Carry the lines and concurrency of a canonical plan through the
     frame's substitution; a line's coefficient row c becomes c*rows,
-    normalized like a point, or is read off the frame's line map.  The
-    residual keeps its canonical equation, with the rows and point images
-    beside it for ``transported_multiple``."""
+    normalized like a point.  The residual keeps its canonical equation,
+    with the frame beside it for ``transported_multiple``."""
     plane = _plane_for(spec)
     scalings = plane.scalings()
-    coeffs = [l.line_coeffs() for l, _m in plan.lines]
-    if frame.lines is None:
-        images = [scalings[c][0] for c in _matmul(coeffs, frame.rows, spec)]
-    else:
-        # a canonical line is normalized: scalings gives its own index
-        images = [frame.lines[scalings[c][0]] for c in coeffs]
+    images = _matmul([l.line_coeffs() for l, _m in plan.lines], frame.rows, spec)
     return _Prediction(
-        lines=[(plane.line_coeffs[k], m) for k, (_l, m) in zip(images, plan.lines)],
+        lines=[
+            (plane.line_coeffs[scalings[c][0]], m) for c, (_l, m) in zip(images, plan.lines)
+        ],
         residual=plan.residual,
         concurrency=plan.concurrency,
-        rows=frame.rows,
-        images=frame.points,
+        frame=frame,
     )
 
 
@@ -516,13 +504,14 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     residual_points = None
     singular_count = None
     if res and comps.residual_degree == res.degree:
+        frame = pred.frame
         if comps.residual_degree == f.degree:
-            rvals = None if pred.rows is None else obs.values()
+            rvals = None if frame.rows is None else obs.values()
             residual_points, singular_count = obs.points, obs.singular
         else:
             rvals, residual_points, singular_count = obs.scan(comps.residual)
         if not transported_multiple(
-            comps.residual, res.equation, pred.rows, rvals, images=pred.images
+            comps.residual, res.equation, frame.rows, rvals, images=frame.points
         ):
             disc.append("residual equation is not a scalar multiple of the transported prediction")
         if residual_points != res.expected_points:
@@ -651,13 +640,11 @@ def witness_law_holds(t: aff.BTransform) -> bool:
 
 @lru_cache(maxsize=None)
 def witness_frame(t: aff.BTransform) -> _Frame:
-    """The ``_Frame`` of the rows T of t^-1, with its point images and line
-    map, once per distinct witness and process: everything the transport
-    of a canonical plan needs that does not depend on the matrix."""
+    """The ``_Frame`` of the rows T of t^-1, with its point images, once
+    per distinct witness and process."""
     spec = t.spec
     rows = _mat3_inv(t.matrix_rows(), spec)
-    lines = tuple(k for k, _lam in _point_images(_transpose(rows), spec))
-    return _Frame(rows, tuple(_point_images(rows, spec)), lines)
+    return _Frame(rows, tuple(_point_images(rows, spec)))
 
 
 def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:

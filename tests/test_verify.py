@@ -833,15 +833,11 @@ def test_witness_frame_and_canonical_plan_agree_with_a_direct_computation(q):
     spec = field(q)
     plane = vf._plane_for(spec)
     index = {p.key: k for k, p in enumerate(plane.points)}
-    scalings = plane.scalings()
     for m in _degenerate_samples(spec):
         label = aff.classify_affine(m)
         frame = vf.witness_frame(label.witness)
         assert frame.rows == _mat3_inv(label.witness.matrix_rows(), spec)
-        # each line c goes to c*T, each point P to T*P = lam*(the point)
-        assert frame.lines == tuple(
-            scalings[c][0] for c in _matmul(plane.line_coeffs, frame.rows, spec)
-        )
+        # each point P goes to T*P = lam*(the point)
         images = [_matvec(frame.rows, p.key, spec) for p in plane.points]
         assert frame.points == tuple(
             (index[ProjPoint(spec, v).key], next(x for x in v if x)) for v in images
@@ -868,23 +864,6 @@ def _corrupt_frame(monkeypatch, witness, **fields):
     real = vf.witness_frame
     bad = real(witness)._replace(**fields)
     monkeypatch.setattr(vf, "witness_frame", lambda t: bad if t == witness else real(t))
-
-
-def test_affine_sweep_reports_a_swapped_line_map_entry(monkeypatch):
-    # the first matrix with a predicted line gets the image of another line
-    spec = field(3)
-    plane = vf._plane_for(spec)
-    m, label, plan = _first_degenerate(spec, lambda plan: plan.lines)
-    frame = vf.witness_frame(label.witness)
-    i = plane.line_coeffs.index(plan.lines[0][0].line_coeffs())
-    predicted = {frame.lines[plane.line_coeffs.index(l.line_coeffs())] for l, _m in plan.lines}
-    j = next(j for j, k in enumerate(frame.lines) if k not in predicted)
-    lines = list(frame.lines)
-    lines[i], lines[j] = lines[j], lines[i]
-    _corrupt_frame(monkeypatch, label.witness, lines=tuple(lines))
-    out = vf._affine_report_range(spec, 0, 3**6)
-    assert out["match_failures"] > 0
-    assert out["first_discrepancy"].startswith(f"matrix {m.to_ints()} ({label.tag}): lines differ")
 
 
 def test_affine_sweep_reports_a_moved_point_image(monkeypatch):

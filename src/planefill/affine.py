@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import fillcurve as fc
-from .gf import FieldSpec, base_digits
-from .homog import HomogPoly, ProjPoint, _combination, _cross, _rref
+from .gf import FieldSpec
+from .homog import HomogPoly, ProjPoint, _combination, _cross, _matvec
 from .poly import (
     QUAD_DOUBLE,
     QUAD_IRREDUCIBLE,
@@ -60,9 +60,6 @@ class Matrix23:
         (a0, a1, _), (b0, b1, _) = self.rows_int
         return ((a0, a1), (b0, b1))
 
-    def third_column(self) -> tuple:
-        return (self.rows_int[0][2], self.rows_int[1][2])
-
     def is_zero(self) -> bool:
         return not any(v for row in self.rows_int for v in row)
 
@@ -102,7 +99,7 @@ class BTransform:
     """A projective transformation fixing the line z = 0.
 
     Represents the invertible block matrix (B b; 0 lam); these form a
-    group, and ``then`` composes two of them as matrices.
+    group under matrix multiplication.
     """
 
     spec: FieldSpec
@@ -121,19 +118,6 @@ class BTransform:
     def matrix_rows(self) -> tuple:
         (p, r), (s, t) = self.block
         return ((p, r, self.shift[0]), (s, t, self.shift[1]), (0, 0, self.lam))
-
-    def then(self, other: "BTransform") -> "BTransform":
-        """The composite whose matrix is self's matrix times other's:
-        blockwise (B1 B2, B1 b2 + lam2 b1, lam1 lam2)."""
-        add, mul = self.spec._add, self.spec._mul
-        (p2, r2), (s2, t2) = other.block
-        c0, c1 = other.shift
-        lam2 = mul[other.lam]
-        block, shift = [], []
-        for (p, r), b in zip(self.block, self.shift):
-            block.append((add[mul[p][p2]][mul[r][s2]], add[mul[p][r2]][mul[r][t2]]))
-            shift.append(add[add[mul[p][c0]][mul[r][c1]]][lam2[b]])
-        return BTransform(self.spec, tuple(block), tuple(shift), mul[self.lam][other.lam])
 
 
 def apply_transform(M: Matrix23, t: BTransform) -> Matrix23:
@@ -204,22 +188,18 @@ class AffineLabel:
     witness: BTransform
 
 
-def _clear_third_column(M: Matrix23) -> BTransform:
-    """For det M' != 0, the shift with M'b = -m sends M to (M', 0): the
-    last column of the reduced system (M' | -m)."""
-    spec = M.spec
-    neg = spec._neg
-    (r0, r1), _pivots = _rref([(a0, a1, neg[m]) for a0, a1, m in M.rows_int], 2, spec)
-    return BTransform(spec, ((1, 0), (0, 1)), (r0[2], r1[2]), 1)
-
-
 def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
     """Reduce a degenerate matrix to its canonical shape.
 
-    Follows the constructive steps of the classification: a basis change
-    sending the roots of the left-block quadratic to the coordinate
-    directions, a translation killing the third column when the left block
-    is invertible, and column-clearing shears otherwise.
+    Writes the witness (B b; 0 1) down directly and applies it to M once.
+    B has the two roots of the left-block quadratic as columns, a
+    complement and the root for a double root, and is the identity for
+    the zero quadratic.  With lam = 1 the new third column is tB(M'b + m),
+    so when the left block M' is invertible the shift b = -M'^-1 m clears
+    it whatever B is; it is read off the adjugate of M'.  For a singular
+    M', b is B times the shear that clears the third entry of the first
+    row of the image of (B 0; 0 1) against its pivot, and for the zero
+    quadratic B rescales the third column instead.
     """
     if M.is_zero():
         raise ValueError("the zero matrix cannot be reduced")
@@ -227,74 +207,40 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
     shape = left_quad_shape(M)
     if shape.tag == QUAD_IRREDUCIBLE:
         raise ValueError("an irreducible left-block quadratic has no degenerate canonical form")
-    neg = spec._neg
-    cur, total = M, None
-
-    def step(t: BTransform):
-        nonlocal cur, total
-        cur = apply_transform(cur, t)
-        total = t if total is None else total.then(t)
-
+    sub, mul, neg = spec._sub, spec._mul, spec._neg
+    (a0, a1, m0), (b0, b1, m1) = M.rows_int
     if shape.tag == QUAD_TWO_DISTINCT:
         (s1, t1), (s2, t2) = shape.roots
-        step(BTransform(spec, ((s1.val, s2.val), (t1.val, t2.val)), (0, 0), 1))
-        if _det2(cur.left_block(), spec):
-            step(_clear_third_column(cur))
-        else:
-            if cur.rows_int[0][1] == 0:
-                step(BTransform(spec, ((0, 1), (1, 0)), (0, 0), 1))
-            a1 = cur.rows_int[0][1]
-            a2 = cur.rows_int[0][2]
-            if a2:
-                step(
-                    BTransform(
-                        spec,
-                        ((1, 0), (0, 1)),
-                        (0, neg[spec.div(a2, a1)]),
-                        1,
-                    )
-                )
+        block = ((s1.val, s2.val), (t1.val, t2.val))
     elif shape.tag == QUAD_DOUBLE:
+        # (comp | root), comp the first of (1, 0), (0, 1) off the root's line
         (s1, t1) = shape.roots[0]
-        root = (s1.val, t1.val)
-        q = spec.q
-        comp = None
-        for n in range(1, q * q):
-            w = base_digits(n, q, 2)
-            if _det2((root, w), spec):
-                comp = w
-                break
-        step(BTransform(spec, ((comp[0], root[0]), (comp[1], root[1])), (0, 0), 1))
-        if _det2(cur.left_block(), spec):
-            step(_clear_third_column(cur))
-        else:
-            a0 = cur.rows_int[0][0]
-            a2 = cur.rows_int[0][2]
-            if a2:
-                step(
-                    BTransform(
-                        spec,
-                        ((1, 0), (0, 1)),
-                        (neg[spec.div(a2, a0)], 0),
-                        1,
-                    )
-                )
+        block = ((1, s1.val), (0, t1.val)) if t1.val else ((0, s1.val), (1, 0))
     else:  # zero polynomial
-        if _det2(M.left_block(), spec):
-            step(_clear_third_column(cur))
-        else:
-            if any(v for row in cur.left_block() for v in row):
-                raise AssertionError(
-                    "a zero left-block quadratic with singular left block forces the block itself to vanish"
-                )
-            a2, b2 = cur.third_column()
-            if a2:
-                inv = spec._inv[a2]
-                block = ((inv, neg[b2]), (0, a2))
-            else:
-                block = ((0, 1), (spec._inv[b2], 0))
-            step(BTransform(spec, block, (0, 0), 1))
-    return cur, total
+        block = ((1, 0), (0, 1))
+    det = _det2(M.left_block(), spec)
+    if det:
+        inv = mul[spec._inv[det]]
+        shift = (inv[sub[mul[a1][m1]][mul[b1][m0]]], inv[sub[mul[b0][m0]][mul[a0][m1]]])
+    elif shape.tag == QUAD_TWO_DISTINCT:
+        (_, x1, x2), (y0, _, y2) = apply_transform(M, BTransform(spec, block, (0, 0), 1)).rows_int
+        if x1 == 0:
+            # swapping the columns of B swaps the image's rows and left columns
+            block = tuple(row[::-1] for row in block)
+            x1, x2 = y0, y2
+        shift = _matvec(block, (0, neg[spec.div(x2, x1)]), spec)
+    elif shape.tag == QUAD_DOUBLE:
+        (x0, _, x2), _ = apply_transform(M, BTransform(spec, block, (0, 0), 1)).rows_int
+        shift = _matvec(block, (neg[spec.div(x2, x0)], 0), spec)
+    else:
+        if any((a0, a1, b0, b1)):
+            raise AssertionError(
+                "a zero left-block quadratic with singular left block forces the block itself to vanish"
+            )
+        block = ((spec._inv[m0], neg[m1]), (0, m0)) if m0 else ((0, 1), (spec._inv[m1], 0))
+        shift = (0, 0)
+    witness = BTransform(spec, block, shift, 1)
+    return apply_transform(M, witness), witness
 
 
 def affine_tag(M: Matrix23) -> str:

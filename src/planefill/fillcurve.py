@@ -524,7 +524,6 @@ class DecompositionPlan:
     lines: tuple
     residual: ResidualSpec | None
     concurrency: str | None
-    canonical: Matrix3
     basis: tuple | None = None
     zero_polynomial: bool = False
 
@@ -570,10 +569,9 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
     q = spec.q
     neg = spec._neg
     x, y, z = coordinate_lines(spec)
-    C = _case_canonical(spec, label, None)
 
     if label.tag == CASE_4_3:
-        return DecompositionPlan(label, (), None, None, C, zero_polynomial=True)
+        return DecompositionPlan(label, (), None, None, zero_polynomial=True)
 
     if label.tag == CASE_1:
         alpha = label.roots[0].val
@@ -593,7 +591,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_AFFINE_FILLING, eq)
-        return DecompositionPlan(label, ((z, 1),), residual, None, C)
+        return DecompositionPlan(label, ((z, 1),), residual, None)
 
     if label.tag == CASE_2:
         a1, a2, a3 = (r.val for r in label.roots)
@@ -607,9 +605,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q_MINUS_1, eq)
-        return DecompositionPlan(
-            label, ((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT, C
-        )
+        return DecompositionPlan(label, ((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT)
 
     if label.tag == CASE_3_1:
         beta_p = spec._sub[label.roots[1].val][label.roots[0].val]
@@ -624,11 +620,11 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q, eq)
-        return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None, C)
+        return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None)
 
     if label.tag == CASE_3_2:
         lines = ((z, 1), (x, 1), (y, 1), *line_pencil(spec, 0, 1))
-        return DecompositionPlan(label, lines, None, CONCURRENT_ALL_BUT_ONE, C)
+        return DecompositionPlan(label, lines, None, CONCURRENT_ALL_BUT_ONE)
 
     if label.tag == CASE_4_1:
         eq = HomogPoly(
@@ -642,11 +638,11 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q_PLUS_1, eq)
-        return DecompositionPlan(label, ((x, 1),), residual, None, C)
+        return DecompositionPlan(label, ((x, 1),), residual, None)
 
     # CASE_4_2: a double line and q simple lines through one point
     lines = ((x, 2), (z, 1), *line_pencil(spec, 2, 0))
-    return DecompositionPlan(label, lines, None, CONCURRENT_ALL, C)
+    return DecompositionPlan(label, lines, None, CONCURRENT_ALL)
 
 
 # ---------------------------------------------------------------------------

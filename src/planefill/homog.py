@@ -353,30 +353,6 @@ def _mat3_inv(rows, spec: FieldSpec):
     return tuple(tuple(mrow[v] for v in row) for row in zip(*cols))
 
 
-def _rref(rows, ncols: int, spec: FieldSpec):
-    """Gauss-Jordan elimination with pivots in the first ncols columns:
-    (reduced rows as lists, pivot columns in order)."""
-    m = [list(r) for r in rows]
-    sub, mul, inv = spec._sub, spec._mul, spec._inv
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        for prow in range(r, len(m)):
-            if m[prow][col]:
-                break
-        else:
-            continue
-        m[r], m[prow] = m[prow], m[r]
-        scale = mul[inv[m[r][col]]]
-        m[r] = [scale[x] for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[col]:
-                crow = mul[row[col]]
-                m[i] = [sub[x][crow[y]] for x, y in zip(row, m[r])]
-        pivots.append(col)
-    return m, pivots
-
-
 # ---------------------------------------------------------------------------
 # substitution and derivatives
 

@@ -3,7 +3,7 @@
 from planefill.affine import BTransform, Matrix23
 from planefill.fillcurve import Matrix3
 from planefill.gf import make_field
-from planefill.homog import HomogPoly
+from planefill.homog import HomogPoly, _matmul
 
 FIELD_ARGS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
@@ -40,6 +40,12 @@ def rand_btransform(spec, rng):
     shift = (rng.randrange(q), rng.randrange(q))
     lam = rng.randrange(1, q)
     return BTransform(spec, block, shift, lam)
+
+
+def compose(s, t):
+    """The transform whose matrix is the product of s's matrix and t's."""
+    (p, r, b0), (u, v, b1), (_, _, lam) = _matmul(s.matrix_rows(), t.matrix_rows(), s.spec)
+    return BTransform(s.spec, ((p, r), (u, v)), (b0, b1), lam)
 
 
 def rand_homog(spec, rng, degree, max_terms=6):

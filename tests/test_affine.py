@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,8 +6,8 @@ import pytest
 
 from planefill import affine as aff
 from planefill.homog import HomogPoly, _matmul, _transpose, linear_substitute
-from planefill.verify import _plane_for
-from support import field, rand_btransform, rand_matrix23
+from planefill.verify import _matrix_at, _plane_for
+from support import compose, field, rand_btransform, rand_matrix23
 
 # entry-pattern checks for the canonical shape of each tag (the two tags
 # needing sign relations, II-1 and III-1, are checked in their own tests)
@@ -99,14 +100,14 @@ def test_apply_transform_identity_and_composition():
             t = rand_btransform(spec, rng)
             assert (
                 aff.apply_transform(aff.apply_transform(m, s), t).rows_int
-                == aff.apply_transform(m, s.then(t)).rows_int
+                == aff.apply_transform(m, compose(s, t)).rows_int
             )
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_blockwise_algebra_matches_the_matrix_products(q):
-    # apply_transform is tB M (B b; 0 lam) and then the product of the 3x3
-    # matrices, both computed block by block
+    # apply_transform, computed block by block, is tB M (B b; 0 lam); the
+    # product of two transforms' matrices keeps the bottom row (0 0 lam)
     spec = field(q)
     rng = random.Random(20261019 + q)
     for _ in range(200):
@@ -114,7 +115,7 @@ def test_blockwise_algebra_matches_the_matrix_products(q):
         s, t = rand_btransform(spec, rng), rand_btransform(spec, rng)
         moved = _matmul(m.rows_int, s.matrix_rows(), spec)
         assert aff.apply_transform(m, s).rows_int == _matmul(_transpose(s.block), moved, spec)
-        assert s.then(t).matrix_rows() == _matmul(s.matrix_rows(), t.matrix_rows(), spec)
+        assert _matmul(s.matrix_rows(), t.matrix_rows(), spec)[2] == (0, 0, spec._mul[s.lam][t.lam])
 
 
 def test_transform_matches_substitution_exactly():
@@ -190,7 +191,7 @@ def test_reduce_clears_third_column_when_block_invertible():
             if aff.left_quad_shape(m).tag == "irreducible":
                 continue
             n, t = aff.reduce_to_canonical(m)
-            assert n.third_column() == (0, 0)
+            assert (n.rows_int[0][2], n.rows_int[1][2]) == (0, 0)
             assert aff.apply_transform(m, t).rows_int == n.rows_int
 
 
@@ -238,6 +239,30 @@ def test_reduction_round_trip_exhaustive(q):
         if check is not None:
             assert check(canon.rows_int)
 
+
+# sha256 of repr((n, tag, canonical entries, B, b, lam)) over every
+# degenerate matrix in counting order, one digest per field
+WITNESS_DIGESTS = {
+    2: "f38f0c12d7dbae6efd976aaff2b09618c2a0b81b5f1311714d229b20a30ddd69",
+    3: "5303d45da23148d70cf210b5175cfe574b4e7813d7a71a2e9c092b613c244bfe",
+    4: "473aa1399d038c47de622b5fdcf7d2cf964a8248cf867d2a73f22803692076ef",
+    5: "32d524171f18c4090c6b52e151c737c1d2f228ae5b7a984b20057d71187cc853",
+}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_every_degenerate_witness_is_pinned(q):
+    # `classify --affine` prints the witness; the golden files hold only a
+    # few affine matrices, so every canonical form and witness is pinned here
+    spec = field(q)
+    h = hashlib.sha256()
+    for n in range(1, q**6):
+        label = aff.classify_affine(_matrix_at(aff.Matrix23, 6, spec, n))
+        if label.tag == aff.AFFINE_FILLING:
+            continue
+        w = label.witness
+        h.update(repr((n, label.tag, label.canonical.to_ints(), w.block, w.shift, w.lam)).encode())
+    assert h.hexdigest() == WITNESS_DIGESTS[q]
 
 def test_II1_canonical_shape():
     spec = field(5)

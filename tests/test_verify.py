@@ -15,7 +15,7 @@ from planefill import verify as vf
 from planefill.cli import main
 from planefill.gf import make_field
 from planefill.homog import (
-    HomogPoly, ProjPoint, _mat3_inv, _matmul, _matvec, _transpose, linear_substitute, partials,
+    HomogPoly, ProjPoint, _mat3_inv, _matvec, linear_substitute, partials,
     scalar_ratio,
 )
 from planefill.poly import UniPoly
@@ -803,29 +803,27 @@ def test_affine_report_flags_a_witness_with_an_altered_shift(monkeypatch):
     ]
 
 
-def test_affine_sweep_reports_witnesses_composed_in_the_wrong_order(monkeypatch):
-    # the mutant composes (B2 B1, B2 b1 + lam1 b2, lam1 lam2): the witness of
-    # a reduction in two non-commuting steps no longer reaches the canonical
-    # matrix, which the matrix products confirm
+@pytest.mark.parametrize("invertible", (True, False))
+def test_affine_sweep_reports_a_witness_shift_of_the_wrong_sign(monkeypatch, invertible):
+    # the mutant negates the shift of the closed-form witness: b = -M'^-1 m
+    # for an invertible left block, B times the shear for a singular one;
+    # its witness still reproduces the matrix it returns and obeys the law,
+    # so only the lines predicted for that off-canonical matrix give it away
+    # (q is odd: in characteristic 2 the sign flip changes nothing)
     spec = field(3)
-    real = aff.BTransform.then
-    monkeypatch.setattr(aff.BTransform, "then", lambda self, other: real(other, self))
-    failing = []
-    for n in range(1, 3**6):
-        m = vf._matrix_at(aff.Matrix23, 6, spec, n)
-        if aff.affine_tag(m) == aff.AFFINE_FILLING:
-            continue
-        label = aff.classify_affine(m)
-        w = label.witness
-        moved = _matmul(_transpose(w.block), _matmul(m.rows_int, w.matrix_rows(), spec), spec)
-        if moved != label.canonical.rows_int:
-            failing.append(m.to_ints())
+    real = aff.reduce_to_canonical
+
+    def mutant(M):
+        n, w = real(M)
+        if bool(aff._det2(M.left_block(), spec)) == invertible:
+            w = dataclasses.replace(w, shift=tuple(spec._neg[v] for v in w.shift))
+            n = aff.apply_transform(M, w)
+        return n, w
+
+    monkeypatch.setattr(aff, "reduce_to_canonical", mutant)
     out = vf._affine_report_range(spec, 0, 3**6)
-    assert out["match_failures"] == len(failing) > 0
-    assert out["first_discrepancy"] == (
-        f"matrix {failing[0]} ({aff.affine_tag(aff.Matrix23.from_ints(spec, failing[0]))}): "
-        "witness transform does not reproduce the canonical matrix"
-    )
+    assert out["match_failures"] > 0
+    assert out["first_discrepancy"].split(": ", 1)[1].startswith("lines differ")
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7))

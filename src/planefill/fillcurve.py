@@ -221,16 +221,6 @@ def _invariants(A: Matrix3) -> tuple[int, int, int]:
     return tr, s2, _mat3_det(A.rows_int, spec)
 
 
-def _entry(A: Matrix3, f: UniPoly | None = None):
-    """The memo entry of A's characteristic polynomial, read off f when
-    given."""
-    if f is None:
-        return _characteristic(A.spec, *_invariants(A))
-    neg = A.spec._neg
-    c0, c1, c2, _one = f.coeffs
-    return _characteristic(A.spec, neg[c2], c1, neg[c0])
-
-
 def _shifted(rows, alpha: int, spec: FieldSpec):
     """rows - alpha*E."""
     if not alpha:
@@ -256,15 +246,15 @@ def _repeated_root_degree(A: Matrix3, label: CaseLabel) -> int:
     return 3 if any(map(any, n)) else 2
 
 
-def _case_and_minpoly(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None):
+def _case_and_minpoly(A: Matrix3):
     """(case label, minimal polynomial, characteristic polynomial) of A,
     from one lookup of the memo.  Without a repeated root the first two
     follow from the characteristic polynomial; with one, the degree of the
-    minimal polynomial (mp's when given) picks the similarity type."""
-    f, labels = _entry(A, f)
+    minimal polynomial picks the similarity type."""
+    f, labels = _characteristic(A.spec, *_invariants(A))
     if len(labels) == 1:
         return (*labels[0], f)
-    mdeg = mp.degree if mp is not None else _repeated_root_degree(A, labels[0][0])
+    mdeg = _repeated_root_degree(A, labels[0][0])
     if mdeg == 1:
         roots = labels[0][0].roots
         return CaseLabel(CASE_4_3, roots), UniPoly(A.spec, (A.spec._neg[roots[0].val], 1)), f
@@ -273,7 +263,7 @@ def _case_and_minpoly(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None =
 
 def charpoly(A: Matrix3) -> UniPoly:
     """det(tE - A), monic of degree 3."""
-    return _entry(A)[0]
+    return _characteristic(A.spec, *_invariants(A))[0]
 
 
 def minpoly(A: Matrix3) -> UniPoly:
@@ -282,13 +272,10 @@ def minpoly(A: Matrix3) -> UniPoly:
     return _case_and_minpoly(A)[1]
 
 
-def classify(A: Matrix3, f: UniPoly | None = None, mp: UniPoly | None = None) -> CaseLabel:
+def classify(A: Matrix3) -> CaseLabel:
     """Sort A by the factor shape of its characteristic polynomial and the
-    degree of its minimal polynomial.
-
-    Both polynomials may be passed in when the caller already has them.
-    """
-    return _case_and_minpoly(A, f, mp)[0]
+    degree of its minimal polynomial, both worked out from A."""
+    return _case_and_minpoly(A)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,22 +434,16 @@ def _basis(A: Matrix3, label: CaseLabel) -> tuple:
     return v1, v2, v3
 
 
-def rcf_similarity(
-    A: Matrix3, label: CaseLabel | None = None, f: UniPoly | None = None
-) -> tuple[Matrix3, Matrix3]:
+def rcf_similarity(A: Matrix3) -> tuple[Matrix3, Matrix3]:
     """(C, S) with S A S^-1 = C, the canonical matrix of A's case.
 
     The basis vectors are chosen by cyclic-vector and eigenvector
     construction, always taking the first suitable vector in base-q
     enumeration order, so the output is deterministic and a matrix already
-    in canonical form returns S = E.  A ValueError says that A is not in
-    the case of the label passed in.
+    in canonical form returns S = E.
     """
     spec = A.spec
-    if f is None:
-        f = charpoly(A)
-    if label is None:
-        label = classify(A, f=f)
+    label, _mp, f = _case_and_minpoly(A)
     if label.tag == CASE_4_3:
         return A, Matrix3.identity(spec)
     s_inv = Matrix3(spec, _transpose(_basis(A, label)))
@@ -517,15 +498,14 @@ class DecompositionPlan:
     ``basis`` holds the columns (v1, v2, v3) of S^-1 for the similarity S
     with S A S^-1 = canonical, as rows: a verifier transports everything
     back to the original coordinates through the substitution
-    x -> basis*x.  The memoized plan of a label has no basis.
+    x -> basis*x.  The memoized plan of a label has no basis.  Only the
+    plan of a scalar, whose curve polynomial is zero, is empty.
     """
 
-    case: CaseLabel
     lines: tuple
     residual: ResidualSpec | None
     concurrency: str | None
     basis: tuple | None = None
-    zero_polynomial: bool = False
 
 
 def coordinate_lines(spec: FieldSpec) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
@@ -546,17 +526,15 @@ def line_pencil(spec: FieldSpec, base: int, other: int) -> list:
     return out
 
 
-def predicted_decomposition(
-    A: Matrix3, label: CaseLabel | None = None, f: UniPoly | None = None
-) -> DecompositionPlan:
+def predicted_decomposition(A: Matrix3, label: CaseLabel | None = None) -> DecompositionPlan:
     """The splitting the case analysis predicts for the curve of A: the
     canonical plan of its label with the basis of its similarity.
 
-    Scalar matrices get the zero-polynomial plan; the irreducible
-    (nonsingular) case is rejected since there is nothing to decompose.
+    Scalar matrices get the empty plan; the irreducible (nonsingular) case
+    is rejected since there is nothing to decompose.
     """
     if label is None:
-        label = classify(A, f=f)
+        label = classify(A)
     return replace(canonical_plan(A.spec, label), basis=_basis(A, label))
 
 
@@ -571,7 +549,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
     x, y, z = coordinate_lines(spec)
 
     if label.tag == CASE_4_3:
-        return DecompositionPlan(label, (), None, None, zero_polynomial=True)
+        return DecompositionPlan((), None, None)
 
     if label.tag == CASE_1:
         alpha = label.roots[0].val
@@ -591,7 +569,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_AFFINE_FILLING, eq)
-        return DecompositionPlan(label, ((z, 1),), residual, None)
+        return DecompositionPlan(((z, 1),), residual, None)
 
     if label.tag == CASE_2:
         a1, a2, a3 = (r.val for r in label.roots)
@@ -605,7 +583,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q_MINUS_1, eq)
-        return DecompositionPlan(label, ((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT)
+        return DecompositionPlan(((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT)
 
     if label.tag == CASE_3_1:
         beta_p = spec._sub[label.roots[1].val][label.roots[0].val]
@@ -620,11 +598,11 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q, eq)
-        return DecompositionPlan(label, ((x, 1), (z, 1)), residual, None)
+        return DecompositionPlan(((x, 1), (z, 1)), residual, None)
 
     if label.tag == CASE_3_2:
         lines = ((z, 1), (x, 1), (y, 1), *line_pencil(spec, 0, 1))
-        return DecompositionPlan(label, lines, None, CONCURRENT_ALL_BUT_ONE)
+        return DecompositionPlan(lines, None, CONCURRENT_ALL_BUT_ONE)
 
     if label.tag == CASE_4_1:
         eq = HomogPoly(
@@ -638,11 +616,11 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
             },
         )
         residual = ResidualSpec(RESIDUAL_MAX_Q_PLUS_1, eq)
-        return DecompositionPlan(label, ((x, 1),), residual, None)
+        return DecompositionPlan(((x, 1),), residual, None)
 
     # CASE_4_2: a double line and q simple lines through one point
     lines = ((x, 2), (z, 1), *line_pencil(spec, 2, 0))
-    return DecompositionPlan(label, lines, None, CONCURRENT_ALL)
+    return DecompositionPlan(lines, None, CONCURRENT_ALL)
 
 
 # ---------------------------------------------------------------------------

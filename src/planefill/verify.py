@@ -599,7 +599,7 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
         pred = _Prediction([], fc.ResidualSpec(fc.RESIDUAL_PLANE_FILLING, f_a), None)
     else:
         try:
-            plan = fc.predicted_decomposition(A, label=label, f=cp)
+            plan = fc.predicted_decomposition(A, label=label)
         except ValueError as exc:
             # A is not similar to the canonical form of its label: predict
             # nothing, so that the audit still records what the curve has
@@ -883,11 +883,11 @@ def sweep_affine_reports(spec: FieldSpec, jobs: int = 1) -> dict:
     return _run_ranges(_affine_report_range, spec, spec.q**6, jobs)
 
 
-def sweep_missing_point_images(spec: FieldSpec, samples: int = 200, seed: int = 20260811) -> dict:
+def sweep_missing_point_images(spec: FieldSpec, samples: int = 200) -> dict:
     """Random projective images of filling curves: each keeps q^2 rational
     points and its missing points stay collinear."""
     q = spec.q
-    rng = random.Random(seed)
+    rng = random.Random(COLLINEAR_SEED)
     counters = {
         "checked": 0,
         "count_failures": 0,
@@ -927,6 +927,7 @@ SUITES = ("plane-filling", "theorem-2.4", "theorem-4", "affine-6", "sziklai", "c
 # theorem-4 and sziklai report on every matrix up to this q, on the class
 # representatives above it
 EXHAUSTIVE_MAX_Q = 4
+COLLINEAR_SEED = 20260811
 
 
 def suite_size(name: str, q: int, samples: int = 200) -> int:

@@ -328,9 +328,7 @@ def test_curve_singularity_is_observed_on_a_mislabelled_curve(monkeypatch):
     assert len(vf.singular_Fq_points(fc.build_FA(a))) == 5
     nonsingular = fc.CaseLabel(fc.CASE_NONSINGULAR, ())
     real = fc._case_and_minpoly
-    monkeypatch.setattr(
-        fc, "_case_and_minpoly", lambda A, f=None, mp=None: (nonsingular, *real(A, f, mp)[1:])
-    )
+    monkeypatch.setattr(fc, "_case_and_minpoly", lambda A: (nonsingular, *real(A)[1:]))
     r = vf.decomposition_report(a)
     assert r.match is False and r.observed["lines"]
     assert r.observed["singular_points"] is None
@@ -891,6 +889,25 @@ def test_affine_reports_at_q3_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6751a64cbe0d8374ad52b4e3e7e9fb21e0d11c0a2765875f058f1b74bdcb7ccc"
     )
+
+
+PROJECTIVE_REPORT_DIGESTS = {
+    2: "025a07d24aae9e9d6d4ea2805583f0a9461fbf451c71a22086c43f9bc6c8d46c",
+    3: "4deb5cefb65b7102c66ff417ee0d272928649cf38cae7ff4e64f0935fdf60dcc",
+}
+
+
+@pytest.mark.parametrize("q, path", ((2, "packed"), (2, "reference"), (3, "packed")))
+def test_projective_reports_are_pinned(q, path):
+    # every matrix in counting order, observed through the packed kernel as
+    # the sweeps do, or evaluated point by point; both paths give one digest
+    spec = field(q)
+    if path == "packed":
+        reports = (vf.decomposition_report(a, obs) for a, obs in batch.case_observations(spec, 0, q**9))
+    else:
+        reports = (vf.decomposition_report(vf._matrix_at(fc.Matrix3, 9, spec, n)) for n in range(q**9))
+    text = "".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == PROJECTIVE_REPORT_DIGESTS[q]
 
 
 def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):

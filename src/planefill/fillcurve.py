@@ -642,13 +642,16 @@ class EquivKey:
 
 def _orbit(f: UniPoly, m: UniPoly) -> set:
     """The (characteristic, minimal) coefficient pairs of rho*A + mu*E over
-    all nonzero rho and all mu, for A with polynomials f and m."""
+    all nonzero rho and all mu, for A with polynomials f and m; m is
+    transformed apart only when it differs from f."""
     q = f.spec.q
-    return {
-        (f.affine_transform(rho, mu).coeffs, m.affine_transform(rho, mu).coeffs)
-        for rho in range(1, q)
-        for mu in range(q)
-    }
+    same = m == f
+    out = set()
+    for rho in range(1, q):
+        for mu in range(q):
+            fk = f.affine_transform(rho, mu).coeffs
+            out.add((fk, fk if same else m.affine_transform(rho, mu).coeffs))
+    return out
 
 
 def _pair_key(orbit: set) -> tuple:
@@ -701,17 +704,23 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
     pairs rather than by sweeping all q^9 matrices; the orbit size is the
     similarity-class size times the number of distinct scaled-and-shifted
     polynomial pairs.  Orbit sizes over all entries sum to q^9 - q.
+
+    A cubic is skipped, before it is factored, when it is the
+    characteristic polynomial of a pair in an orbit already found: the
+    orbits of all the labels of a cubic are taken in the same pass, and
+    rho*A + mu*E maps the labels of one cubic onto those of the other.
     """
     q = spec.q
     out = []
-    seen = set()
+    seen = set()  # the characteristic polynomials of the orbits found
     for n in range(q**3):
-        f = UniPoly(spec, base_digits(n, q, 3) + (1,))
+        coeffs = base_digits(n, q, 3) + (1,)
+        if coeffs in seen:
+            continue
+        f = UniPoly(spec, coeffs)
         for label, m in _case_labels(f):
-            if (f.coeffs, m.coeffs) in seen:
-                continue
             orbit = _orbit(f, m)
-            seen |= orbit
+            seen.update(fk for fk, _mk in orbit)
             key = EquivKey(False, _pair_key(orbit))
             C = _case_canonical(spec, label, f)
             size = _class_size(spec, label.tag) * len(orbit)

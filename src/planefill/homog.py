@@ -211,7 +211,8 @@ def scalar_ratio(f: HomogPoly, g: HomogPoly):
 
 class _Plane:
     __slots__ = (
-        "spec", "points", "lines", "line_coeffs", "_mono", "_scalings", "affine_idx", "infinity_idx"
+        "spec", "points", "lines", "line_coeffs", "_mono", "_scalings", "_line_points",
+        "affine_idx", "infinity_idx",
     )
 
     def __init__(self, spec: FieldSpec):
@@ -229,6 +230,7 @@ class _Plane:
         self.infinity_idx = [i for i, p in enumerate(self.points) if not p.key[2]]
         self._mono: dict = {}
         self._scalings = None
+        self._line_points = None
 
     def mono_column(self, key):
         col = self._mono.get(key)
@@ -278,6 +280,37 @@ class _Plane:
                 for lam in range(1, self.spec.q)
             }
         return self._scalings
+
+    def line_points(self) -> list[list[int]]:
+        """The indices of the q + 1 points of each line, in plane order,
+        built on first use: the points u + t*v and v for two points u, v
+        spanning the line."""
+        if self._line_points is None:
+            spec = self.spec
+            q, add, mul, neg, inv = spec.q, spec._add, spec._mul, spec._neg, spec._inv
+
+            def index(a, b, c):
+                if a:
+                    row = mul[inv[a]]
+                    return row[b] * q + row[c]
+                return q * q + mul[inv[b]][c] if b else q * q + q
+
+            table = []
+            for a, b, c in self.line_coeffs:
+                if a:
+                    u, v = (neg[b], 1, 0), (neg[c], 0, 1)
+                elif b:
+                    u, v = (0, neg[c], 1), (1, 0, 0)
+                else:
+                    u, v = (1, 0, 0), (0, 1, 0)
+                pts = [
+                    index(*(add[x][trow[y]] for x, y in zip(u, v)))
+                    for trow in (mul[t] for t in range(q))
+                ]
+                pts.append(index(*v))
+                table.append(pts)
+            self._line_points = table
+        return self._line_points
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,14 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _raw(cls, spec: FieldSpec, coeffs: tuple) -> "UniPoly":
+        """From encodings already in range, with no trailing zero."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls, spec: FieldSpec) -> "UniPoly":
         return cls(spec, ())
 
@@ -102,7 +110,8 @@ class UniPoly:
         return UniPoly(self.spec, [mul[x] for x in self.coeffs])
 
     def affine_transform(self, rho, mu) -> "UniPoly":
-        """rho^deg * f((t - mu)/rho); keeps monic polynomials monic."""
+        """rho^deg * f((t - mu)/rho); keeps monic polynomials monic, and
+        the leading coefficient in general, so no trailing zero appears."""
         spec = self.spec
         rv, mv = _coerce(spec, rho), _coerce(spec, mu)
         if rv == 0:
@@ -118,7 +127,7 @@ class UniPoly:
             out = [sub[x][mrow[y]] for x, y in zip([0, *out], [*out, 0])]
             out[0] = add[out[0]][mul[a][scale]]
             scale = rrow[scale]
-        return UniPoly(spec, out)
+        return UniPoly._raw(spec, tuple(out))
 
     def _same(self, other: "UniPoly") -> FieldSpec:
         if not isinstance(other, UniPoly) or other.spec != self.spec:

@@ -164,12 +164,36 @@ def _divide_out(f: HomogPoly, trials) -> LineComponentSet | None:
 def find_linear_components(f: HomogPoly) -> LineComponentSet:
     """Divide out every rational line with multiplicity.
 
-    Tries each of the q^2+q+1 lines in plane order; the residual is
-    divisible by no rational linear form.
+    A line L with coordinates n that divides f = L*G gives
+    grad f = G grad L + L grad G, which is G(P) n at each rational point P
+    of L: the product rule holds for formal derivatives in every
+    characteristic.  So f vanishes at P and grad f(P) x n = 0.  Only the
+    lines that pass this test at all their rational points are divided,
+    in plane order and as often as each divides; the test is necessary,
+    not sufficient, so division still decides every candidate.  The
+    residual is divisible by no rational linear form.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
-    return _divide_out(f, ((i, None) for i in range(len(_plane_for(f.spec).lines))))
+    if f.degree < 1:
+        return _divide_out(f, ())
+    plane = _plane_for(f.spec)
+    mul = f.spec._mul
+    vals, fx, fy, fz = plane.jets(f)
+    candidates = []
+    for i, (pts, (a, b, c)) in enumerate(zip(plane.line_points(), plane.line_coeffs)):
+        for k in pts:
+            gx, gy, gz = fx[k], fy[k], fz[k]
+            if (
+                vals[k]
+                or mul[gy][c] != mul[gz][b]
+                or mul[gz][a] != mul[gx][c]
+                or mul[gx][b] != mul[gy][a]
+            ):
+                break
+        else:
+            candidates.append((i, None))
+    return _divide_out(f, candidates)
 
 
 def singular_Fq_points(f: HomogPoly, fvals=None) -> list[ProjPoint]:
@@ -441,8 +465,8 @@ class _Scanned:
     methods of ``batch.Observation`` that the reports read: its rational
     points by evaluating f at every point of the plane, its singular
     rational points by ``singular_Fq_points`` on first use, and no lines,
-    so that the audit tries every rational line; ``scan`` observes another
-    curve the same way."""
+    so that the audit takes the lines from ``find_linear_components``;
+    ``scan`` observes another curve the same way."""
 
     lines = None
 
@@ -480,10 +504,10 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
 
     ``obs`` observes f itself (a ``batch.Observation`` or ``_Scanned``):
     when its ``lines`` are given, as (index in plane order, multiplicity)
-    in plane order, f is divided by those alone instead of trying every
-    rational line, and a residual without lines, which is f, takes its
-    values, points and singular points from it; any other residual is
-    observed by its ``scan``."""
+    in plane order, f is divided by those alone instead of searching with
+    ``find_linear_components``, and a residual without lines, which is f,
+    takes its values, points and singular points from it; any other
+    residual is observed by its ``scan``."""
     spec = f.spec
     comps = None if obs.lines is None else _divide_out(f, obs.lines)
     if comps is None:

@@ -3,7 +3,8 @@
 from planefill.affine import BTransform, Matrix23
 from planefill.fillcurve import Matrix3
 from planefill.gf import make_field
-from planefill.homog import HomogPoly, _matmul
+from planefill.homog import HomogPoly, _matmul, _plane_for
+from planefill.verify import _divide_out
 
 FIELD_ARGS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
@@ -55,3 +56,10 @@ def rand_homog(spec, rng, degree, max_terms=6):
         j = rng.randrange(degree + 1 - i)
         terms[(i, j, degree - i - j)] = rng.randrange(spec.q)
     return HomogPoly(spec, degree, terms)
+
+
+def divide_by_every_line(f):
+    """The reference line search: trial division of f by each of the
+    q^2 + q + 1 rational lines in plane order, as often as it divides,
+    with no filter ahead of it."""
+    return _divide_out(f, ((i, None) for i in range(len(_plane_for(f.spec).lines))))

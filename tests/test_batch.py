@@ -1,8 +1,9 @@
 """The packed kernels of planefill.batch against the reference path.
 
 Every packed image is compared with ``build_FA`` or ``build_GM`` +
-``plane.values``, the packed line divisibility with
-``find_linear_components`` and the packed singular points with
+``plane.values``, the packed line divisibility with trial division by
+every rational line (``support.divide_by_every_line``, which has no
+filter ahead of it) and the packed singular points with
 ``singular_Fq_points``, and so is the packed observation of each residual
 the report sweeps scan: exhaustively at q = 2 and 3, on a seeded sample at
 q = 4, 5 and 9.  The failure-path tests corrupt one table or memo entry and
@@ -23,7 +24,7 @@ from planefill import verify as vf
 from planefill.gf import base_digits
 from planefill.homog import HomogPoly, linear_substitute, partials
 from planefill.poly import QUAD_IRREDUCIBLE, QUAD_TWO_DISTINCT, quad_shape
-from support import field, rand_matrix3, rand_matrix23
+from support import divide_by_every_line, field, rand_matrix3, rand_matrix23
 
 SAMPLES = {4: 400, 5: 200, 9: 40}
 
@@ -49,8 +50,8 @@ def _line_index(spec, line):
 
 
 def _line_search(f):
-    """find_linear_components as (index in plane order, multiplicity)."""
-    return [(_line_index(f.spec, l), m) for l, m in vf.find_linear_components(f).lines]
+    """The reference line search as (index in plane order, multiplicity)."""
+    return [(_line_index(f.spec, l), m) for l, m in divide_by_every_line(f).lines]
 
 
 def _chunks(values, size):
@@ -112,7 +113,7 @@ def test_cycle_kernel_matches_the_oracle(q):
             assert _kernel_blocks(kern, image, q + 2) == _chart_blocks(f, charts), a.to_ints()
 
         divisors = {plane.line_coeffs[i] for i, block in enumerate(lines) if not any(block)}
-        observed = {l.line_coeffs() for l, _ in vf.find_linear_components(f).lines}
+        observed = {l.line_coeffs() for l, _ in divide_by_every_line(f).lines}
         assert divisors == observed, a.to_ints()
         assert lines_blocks.any_zero(image) == bool(divisors)
 
@@ -337,7 +338,7 @@ def _curves(draw):
 @given(_curves())
 def test_line_components_rebuild_the_curve(curve):
     f, lines = curve
-    comps = vf.find_linear_components(f)
+    comps = divide_by_every_line(f)
     product = comps.residual
     for line, mult in comps.lines:
         for _ in range(mult):

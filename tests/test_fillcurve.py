@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from planefill import fillcurve as fc
-from planefill.gf import base_digits
+from planefill.gf import base_digits, field_for_order
 from planefill.homog import HomogPoly, linear_substitute, scalar_ratio
 from planefill.poly import (
     CUBIC_DOUBLE_PLUS_SIMPLE,
@@ -580,6 +581,30 @@ def test_class_sizes_match_brute_force(q):
         f = fc.charpoly(rep.matrix)
         m = fc.minpoly(rep.matrix)
         assert counts[(f.coeffs, m.coeffs)] == fc._class_size(spec, rep.tag)
+
+
+# sha256 of repr((matrix.to_ints(), tag, orbit_size, key)) over the list,
+# in order, from the enumeration that factored every monic cubic
+REPRESENTATIVES_SHA256 = {
+    2: "94b8a2234ee0c5e45412545201efd41609972caa3628fe372129a488b6cc8592",
+    3: "ccc4944b1147573f7e36bdda830fb4aeea2678de261fe54fc590cb82c831e80d",
+    4: "651d85d6b20d584e1d746a4e1dd36065890de08cbaf4515c922da6e65e5fb28a",
+    5: "9e249ff6714f61d5391b6e4231e61553d0c3889f8211230caf00f479265c0d52",
+    7: "199f8fc68135ba2fabf7e81b4d49aec3e1d6ab295d2e1242a8921c22bc3f2080",
+    8: "2cf1608b49f8a1bb3b5235c12b82ca8c20fc07d81f42b47d49c1a85470c2541d",
+    9: "05cb121fb0c047da0c15cd751dce8aa884c716c595779ff4a9c7da19b45d26c8",
+    16: "b59afae496855bfab8d8a3615f670055f1dc6ccf150ddfb466ea0c63264416cd",
+}
+
+
+@pytest.mark.parametrize("q", sorted(REPRESENTATIVES_SHA256))
+def test_representative_list_is_pinned(q):
+    """The representatives, their order, tags, orbit sizes and keys are
+    those of the enumeration that skips no cubic."""
+    digest = hashlib.sha256()
+    for rep in fc.equivalence_representatives(field_for_order(q)):
+        digest.update(repr((rep.matrix.to_ints(), rep.tag, rep.orbit_size, rep.key)).encode())
+    assert digest.hexdigest() == REPRESENTATIVES_SHA256[q]
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))

@@ -20,7 +20,8 @@ from planefill.homog import (
 )
 from planefill.poly import UniPoly
 from support import (
-    field, rand_btransform, rand_homog, rand_invertible3, rand_matrix3, rand_matrix23,
+    divide_by_every_line, field, rand_btransform, rand_homog, rand_invertible3, rand_matrix3,
+    rand_matrix23,
 )
 
 
@@ -96,6 +97,59 @@ def test_find_linear_components_reconstruction():
                 for _ in range(mult):
                     product = product * line
             assert scalar_ratio(product, f) is not None and product == f
+
+
+def _agreement_curves(q):
+    """Every non-scalar F_A at q = 2 and 3; 1,500 seeded F_A of non-scalar
+    matrices and 1,500 seeded G_M of nonzero ones above."""
+    spec = field(q)
+    if q <= 3:
+        for n in range(q**9):
+            a = vf._matrix_at(fc.Matrix3, 9, spec, n)
+            if not a.is_scalar():
+                yield fc.build_FA(a)
+        return
+    rng = random.Random(20261019 + q)
+    n = 0
+    while n < 1500:
+        a = rand_matrix3(spec, rng)
+        if not a.is_scalar():
+            n += 1
+            yield fc.build_FA(a)
+    for _ in range(1500):
+        yield aff.build_GM(rand_matrix23(spec, rng))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_line_search_agrees_with_division_by_every_line(q):
+    """The gradient filter ahead of trial division drops no line: the
+    search finds the lines, multiplicities and residual of the unfiltered
+    division, on each curve and on the residual it leaves."""
+    checked = 0
+    for f in _agreement_curves(q):
+        comps = vf.find_linear_components(f)
+        assert comps == divide_by_every_line(f), f
+        if comps.lines and comps.residual_degree:
+            assert vf.find_linear_components(comps.residual) == divide_by_every_line(comps.residual)
+        checked += 1
+    assert checked == (q**9 - q if q <= 3 else 3000)
+
+
+def test_line_search_agrees_on_the_exceptional_quartic():
+    f = vf.exceptional_quartic(field(4))
+    comps = vf.find_linear_components(f)
+    assert comps == divide_by_every_line(f)
+    assert not comps.lines and comps.residual == f
+
+
+def test_line_points_are_the_points_of_each_line():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = field(q)
+        plane = vf._plane_for(spec)
+        for pts, n in zip(plane.line_points(), plane.line_coeffs):
+            assert sorted(pts) == [
+                i for i, p in enumerate(plane.points) if not any(_matvec([n], p.key, spec))
+            ]
 
 
 def test_singular_points_examples():
@@ -287,7 +341,7 @@ def test_affine_report_divides_by_the_observed_lines():
     g = aff.build_GM(m)
     lines = [
         (plane.line_coeffs.index(l.line_coeffs()), mult)
-        for l, mult in vf.find_linear_components(g).lines
+        for l, mult in divide_by_every_line(g).lines
     ]
     assert len(lines) == 1
     kern = batch.affine_kernel(spec)

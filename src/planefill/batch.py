@@ -45,14 +45,16 @@ class Lanes:
         self.size = size
         # bits per lane: a sum of two digits stays below the guard bit
         self.width = w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-        # patterns[v]: the e lanes of the element v
+        # patterns[v]: the e lanes of the element v, as binary digits
+        step = e * w
         self.patterns = [
-            sum(d << (j * w) for j, d in enumerate(base_digits(v, p, e))) for v in range(spec.q)
+            format(sum(d << (j * w) for j, d in enumerate(base_digits(v, p, e))), f"0{step}b")
+            for v in range(spec.q)
         ]
         if p == 2:
             self.add = operator.xor
             return
-        ones = sum(1 << (i * w) for i in range(size * e))
+        ones = int(("0" * (w - 1) + "1") * (size * e), 2)
         guard = ones << (w - 1)
         bias = guard - p * ones  # 2^(w-1) - p in every lane
 
@@ -64,11 +66,11 @@ class Lanes:
         self.add = add
 
     def pack(self, values) -> int:
-        patterns, step = self.patterns, self.spec.e * self.width
-        out = 0
-        for i, v in enumerate(values):
-            out |= patterns[v] << (i * step)
-        return out
+        """The packed int, read at once from its binary digits, element 0
+        lowest: a shift-or per element would copy the growing int each
+        time."""
+        patterns = self.patterns
+        return int("".join([patterns[v] for v in reversed(values)]) or "0", 2)
 
     def unpack(self, packed: int, size: int | None = None, stride: int = 1) -> list[int]:
         """The first ``size`` elements (all by default), or with ``stride``
@@ -541,11 +543,3 @@ def degenerate_observations(spec: FieldSpec, lo: int, hi: int):
         if not irreducible:
             yield aff.Matrix23(spec, (tuple(entries[:3]), tuple(entries[3:]))), observe(kern, s)
 
-
-def case_observations(spec: FieldSpec, lo: int, hi: int):
-    """The 3x3 matrices lo, ..., hi-1 in counting order, each with the
-    ``observe`` of its packed F_A, or None for a scalar matrix, whose F_A
-    is zero: yields (Matrix3, observation)."""
-    kern = cycle_kernel(spec)
-    for a, s in projective_images(spec, lo, hi):
-        yield a, None if s is None else observe(kern, s)

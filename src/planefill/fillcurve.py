@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 
-from .gf import FieldElement, FieldSpec, _coerce, base_digits
+from .gf import FieldElement, FieldSpec, _coerce
 from .homog import (
     HomogPoly,
     _combination,
@@ -713,8 +714,8 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
     q = spec.q
     out = []
     seen = set()  # the characteristic polynomials of the orbits found
-    for n in range(q**3):
-        coeffs = base_digits(n, q, 3) + (1,)
+    for c2, c1, c0 in product(range(q), repeat=3):
+        coeffs = (c0, c1, c2, 1)
         if coeffs in seen:
             continue
         f = UniPoly(spec, coeffs)

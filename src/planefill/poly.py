@@ -109,17 +109,17 @@ class UniPoly:
         mul = self.spec._mul[cv]
         return UniPoly(self.spec, [mul[x] for x in self.coeffs])
 
-    def affine_transform(self, rho, mu) -> "UniPoly":
-        """rho^deg * f((t - mu)/rho); keeps monic polynomials monic, and
-        the leading coefficient in general, so no trailing zero appears."""
-        spec = self.spec
-        rv, mv = _coerce(spec, rho), _coerce(spec, mu)
-        if rv == 0:
+    def affine_transform(self, rho: int, mu: int) -> "UniPoly":
+        """rho^deg * f((t - mu)/rho) for the encodings rho and mu; keeps
+        monic polynomials monic, and the leading coefficient in general, so
+        no trailing zero appears."""
+        if rho == 0:
             raise ValueError("scale factor must be nonzero")
         if self.is_zero():
             return self
+        spec = self.spec
         add, sub, mul = spec._add, spec._sub, spec._mul
-        rrow, mrow = mul[rv], mul[mv]
+        rrow, mrow = mul[rho], mul[mu]
         # Horner in t - mu from the top: out <- out*(t - mu) + a_i rho^(d-i)
         out: list[int] = []
         scale = 1

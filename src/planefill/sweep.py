@@ -10,13 +10,24 @@ from multiprocessing import Pool
 from .gf import FieldSpec
 
 
-def _note_failure(counters: dict, key: str, message: str):
+def _note_failure(counters: dict, key: str, message: str, index: int | None = None):
+    """Count a failure; the message is the first discrepancy if it is the
+    first one noted or, for a worker that does not visit its matrices in
+    counting order and passes their counting ``index``, if no failing
+    matrix before it in counting order was noted."""
     counters[key] += 1
-    if counters["first_discrepancy"] is None:
+    if counters["first_discrepancy"] is None or (
+        index is not None and index < counters["first_index"]
+    ):
         counters["first_discrepancy"] = message
+        if index is not None:
+            counters["first_index"] = index
 
 
-def _check_cycle(counters: dict, a, irreducible: bool, has_lin: bool, has_sing: bool):
+def _check_cycle(
+    counters: dict, a, irreducible: bool, has_lin: bool, has_sing: bool,
+    index: int | None = None,
+):
     """Theorem 2.4 for one non-scalar Matrix3 a: irreducible characteristic
     polynomial <=> no rational line divides F_A <=> F_A has no singular
     rational point."""
@@ -25,17 +36,25 @@ def _check_cycle(counters: dict, a, irreducible: bool, has_lin: bool, has_sing: 
             counters, "cycle_failures",
             f"matrix {a.to_ints()}: irreducible={irreducible} "
             f"no-lines={not has_lin} no-singular={not has_sing}",
+            index,
         )
 
 
 def _merge(counters: list[dict]) -> dict:
+    """The counters of the chunks, in counting order, added up; the first
+    discrepancy is that of the earliest chunk with one or, where the chunks
+    carry the counting index of theirs, that of the smallest index, which
+    is then dropped."""
+    noted = [c for c in counters if c.get("first_discrepancy") is not None]
+    first = min(noted, key=lambda c: c.get("first_index", 0), default=counters[0])
     out = dict(counters[0])
+    out["first_discrepancy"] = first.get("first_discrepancy")
+    out.pop("first_index", None)
     for c in counters[1:]:
         for k, v in c.items():
-            if k == "first_discrepancy":
-                if out.get(k) is None:
-                    out[k] = v
-            elif isinstance(v, dict):
+            if k in ("first_discrepancy", "first_index"):
+                continue
+            if isinstance(v, dict):
                 tgt = out.setdefault(k, {})
                 for kk, vv in v.items():
                     tgt[kk] = tgt.get(kk, 0) + vv

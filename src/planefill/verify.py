@@ -495,30 +495,56 @@ class _Scanned:
         return vals, vals.count(0), len(singular_Fq_points(g, vals))
 
 
-def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
-    """Recompute the linear components of f and compare them with the
-    prediction: line set with multiplicity, residual degree, residual
-    equation up to a scalar, residual point and singular-point counts, and
-    concurrency.  Mismatches are appended to disc; returns the observed
-    fields both report families share.
+class _Observed:
+    """The observation step of the audit, once per nonzero curve f: its
+    linear components with multiplicity, their concurrency point, and the
+    values, point count and singular-point count of the residual.
 
     ``obs`` observes f itself (a ``batch.Observation`` or ``_Scanned``):
     when its ``lines`` are given, as (index in plane order, multiplicity)
     in plane order, f is divided by those alone instead of searching with
     ``find_linear_components``, and a residual without lines, which is f,
     takes its values, points and singular points from it; any other
-    residual is observed by its ``scan``."""
-    spec = f.spec
-    comps = None if obs.lines is None else _divide_out(f, obs.lines)
-    if comps is None:
-        if obs.lines is not None:
-            disc.append("observed lines do not divide the curve with their multiplicities")
-        comps = find_linear_components(f)
-    obs_lines = [(l.line_coeffs(), mult) for l, mult in comps.lines]
-    forms = [l for l, _ in comps.lines]
-    if sorted(obs_lines) != sorted(pred.lines):
+    residual is observed by its ``scan``.  ``disc`` holds what the
+    observation itself got wrong."""
+
+    def __init__(self, f: HomogPoly, obs):
+        self.f, self.obs = f, obs
+        self.disc = []
+        comps = None if obs.lines is None else _divide_out(f, obs.lines)
+        if comps is None:
+            if obs.lines is not None:
+                self.disc.append("observed lines do not divide the curve with their multiplicities")
+            comps = find_linear_components(f)
+        self.comps = comps
+        self.forms = [l for l, _ in comps.lines]
+        self.lines = sorted([(l.line_coeffs(), mult) for l, mult in comps.lines])
+        meet = concurrency_check(self.forms) if len(self.forms) >= 2 else None
+        self.concurrent = list(meet.key) if meet else None
+        # the residual's values (None when it is f), points and singular points
+        self._values = self.points = self.singular = None
+        if comps.residual_degree == f.degree:
+            self.points, self.singular = obs.points, obs.singular
+        elif comps.residual_degree:
+            self._values, self.points, self.singular = obs.scan(comps.residual)
+
+    def residual_values(self) -> list[int]:
+        """The residual's values at the rational points."""
+        return self.obs.values() if self._values is None else self._values
+
+
+def _compare(seen: _Observed, pred: _Prediction, disc: list) -> dict:
+    """The comparison step of the audit: the observed curve against one
+    prediction, for line set with multiplicity, residual degree, residual
+    equation up to a scalar, residual point and singular-point counts, and
+    concurrency.  Mismatches, after those of the observation itself, are
+    appended to disc; returns the observed fields both report families
+    share."""
+    disc += seen.disc
+    comps = seen.comps
+    if seen.lines != sorted(pred.lines):
         disc.append(
-            f"lines differ: observed {_serialize_lines(obs_lines)}, predicted {_serialize_lines(pred.lines)}"
+            f"lines differ: observed {_serialize_lines(seen.lines)}, predicted {_serialize_lines(pred.lines)}"
         )
     res = pred.residual
     pred_degree = res.degree if res else 0
@@ -528,15 +554,10 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     residual_points = None
     singular_count = None
     if res and comps.residual_degree == res.degree:
-        frame = pred.frame
-        if comps.residual_degree == f.degree:
-            rvals = None if frame.rows is None else obs.values()
-            residual_points, singular_count = obs.points, obs.singular
-        else:
-            rvals, residual_points, singular_count = obs.scan(comps.residual)
-        if not transported_multiple(
-            comps.residual, res.equation, frame.rows, rvals, images=frame.points
-        ):
+        rows = pred.frame.rows
+        residual_points, singular_count = seen.points, seen.singular
+        rvals = None if rows is None else seen.residual_values()
+        if not transported_multiple(comps.residual, res.equation, rows, rvals, pred.frame.points):
             disc.append("residual equation is not a scalar multiple of the transported prediction")
         if residual_points != res.expected_points:
             disc.append(f"residual has {residual_points} points, expected {res.expected_points}")
@@ -546,23 +567,20 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
                 f"expected {res.expected_singular_points}"
             )
 
-    concurrent_point = None
-    if len(forms) >= 2:
-        meet = concurrency_check(forms)
-        concurrent_point = list(meet.key) if meet else None
+    concurrent_point = seen.concurrent
     if pred.concurrency == fc.NOT_CONCURRENT and concurrent_point is not None:
         disc.append("lines unexpectedly share a common point")
     elif pred.concurrency == fc.CONCURRENT_ALL and concurrent_point is None:
         disc.append("lines were predicted to be concurrent but are not")
     elif pred.concurrency == fc.CONCURRENT_ALL_BUT_ONE:
-        point, through = _pencil_structure(forms, spec)
-        if point is None or through != len(forms) - 1:
+        point, through = _pencil_structure(seen.forms, seen.f.spec)
+        if point is None or through != len(seen.forms) - 1:
             disc.append(
                 f"expected all lines but one through a common point, widest pencil has {through}"
             )
 
     return {
-        "lines": _serialize_lines(obs_lines),
+        "lines": _serialize_lines(seen.lines),
         "residual_degree": comps.residual_degree,
         "residual_points": residual_points,
         "singular_points": singular_count,
@@ -570,20 +588,22 @@ def _audit(f: HomogPoly, pred: _Prediction, disc: list, obs) -> dict:
     }
 
 
-def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
+def decomposition_report(A: fc.Matrix3, seen: _Observed | None = None) -> DecompositionReport:
     """Run the oracle against the predicted splitting of the curve of A.
 
     Compares line sets with multiplicity, concurrency structure, residual
     degree, the residual equation pulled back through the similarity
     transform (up to a nonzero scalar), the residual point count against
     the formula for its kind, and the number of singular rational points
-    on the residual.  Mismatches are reported, never raised.  ``obs``
-    observes F_A of a non-scalar A if already observed, as for ``_audit``;
-    without it F_A is evaluated at every point.
+    on the residual.  Mismatches are reported, never raised.  ``seen`` is
+    the ``_Observed`` curve F_A of a non-scalar A if already observed, as
+    shared by the matrices A + mu E of one curve; without it F_A is built
+    and evaluated at every point.  The classification, the prediction and
+    every comparison are A's own.
     """
     spec = A.spec
     q = spec.q
-    f_a = fc.build_FA(A)
+    f_a = fc.build_FA(A) if seen is None else seen.f
     label, mp, cp = fc._case_and_minpoly(A)
     disc: list[str] = []
 
@@ -631,12 +651,12 @@ def decomposition_report(A: fc.Matrix3, obs=None) -> DecompositionReport:
             pred = _Prediction([], None, None)
         else:
             pred = _transport(plan, _Frame(plan.basis), spec)
-    if obs is None:
-        obs = _Scanned(f_a)
-    observed = _audit(f_a, pred, disc, obs)
+    if seen is None:
+        seen = _Observed(f_a, _Scanned(f_a))
+    observed = _compare(seen, pred, disc)
     observed.update(
-        curve_points=obs.points,
-        curve_singular=bool(obs.singular),
+        curve_points=seen.obs.points,
+        curve_singular=bool(seen.obs.singular),
         zero_polynomial=False,
     )
     return report({**pred.to_json(), "zero_polynomial": False}, observed)
@@ -678,7 +698,7 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     the witness, the transported line/residual structure, rational points
     at infinity by two routes, affine coverage, and the rank-2 criterion
     for a nonlinear component.  ``obs`` observes the curve if already
-    observed, as for ``_audit``; without it the curve is evaluated at
+    observed, as for ``_Observed``; without it the curve is evaluated at
     every point.
     """
     spec = M.spec
@@ -702,7 +722,7 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     pred = _transport(plan, witness_frame(label.witness), spec)
     if obs is None:
         obs = _Scanned(g_m)
-    observed = _audit(g_m, pred, disc, obs)
+    observed = _compare(_Observed(g_m, obs), pred, disc)
     if not obs.covers_affine():
         disc.append("curve misses an affine rational point")
     inf_set = {plane.points[plane.infinity_idx[b]].key for b in obs.at_infinity()}
@@ -747,7 +767,7 @@ def _matrix_at(cls, size: int, spec: FieldSpec, n: int):
     return cls.from_ints(spec, base_digits(n, spec.q, size))
 
 
-def _audit_residual_bound(counters: dict, r: DecompositionReport):
+def _audit_residual_bound(counters: dict, r: DecompositionReport, index: int | None = None):
     """Point-count bound N <= (d-1)q + 1 on a report's residual curve: tight
     for the maximal kinds, strict for the affine-filling residual."""
     kind = r.predicted["residual_kind"]
@@ -762,15 +782,59 @@ def _audit_residual_bound(counters: dict, r: DecompositionReport):
             _note_failure(
                 counters, "audit_failures",
                 f"matrix {r.matrix}: residual point bound violated",
+                index,
             )
 
 
-def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
-    """Reports for the matrices lo, ..., hi-1, each non-scalar one auditing
-    F_A with the observation read off the packed kernel of
-    planefill.batch."""
+def _shift_orbits(spec: FieldSpec, lo: int, hi: int):
+    """The orbits R + mu E of the matrices R among lo, ..., hi-1, with
+    hi <= q^8 so that each R has a22 = 0 and the smallest counting index of
+    its orbit: R by R in counting order, then mu in encoding order.
+
+    F_(R + mu E) = F_R + mu F_E = F_R, so a matrix whose packed image on
+    ``batch.cycle_kernel`` is R's shares R's ``_Observed`` of F_R; one
+    whose image differs, which takes a wrong kernel, is observed on its own
+    image.  The two images differ by the table entries of the diagonal
+    alone, so those are what is compared.  The orbit of R = 0, the scalars,
+    gets None, as does a non-scalar matrix whose curve is zero.  The
+    reports on the scalars build F_E themselves and check that it is zero,
+    the identity the sharing rests on.  Yields (counting index, Matrix3,
+    observed)."""
     from . import batch
 
+    q, add = spec.q, spec._add
+    if not 0 <= lo <= hi <= q**8:
+        raise ValueError(f"orbit representatives lie in [0, {q**8})")
+    kern = batch.cycle_kernel(spec)
+    t00, t11, t22 = (kern.tables[k] for k in (0, 4, 8))
+    plus = kern.add
+
+    def observed(a: fc.Matrix3, packed: int) -> _Observed | None:
+        f = fc.build_FA(a)
+        return None if f.is_zero() else _Observed(f, batch.observe(kern, packed))
+
+    for n, (rep, packed) in enumerate(batch.projective_images(spec, lo, hi), lo):
+        seen = None if packed is None else observed(rep, packed)
+        yield n, rep, seen
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, _) = rep.rows_int
+        diagonal = plus(plus(t00[a00], t11[a11]), t22[0])
+        for mu in range(1, q):
+            b00, b11 = add[a00][mu], add[a11][mu]
+            # the entries 0, 4 and 8 change, the last one from 0 to mu
+            index = n + (b00 - a00) + (b11 - a11) * q**4 + mu * q**8
+            a = fc.Matrix3(spec, ((b00, a01, a02), (a10, b11, a12), (a20, a21, mu)))
+            if packed is None or plus(plus(t00[b00], t11[b11]), t22[mu]) == diagonal:
+                yield index, a, seen
+            else:
+                yield index, a, observed(a, kern.image(a))
+
+
+def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
+    """Reports for the q matrices R + mu E of each R among lo, ..., hi-1
+    (hi <= q^8), from ``_shift_orbits``: each non-scalar one audits the
+    observation of its orbit's curve.  A failure carries its matrix's
+    counting index, so that the first discrepancy is the one of the
+    smallest index."""
     counters = {
         "checked": 0,
         "scalars": 0,
@@ -782,8 +846,8 @@ def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
         "cases": {},
         "first_discrepancy": None,
     }
-    for a, obs in batch.case_observations(spec, lo, hi):
-        r = decomposition_report(a, obs)
+    for n, a, seen in _shift_orbits(spec, lo, hi):
+        r = decomposition_report(a, seen)
         counters["checked"] += 1
         counters["cases"][r.case] = counters["cases"].get(r.case, 0) + 1
         if a.is_scalar():
@@ -791,17 +855,17 @@ def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
             if not r.match:
                 _note_failure(
                     counters, "match_failures",
-                    f"matrix {a.to_ints()}: {r.discrepancies[0]}",
+                    f"matrix {a.to_ints()}: {r.discrepancies[0]}", n,
                 )
             continue
         if not r.match:
             _note_failure(
                 counters, "match_failures",
-                f"matrix {a.to_ints()} (case {r.case}): {r.discrepancies[0]}",
+                f"matrix {a.to_ints()} (case {r.case}): {r.discrepancies[0]}", n,
             )
         _check_cycle(
             counters, a, r.case == fc.CASE_NONSINGULAR,
-            bool(r.observed["lines"]), r.observed["curve_singular"],
+            bool(r.observed["lines"]), r.observed["curve_singular"], n,
         )
         min_is_char = r.minpoly == r.charpoly
         has_nonlinear = r.observed["residual_degree"] >= 2
@@ -810,8 +874,9 @@ def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
                 counters, "minpoly_criterion_failures",
                 f"matrix {a.to_ints()}: minimal==characteristic is {min_is_char} "
                 f"but nonlinear component is {has_nonlinear}",
+                n,
             )
-        _audit_residual_bound(counters, r)
+        _audit_residual_bound(counters, r, n)
     return counters
 
 
@@ -825,8 +890,10 @@ def sweep_plane_filling(spec: FieldSpec, jobs: int = 1) -> dict:
 
 def sweep_case_reports(spec: FieldSpec, jobs: int = 1) -> dict:
     """Full oracle reports for every matrix, with the irreducibility cycle,
-    the minimal-polynomial criterion and the residual point-count audits."""
-    return _run_ranges(_case_range, spec, spec.q**9, jobs)
+    the minimal-polynomial criterion and the residual point-count audits;
+    the chunks split the q^8 orbit representatives of ``_shift_orbits``,
+    and the counts cover all q^9 matrices."""
+    return _run_ranges(_case_range, spec, spec.q**8, jobs)
 
 
 def sweep_irreducibility_cycle(spec: FieldSpec, jobs: int = 1) -> dict:

@@ -205,7 +205,12 @@ def _scanned_residuals(spec, family, lo, hi):
     observed lines: the residuals the report sweeps observe with
     ``scan``."""
     if family == "projective":
-        observations, build = batch.case_observations(spec, lo, hi), fc.build_FA
+        kern = batch.cycle_kernel(spec)
+        observations = (
+            (a, None if s is None else batch.observe(kern, s))
+            for a, s in batch.projective_images(spec, lo, hi)
+        )
+        build = fc.build_FA
     else:
         observations, build = batch.degenerate_observations(spec, lo, hi), aff.build_GM
     for m, obs in observations:
@@ -240,21 +245,28 @@ def test_residual_scan_matches_the_oracle(family, q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_reports_with_the_observation_equal_the_reference(q):
+    # each matrix reported against the observation shared by its orbit
+    # R + mu E, where R = A - a22 E; at q = 4 the orbits of the sampled
+    # matrices, and the sampled matrices among them
     spec = field(q)
     if q <= 3:
-        projective = list(batch.case_observations(spec, 0, q**9))
+        projective = sorted(vf._shift_orbits(spec, 0, q**8))
         affine = list(batch.degenerate_observations(spec, 0, q**6))
-        assert [a.to_ints() for a, _obs in projective] == [a.to_ints() for a in _matrices(q)]
+        assert [a.to_ints() for _n, a, _seen in projective] == [a.to_ints() for a in _matrices(q)]
     else:
         projective, affine = [], []
         for a in _matrices(q):
-            projective += batch.case_observations(spec, _counting_index(a), _counting_index(a) + 1)
+            rep = a - fc.Matrix3.identity(spec).scale(a.rows_int[2][2])
+            orbit = list(vf._shift_orbits(spec, _counting_index(rep), _counting_index(rep) + 1))
+            assert _counting_index(a) in [n for n, _a, _seen in orbit]
+            projective += orbit
         for m in _affine_matrices(q):
             affine += batch.degenerate_observations(spec, _counting_index(m), _counting_index(m) + 1)
     assert affine
-    for a, obs in projective:
-        assert (obs is None) == a.is_scalar(), a.to_ints()
-        assert vf.decomposition_report(a, obs).to_json() == vf.decomposition_report(a).to_json(), a.to_ints()
+    for n, a, seen in projective:
+        assert n == _counting_index(a)
+        assert (seen is None) == a.is_scalar(), a.to_ints()
+        assert vf.decomposition_report(a, seen).to_json() == vf.decomposition_report(a).to_json(), a.to_ints()
     for m, obs in affine:
         assert vf.affine_report(m, obs).to_json() == vf.affine_report(m).to_json(), m.to_ints()
 
@@ -311,9 +323,10 @@ def test_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
 
 
 def test_case_report_sweep_takes_the_line_search_for_unresolved_lines(monkeypatch):
+    # one search per non-scalar curve, which the q = 2 matrices R + mu E share
     reference, plain, unresolved = _line_searches(monkeypatch, vf.sweep_case_reports)
     assert plain == 0
-    assert unresolved == reference["checked"] - reference["scalars"]
+    assert unresolved == (reference["checked"] - reference["scalars"]) // 2
 
 
 @st.composite
@@ -402,6 +415,24 @@ def test_pack_matches_the_digit_loop(q):
     for stride in (2, 3, 4):
         count = (len(values) + stride - 1) // stride
         assert lanes.unpack(packed, count, stride) == values[::stride]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("family", ["projective", "affine"])
+def test_kernel_rows_match_the_digit_loop(family, q):
+    # each packed c*E_ij row is the digit-loop packing of its elements, c
+    # times those of the unit row, and adds to that row lane by lane
+    spec = field(q)
+    kern = (batch.cycle_kernel if family == "projective" else batch.affine_kernel)(spec)
+    lanes, add, mul = kern.lanes, spec._add, spec._mul
+    for row in kern.tables:
+        unit = lanes.unpack(row[1])
+        assert any(unit)
+        for c, packed in enumerate(row):
+            values = lanes.unpack(packed)
+            assert values == [mul[c][v] for v in unit]
+            assert packed == _digit_pack(lanes, values)
+            assert lanes.unpack(kern.add(packed, row[1])) == [add[v][u] for v, u in zip(values, unit)]
 
 
 @pytest.mark.parametrize(
@@ -660,7 +691,8 @@ def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term
     # 1 is added to the df/dx lane at one point of the memo entry of one
     # term: a residual holding that term changes its singular count exactly
     # when f, df/dy and df/dz vanish there and df/dx is 0 or -1; all affine
-    # matrices at q = 3, and the first 729 projective ones
+    # matrices at q = 3, and the orbits R + mu E of the first 729 projective
+    # ones, which share R's residual, in counting order
     spec = field(3)
     hi = 3**6
     plane = vf._plane_for(spec)
@@ -678,7 +710,11 @@ def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term
         f, fx, fy, fz = (plane.value_at(g, point) for g in (residual, *partials(residual)))
         monomial, c = term
         if residual.terms.get(monomial) == c and not (f or fy or fz) and fx in (0, spec._neg[1]):
-            failing.append(m.to_ints())
+            failing.append(m)
+    if family == "projective":
+        identity = fc.Matrix3.identity(spec)
+        failing = sorted((r + identity.scale(mu) for r in failing for mu in range(3)), key=_counting_index)
+    failing = [m.to_ints() for m in failing]
     out = sweep(spec, 0, hi)
     assert out["match_failures"] == len(failing) > 0
     assert out["first_discrepancy"].startswith(f"matrix {failing[0]} (")

@@ -36,7 +36,6 @@ SPANS = ROOT / "perfbench" / "spans.py"
 
 # definitions only the tests call, each a reference the tests check against
 ALLOWED = {
-    "batch.Kernel.image": "tests compare the packed image of one matrix with build_FA",
     "batch.Kernel.section": "tests unpack one named section of a packed image",
     "fillcurve.Matrix3.det": "tests pick invertible matrices for similarity transforms",
     "fillcurve.Matrix3.transpose": "tests build B^T A B^-T to test equivalence invariance",

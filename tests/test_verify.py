@@ -325,6 +325,68 @@ def test_sweep_counts_report_mismatches(monkeypatch):
     assert "lines differ" in out["first_discrepancy"]
 
 
+@pytest.fixture
+def nonzero_scalar_curve(monkeypatch):
+    """F_E00 with one extra term, x^(q+2), so that F_E is not zero: the
+    curve of A + mu E is then no longer that of A.  The memo of the basis
+    and the kernels built from it are cleared before and after."""
+    real = fc._fa_basis
+
+    def corrupted(spec):
+        basis = list(real(spec))
+        e00 = dict(basis[0])
+        e00[(spec.q + 2, 0, 0)] = spec._add[e00.get((spec.q + 2, 0, 0), 0)][1]
+        basis[0] = e00
+        return tuple(basis)
+
+    caches = (real, batch.cycle_kernel)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(fc, "_fa_basis", corrupted)
+    yield
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_case_report_sweep_reports_a_nonzero_scalar_curve(nonzero_scalar_curve):
+    # the orbits R + mu E share one observation because F_E = 0; the
+    # reports on the scalars check that identity
+    spec = field(2)
+    assert not fc.build_FA(fc.Matrix3.identity(spec)).is_zero()
+    out = vf.sweep_case_reports(spec)
+    assert out["checked"] == 2**9
+    assert out["match_failures"] > 0
+    assert out["pass"] is False
+    scalars = vf._case_range(spec, 0, 1)
+    assert (scalars["checked"], scalars["scalars"], scalars["match_failures"]) == (2, 2, 1)
+    assert scalars["first_discrepancy"] == (
+        "matrix [1, 0, 0, 0, 1, 0, 0, 0, 1]: scalar matrix gave a nonzero polynomial"
+    )
+
+
+def test_shift_orbits_take_representatives_below_q8():
+    spec = field(2)
+    assert [n for n, _a, _seen in vf._shift_orbits(spec, 255, 256)] == [255, 255 - 1 - 2**4 + 2**8]
+    with pytest.raises(ValueError):
+        next(vf._shift_orbits(spec, 0, 2**8 + 1))
+
+
+def test_first_discrepancy_is_the_failure_of_the_smallest_counting_index():
+    def chunk(*failures):
+        counters = {"checked": 0, "match_failures": 0, "first_discrepancy": None}
+        for index in failures:
+            sweep._note_failure(counters, "match_failures", f"matrix {index}", index)
+        return counters
+
+    assert chunk(9, 4, 7)["first_discrepancy"] == "matrix 4"
+    out = sweep._merge([chunk(), chunk(12, 30), chunk(11), chunk(11, 40)])
+    assert out == {"checked": 0, "match_failures": 5, "first_discrepancy": "matrix 11"}
+    assert sweep._merge([chunk(), chunk()]) == {
+        "checked": 0, "match_failures": 0, "first_discrepancy": None,
+    }
+
+
 def test_affine_report_flags_a_missing_line(monkeypatch):
     monkeypatch.setattr(aff, "predicted_decomposition", _drop_first_line(aff.predicted_decomposition))
     r = vf.affine_report(aff.Matrix23.from_ints(field(3), [0, 0, 1, 1, 0, 0]))  # I-2
@@ -391,8 +453,9 @@ def test_curve_singularity_is_observed_on_a_mislabelled_curve(monkeypatch):
 
 @pytest.mark.parametrize("q", (2, 3))
 def test_projective_report_looks_up_its_characteristic_once(monkeypatch, q):
-    # every non-scalar matrix at q = 2 through the reference path, and a
-    # slice at q = 3 with the packed observation
+    # every non-scalar matrix at q = 2 through the reference path, and the
+    # orbits of a slice of representatives at q = 3 with their shared
+    # observation
     spec = field(q)
     real = fc._characteristic
     lookups = []
@@ -405,7 +468,7 @@ def test_projective_report_looks_up_its_characteristic_once(monkeypatch, q):
     if q == 2:
         pairs = ((vf._matrix_at(fc.Matrix3, 9, spec, n), None) for n in range(2**9))
     else:
-        pairs = batch.case_observations(spec, 5000, 5600)
+        pairs = ((a, seen) for _n, a, seen in vf._shift_orbits(spec, 1700, 1900))
     reports = 0
     for a, obs in pairs:
         if a.is_scalar():
@@ -693,8 +756,9 @@ def _assert_every_criterion_decided(tally):
 @pytest.mark.parametrize("q", (2, 3))
 def test_value_criterion_agrees_with_substitution_on_every_report(checked_residuals, q):
     spec = field(q)
-    proj = vf._case_range(spec, 0, q**9)
+    proj = vf._case_range(spec, 0, q**8)
     affine = vf._affine_report_range(spec, 0, q**6)
+    assert proj["checked"] == q**9
     assert proj["match_failures"] == affine["match_failures"] == 0
     _assert_every_criterion_decided(checked_residuals)
     assert checked_residuals["as it stands", True] > 0
@@ -713,7 +777,7 @@ def test_value_criterion_agrees_with_substitution_on_seeded_reports(checked_resi
         m = aff.Matrix23.from_ints(spec, [rng.randrange(q) for _ in range(6)])
         if not m.is_zero():
             assert vf.affine_report(m).match
-    lo = rng.randrange(q**9 - 300)
+    lo = rng.randrange(q**8 - 300)
     assert vf._case_range(spec, lo, lo + 300)["match_failures"] == 0
     lo = rng.randrange(q**6 - 800)
     assert vf._affine_report_range(spec, lo, lo + 800)["match_failures"] == 0
@@ -758,7 +822,7 @@ def test_report_sweeps_never_expand_a_residual(monkeypatch):
     for module in (homog, batch, vf, aff, fc):
         if hasattr(module, "linear_substitute"):
             monkeypatch.setattr(module, "linear_substitute", counting)
-    proj = vf._case_range(spec, 0, 3**9)
+    proj = vf._case_range(spec, 0, 3**8)
     affine = vf._affine_report_range(spec, 0, 3**6)
     assert proj["checked"] == 3**9 and affine["checked"] > 0
     assert proj["match_failures"] == affine["match_failures"] == 0
@@ -953,14 +1017,20 @@ PROJECTIVE_REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("q, path", ((2, "packed"), (2, "reference"), (3, "packed")))
 def test_projective_reports_are_pinned(q, path):
-    # every matrix in counting order, observed through the packed kernel as
-    # the sweeps do, or evaluated point by point; both paths give one digest
+    # every matrix in counting order, observed once per scalar-shift orbit
+    # through the packed kernel as the sweeps do, or evaluated point by
+    # point; both paths give one digest
     spec = field(q)
     if path == "packed":
-        reports = (vf.decomposition_report(a, obs) for a, obs in batch.case_observations(spec, 0, q**9))
+        reports = sorted(
+            (n, json.dumps(vf.decomposition_report(a, seen).to_json(), sort_keys=True))
+            for n, a, seen in vf._shift_orbits(spec, 0, q**8)
+        )
+        assert [n for n, _text in reports] == list(range(q**9))
+        text = "".join(text for _n, text in reports)
     else:
         reports = (vf.decomposition_report(vf._matrix_at(fc.Matrix3, 9, spec, n)) for n in range(q**9))
-    text = "".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
+        text = "".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == PROJECTIVE_REPORT_DIGESTS[q]
 
 

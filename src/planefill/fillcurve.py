@@ -435,6 +435,37 @@ def _basis(A: Matrix3, label: CaseLabel) -> tuple:
     return v1, v2, v3
 
 
+def _shift_basis(basis: tuple, label: CaseLabel, shifted: CaseLabel, mu: int, spec: FieldSpec):
+    """The ``_basis`` of R + mu E under the label shifted, from the
+    ``_basis`` of R under label, when shifted is label shifted by mu: the
+    same tag, the roots plus mu and, in case 1, the quadratic g(t - mu).
+    None otherwise, and for the nonsingular case, which is not derived.
+
+    (R + mu E) - (r + mu) E = R - r E and g(t - mu) at R + mu E is g(R), so
+    ``_basis`` takes its first vectors from the same kernels: cases 3.x
+    and 4.x keep R's basis, case 2 takes R's eigenvector for r - mu as the
+    one for the root r, and case 1 keeps v1 and v3 and maps v1 to
+    (R + mu E) v1 = v2 + mu v1.
+    """
+    if shifted.tag != label.tag or label.tag == CASE_NONSINGULAR:
+        return None
+    add = spec._add
+    roots = [add[r.val][mu] for r in label.roots]
+    got = [r.val for r in shifted.roots]
+    if label.tag == CASE_2:
+        if sorted(got) != sorted(roots):
+            return None
+        return tuple(basis[roots.index(r)] for r in got)
+    if got != roots:
+        return None
+    if label.tag == CASE_1:
+        if shifted.quad != label.quad.affine_transform(1, mu):
+            return None
+        (v1, v2, v3), mul = basis, spec._mul[mu]
+        return v1, tuple(add[b][mul[a]] for a, b in zip(v1, v2)), v3
+    return basis
+
+
 def rcf_similarity(A: Matrix3) -> tuple[Matrix3, Matrix3]:
     """(C, S) with S A S^-1 = C, the canonical matrix of A's case.
 
@@ -527,16 +558,22 @@ def line_pencil(spec: FieldSpec, base: int, other: int) -> list:
     return out
 
 
-def predicted_decomposition(A: Matrix3, label: CaseLabel | None = None) -> DecompositionPlan:
+def predicted_decomposition(
+    A: Matrix3, label: CaseLabel | None = None, basis: tuple | None = None
+) -> DecompositionPlan:
     """The splitting the case analysis predicts for the curve of A: the
     canonical plan of its label with the basis of its similarity.
 
+    The basis is ``_basis`` of A unless given: the theorem-4 report sweep
+    passes the one ``_shift_basis`` derives for R + mu E from R's.
     Scalar matrices get the empty plan; the irreducible (nonsingular) case
     is rejected since there is nothing to decompose.
     """
     if label is None:
         label = classify(A)
-    return replace(canonical_plan(A.spec, label), basis=_basis(A, label))
+    if basis is None:
+        basis = _basis(A, label)
+    return replace(canonical_plan(A.spec, label), basis=basis)
 
 
 @lru_cache(maxsize=None)

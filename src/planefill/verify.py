@@ -386,6 +386,42 @@ def _transport(plan, frame: _Frame, spec: FieldSpec) -> _Prediction:
     )
 
 
+class _OrbitFrames:
+    """The similarity frames of the scalar-shift orbit R + mu E of R, from
+    R's label and ``fc._basis``, which R's own report, the orbit's first,
+    fills in, with the point images when the canonical plan has a residual.
+
+    S R S^-1 = C gives S (R + mu E) S^-1 = C + mu E, so a member whose
+    label is R's shifted by mu takes the basis ``fc._shift_basis`` derives
+    from R's, and R's frame itself when that basis is R's."""
+
+    def __init__(self, rep: fc.Matrix3):
+        self.rep = rep
+        self.label = self.frame = None
+
+    def frame_of(self, A: fc.Matrix3, label: fc.CaseLabel) -> _Frame | None:
+        """The frame of A = R + mu E with its label, or None when A's
+        basis is to come from A alone: R's ``fc._basis`` or point images
+        raised, or A's label is not R's shifted by mu."""
+        spec = A.spec
+        mu = spec._sub[A.rows_int[2][2]][self.rep.rows_int[2][2]]
+        if not mu:
+            try:
+                basis = fc._basis(A, label)
+                residual = fc.canonical_plan(spec, label).residual
+                points = tuple(_point_images(basis, spec)) if residual else None
+            except ValueError:
+                return None
+            self.label, self.frame = label, _Frame(basis, points)
+            return self.frame
+        if self.frame is None:
+            return None
+        basis = fc._shift_basis(self.frame.rows, self.label, label, mu, spec)
+        if basis is None:
+            return None
+        return self.frame if basis == self.frame.rows else _Frame(basis)
+
+
 @lru_cache(maxsize=None)
 def _form_jets(spec: FieldSpec, degree: int, terms: tuple):
     """The values at the points of the form with the given (monomial,
@@ -588,7 +624,9 @@ def _compare(seen: _Observed, pred: _Prediction, disc: list) -> dict:
     }
 
 
-def decomposition_report(A: fc.Matrix3, seen: _Observed | None = None) -> DecompositionReport:
+def decomposition_report(
+    A: fc.Matrix3, seen: _Observed | None = None, frames: _OrbitFrames | None = None
+) -> DecompositionReport:
     """Run the oracle against the predicted splitting of the curve of A.
 
     Compares line sets with multiplicity, concurrency structure, residual
@@ -598,8 +636,11 @@ def decomposition_report(A: fc.Matrix3, seen: _Observed | None = None) -> Decomp
     on the residual.  Mismatches are reported, never raised.  ``seen`` is
     the ``_Observed`` curve F_A of a non-scalar A if already observed, as
     shared by the matrices A + mu E of one curve; without it F_A is built
-    and evaluated at every point.  The classification, the prediction and
-    every comparison are A's own.
+    and evaluated at every point.  ``frames``, the ``_OrbitFrames`` of the
+    orbit R + mu E that holds A, gives A's similarity basis derived from
+    R's; without it, or when it has none, the basis is ``fc._basis`` of A.
+    The classification, the canonical plan, the transport and every
+    comparison are A's own.
     """
     spec = A.spec
     q = spec.q
@@ -642,15 +683,16 @@ def decomposition_report(A: fc.Matrix3, seen: _Observed | None = None) -> Decomp
     if label.tag == fc.CASE_NONSINGULAR:
         pred = _Prediction([], fc.ResidualSpec(fc.RESIDUAL_PLANE_FILLING, f_a), None)
     else:
+        frame = None if frames is None else frames.frame_of(A, label)
         try:
-            plan = fc.predicted_decomposition(A, label=label)
+            plan = fc.predicted_decomposition(A, label, None if frame is None else frame.rows)
         except ValueError as exc:
             # A is not similar to the canonical form of its label: predict
             # nothing, so that the audit still records what the curve has
             disc.append(f"no similarity to the canonical form of case {label.tag}: {exc}")
             pred = _Prediction([], None, None)
         else:
-            pred = _transport(plan, _Frame(plan.basis), spec)
+            pred = _transport(plan, _Frame(plan.basis) if frame is None else frame, spec)
     if seen is None:
         seen = _Observed(f_a, _Scanned(f_a))
     observed = _compare(seen, pred, disc)
@@ -798,8 +840,10 @@ def _shift_orbits(spec: FieldSpec, lo: int, hi: int):
     alone, so those are what is compared.  The orbit of R = 0, the scalars,
     gets None, as does a non-scalar matrix whose curve is zero.  The
     reports on the scalars build F_E themselves and check that it is zero,
-    the identity the sharing rests on.  Yields (counting index, Matrix3,
-    observed)."""
+    the identity the sharing rests on.  Each orbit starts with R itself,
+    the only one with a22 = 0, so that its report can fill the
+    ``_OrbitFrames`` its members derive their similarity bases from.
+    Yields (counting index, Matrix3, observed)."""
     from . import batch
 
     q, add = spec.q, spec._add
@@ -829,12 +873,22 @@ def _shift_orbits(spec: FieldSpec, lo: int, hi: int):
                 yield index, a, observed(a, kern.image(a))
 
 
+def _orbit_reports(spec: FieldSpec, lo: int, hi: int):
+    """(counting index, Matrix3, report) for the q matrices R + mu E of
+    each R among lo, ..., hi-1 (hi <= q^8), from ``_shift_orbits``: each
+    non-scalar one audits the observation of its orbit's curve, and takes
+    its similarity basis from the orbit's ``_OrbitFrames``, which R's
+    ``fc._basis`` fills once."""
+    for n, a, seen in _shift_orbits(spec, lo, hi):
+        if not a.rows_int[2][2]:
+            frames = _OrbitFrames(a)
+        yield n, a, decomposition_report(a, seen, frames)
+
+
 def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
-    """Reports for the q matrices R + mu E of each R among lo, ..., hi-1
-    (hi <= q^8), from ``_shift_orbits``: each non-scalar one audits the
-    observation of its orbit's curve.  A failure carries its matrix's
-    counting index, so that the first discrepancy is the one of the
-    smallest index."""
+    """The counters of theorem 4 over the reports of ``_orbit_reports``.
+    A failure carries its matrix's counting index, so that the first
+    discrepancy is the one of the smallest index."""
     counters = {
         "checked": 0,
         "scalars": 0,
@@ -846,8 +900,7 @@ def _case_range(spec: FieldSpec, lo: int, hi: int) -> dict:
         "cases": {},
         "first_discrepancy": None,
     }
-    for n, a, seen in _shift_orbits(spec, lo, hi):
-        r = decomposition_report(a, seen)
+    for n, a, r in _orbit_reports(spec, lo, hi):
         counters["checked"] += 1
         counters["cases"][r.case] = counters["cases"].get(r.case, 0) + 1
         if a.is_scalar():

@@ -95,6 +95,18 @@ def test_criterion_4_decomposition_reports(case_sweeps, representative_sweeps):
                  "one representative per equivalence class at q in {5,7}")
 
 
+def test_criterion_4_case_histogram_is_the_class_orbit_sizes(case_sweeps):
+    # the exhaustive sweep and the class enumeration behind theorem-4 at
+    # q >= 5 count the same matrices per case
+    for q in EXHAUSTIVE_QS:
+        expected = {fc.CASE_4_3: q}
+        for rep in fc.equivalence_representatives(field(q)):
+            expected[rep.tag] = expected.get(rep.tag, 0) + rep.orbit_size
+        assert case_sweeps[q]["cases"] == expected
+    _announce(4, "the exhaustive case histograms are the orbit sizes of the class "
+                 "representatives plus the q scalars, q in {2,3,4}")
+
+
 def test_criterion_5_minimal_polynomial_criterion(case_sweeps):
     for q in EXHAUSTIVE_QS:
         out = case_sweeps[q]

@@ -399,6 +399,50 @@ def test_rcf_similarity_is_the_reference_construction(q):
         assert _ref_product(spec, s.rows_int, list(zip(*basis))) == ident
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_shift_basis_is_the_basis_of_each_orbit_member(q):
+    # every orbit R + mu E (a22 = 0 in R) at q = 2, 3, 2,000 seeded orbits
+    # at q >= 4: each member's label is R's shifted by mu, and the basis
+    # derived from R's is the member's own
+    spec = field(q)
+    if q <= 3:
+        reps = range(q**8)
+    else:
+        reps = random.Random(q).sample(range(q**8), 2000)
+    identity = fc.Matrix3.identity(spec)
+    derived = set()
+    for n in reps:
+        r = fc.Matrix3.from_ints(spec, base_digits(n, q, 9))
+        label = fc.classify(r)
+        basis = None if r.is_scalar() else fc._basis(r, label)
+        for mu in range(1, q):
+            a = r + identity.scale(mu)
+            shifted = fc.classify(a)
+            got = None if basis is None else fc._shift_basis(basis, label, shifted, mu, spec)
+            if label.tag in (fc.CASE_NONSINGULAR, fc.CASE_4_3):
+                assert got is None if label.tag == fc.CASE_NONSINGULAR else got == basis
+                continue
+            assert got == fc._basis(a, shifted), (r.to_ints(), mu)
+            derived.add(label.tag)
+    if q <= 3:
+        cases = {fc.CASE_1, fc.CASE_3_1, fc.CASE_3_2, fc.CASE_4_1, fc.CASE_4_2}
+        assert derived == (cases if q == 2 else cases | {fc.CASE_2})
+
+
+def test_shift_basis_refuses_a_label_that_is_not_the_shift():
+    spec = field(3)
+    r = fc.Matrix3.from_ints(spec, [1, 1, 0, 1, 0, 0, 0, 0, 0])  # case 1
+    label = fc.classify(r)
+    basis = fc._basis(r, label)
+    shifted = fc.classify(r + fc.Matrix3.identity(spec))
+    assert fc._shift_basis(basis, label, shifted, 1, spec) is not None
+    wrong_quad = fc.CaseLabel(fc.CASE_1, shifted.roots, label.quad)
+    wrong_root = fc.CaseLabel(fc.CASE_1, label.roots, shifted.quad)
+    wrong_tag = fc.CaseLabel(fc.CASE_3_1, shifted.roots, shifted.quad)
+    for other in (wrong_quad, wrong_root, wrong_tag):
+        assert fc._shift_basis(basis, label, other, 1, spec) is None
+
+
 def test_case2_residual_coefficients_sum_to_zero():
     spec = field(5)
     a = fc.Matrix3.diagonal(spec, 1, 2, 4)

@@ -6,9 +6,10 @@ projective case and every affine label at q = 3 and q = 4 (characteristic
 2, with witnesses that combine a basis change and a shift), both atlases at q = 2 and
 q = 3, the six verification suites at q = 2, and ``affine-6`` at q = 3,
 where all eight degenerate affine labels occur, so its file pins the label
-histogram and the audit counts, and ``theorem-4`` at q = 3, where all eight
-projective cases occur, so its file pins the case histogram in the order
-the sweep first meets each case, at one and at two jobs.
+histogram and the audit counts.  At q = 3, where all eight projective
+cases occur, ``theorem-4`` pins the case histogram in the order the sweep
+first meets each case, and ``sziklai``, which runs the same report sweep,
+pins its residual point-bound audits; both at one and at two jobs.
 
 To rewrite the files after an intended output change:
 
@@ -83,7 +84,8 @@ def _cases():
     for suite in SUITES:
         cases[f"verify_q2_{suite}"] = ["verify", "--q", "2", "--suite", suite]
     cases["verify_q3_affine-6"] = ["verify", "--q", "3", "--suite", "affine-6"]
-    cases["verify_q3_theorem-4"] = ["verify", "--q", "3", "--suite", "theorem-4"]
+    for suite in ("theorem-4", "sziklai"):
+        cases[f"verify_q3_{suite}"] = ["verify", "--q", "3", "--suite", suite]
     return cases
 
 
@@ -109,9 +111,10 @@ def test_golden_output(name):
 
 
 def test_golden_verify_output_does_not_depend_on_jobs():
-    code, out = _run([*CASES["verify_q3_theorem-4"], "--jobs", "2"])
-    expected = (GOLDEN / "verify_q3_theorem-4.txt").read_text(encoding="utf-8")
-    assert _golden_text(code, out) == expected
+    for name in ("verify_q3_theorem-4", "verify_q3_sziklai"):
+        code, out = _run([*CASES[name], "--jobs", "2"])
+        expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert _golden_text(code, out) == expected, name
 
 
 def _regenerate():

@@ -504,6 +504,35 @@ def test_sweeps_report_an_irreducible_cubic_memoized_as_case_1(monkeypatch):
     assert out["pass"] is False
 
 
+def test_orbit_member_whose_label_is_not_the_shift_takes_its_own_basis(monkeypatch):
+    # R is case 1 with roots (alpha,) and quadratic g; the memo entry of
+    # R + E keeps its root alpha + 1 but gets g instead of g(t - 1), so the
+    # sweep cannot derive its basis from R's and must report it as the
+    # reference path does
+    spec = field(3)
+    rep = fc.Matrix3.from_ints(spec, [1, 1, 0, 1, 0, 0, 0, 0, 0])
+    member = rep + fc.Matrix3.identity(spec)
+    label = fc.classify(rep)
+    assert label.tag == fc.CASE_1
+    key = (spec, *fc._invariants(member))
+    real = fc._characteristic
+    f, ((shifted, m),) = real(*key)
+    wrong = fc.CaseLabel(fc.CASE_1, shifted.roots, label.quad)
+    assert shifted.quad != label.quad
+    monkeypatch.setattr(fc, "_characteristic", lambda *k: (f, ((wrong, m),)) if k == key else real(*k))
+    bases = []
+    basis = fc._basis
+    monkeypatch.setattr(fc, "_basis", lambda a, lab: bases.append(a.to_ints()) or basis(a, lab))
+    reports = {tuple(a.to_ints()): r for _n, a, r in vf._orbit_reports(spec, 31, 32)}
+    # R's basis once, for its orbit, and the member's own
+    assert bases == [rep.to_ints(), member.to_ints()]
+    assert len(reports) == 3 and reports[tuple(rep.to_ints())].match
+    got = reports[tuple(member.to_ints())]
+    assert got.match is False and got.discrepancies[0].startswith("no similarity")
+    assert got.to_json() == vf.decomposition_report(member).to_json()
+    assert vf._case_range(spec, 31, 32)["match_failures"] == 1
+
+
 def test_case_report_sweep_reports_a_repeated_root_test_that_always_splits(monkeypatch):
     spec = field(2)
     cyclic = sum(
@@ -1017,14 +1046,15 @@ PROJECTIVE_REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("q, path", ((2, "packed"), (2, "reference"), (3, "packed")))
 def test_projective_reports_are_pinned(q, path):
-    # every matrix in counting order, observed once per scalar-shift orbit
-    # through the packed kernel as the sweeps do, or evaluated point by
-    # point; both paths give one digest
+    # every matrix in counting order, reported as the sweeps report it, on
+    # the observation of its scalar-shift orbit through the packed kernel
+    # and with the basis derived from the orbit's first matrix, or
+    # evaluated point by point with its own basis; both paths give one
+    # digest
     spec = field(q)
     if path == "packed":
         reports = sorted(
-            (n, json.dumps(vf.decomposition_report(a, seen).to_json(), sort_keys=True))
-            for n, a, seen in vf._shift_orbits(spec, 0, q**8)
+            (n, json.dumps(r.to_json(), sort_keys=True)) for n, _a, r in vf._orbit_reports(spec, 0, q**8)
         )
         assert [n for n, _text in reports] == list(range(q**9))
         text = "".join(text for _n, text in reports)
@@ -1032,6 +1062,18 @@ def test_projective_reports_are_pinned(q, path):
         reports = (vf.decomposition_report(vf._matrix_at(fc.Matrix3, 9, spec, n)) for n in range(q**9))
         text = "".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == PROJECTIVE_REPORT_DIGESTS[q]
+
+
+def test_orbit_reports_at_q4_equal_the_reference():
+    # the orbits R + mu E of 500 seeded representatives, reported as the
+    # sweep reports them, against each matrix's own reference report
+    spec = field(4)
+    cases = set()
+    for rep in random.Random(4).sample(range(4**8), 500):
+        for _n, a, r in vf._orbit_reports(spec, rep, rep + 1):
+            assert r.to_json() == vf.decomposition_report(a).to_json(), a.to_ints()
+            cases.add(r.case)
+    assert {fc.CASE_1, fc.CASE_2, fc.CASE_3_1} <= cases
 
 
 def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):

@@ -10,13 +10,11 @@ from .affine import AffineLabel, BTransform, Matrix23, build_GM, classify_affine
 from .fillcurve import (
     CaseLabel,
     DecompositionPlan,
-    EquivKey,
     Matrix3,
     build_FA,
     build_UVW,
     charpoly,
     classify,
-    equiv_key,
     minpoly,
     predicted_decomposition,
     rcf_similarity,

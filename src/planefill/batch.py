@@ -229,11 +229,12 @@ def _point_jets(plane, f: HomogPoly) -> list[int]:
     return [v for point in zip(*plane.jets(f)) for v in point]
 
 
-def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
+def _kernel(spec: FieldSpec, units) -> Kernel:
     """Images holding (f, df/dx, df/dy, df/dz) at each rational point in
-    plane order ("points"), then for each k < chart_powers and each chart R
-    of ``_line_charts`` the coefficients of s^(d-k-m) t^m w^k in
-    f(R(s, t, w)), m = 0, ..., d-k, for f of degree d ("w<k>");
+    plane order ("points"), then for each k = 0, 1, 2 and each chart R of
+    ``_line_charts`` the coefficients of s^(d-k-m) t^m w^k in
+    f(R(s, t, w)), m = 0, ..., d-k, for f of degree d ("w<k>"), which give
+    the lines dividing f with multiplicity up to 2;
     ``line_blocks[k]`` has one block of "w<k>" per line, ``values`` one
     block per point holding f and ``singular`` one per point holding f and
     its partials.  ``jets`` memoizes, per (monomial, c) met, the packed
@@ -242,7 +243,7 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
     d = units[0].degree
     sections = {"points": (0, 4 * len(plane.points))}
     first = 4 * len(plane.points)
-    for k in range(chart_powers):
+    for k in range(3):
         count = (d - k + 1) * len(plane.lines)
         sections[f"w{k}"] = (first, count)
         first += count
@@ -250,12 +251,12 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
     for f in units:
         vec = _point_jets(plane, f)
         charts = [linear_substitute(f, rows).terms for rows in _line_charts(spec)]
-        for k in range(chart_powers):
+        for k in range(3):
             for terms in charts:
                 vec += [terms.get((d - k - m, m, k), 0) for m in range(d - k + 1)]
         vectors.append(vec)
     kern = Kernel(spec, sections, vectors)
-    kern.line_blocks = tuple(kern.blocks(f"w{k}", d - k + 1) for k in range(chart_powers))
+    kern.line_blocks = tuple(kern.blocks(f"w{k}", d - k + 1) for k in range(3))
     kern.values = Blocks(kern.lanes, range(0, 4 * len(plane.points), 4), 1)
     kern.singular = kern.blocks("points", 4)
     kern.jets = {}
@@ -266,7 +267,7 @@ def _kernel(spec: FieldSpec, units, chart_powers: int) -> Kernel:
 def cycle_kernel(spec: FieldSpec) -> Kernel:
     """``_kernel`` of F_A with the w^0, w^1 and w^2 blocks, which give the
     lines dividing F_A with multiplicity up to 2."""
-    return _kernel(spec, _units(spec, fc.Matrix3, 9, fc.build_FA), 3)
+    return _kernel(spec, _units(spec, fc.Matrix3, 9, fc.build_FA))
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +283,7 @@ def affine_kernel(spec: FieldSpec) -> Kernel:
     blocks it at the points of z = 0.
     """
     q = spec.q
-    kern = _kernel(spec, _units(spec, aff.Matrix23, 6, aff.build_GM), 3)
+    kern = _kernel(spec, _units(spec, aff.Matrix23, 6, aff.build_GM))
     plane = _plane_for(spec)
     lanes = kern.lanes
     kern.quad = [

@@ -6,7 +6,8 @@ W = x^q y - x y^q.  This module builds that polynomial, computes the
 characteristic and minimal polynomials of A, sorts A into the eight
 splitting cases, emits the predicted decomposition in the canonical
 coordinates of each case together with the similarity transform that
-realizes it, and computes a complete projective-equivalence key.
+realizes it, and lists one representative matrix per class of
+A -> rho*PAP^-1 + mu*E.
 """
 
 from __future__ import annotations
@@ -662,48 +663,18 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
 
 
 # ---------------------------------------------------------------------------
-# projective-equivalence key
-
-
-@dataclass(frozen=True)
-class EquivKey:
-    """Canonical invariant of the projective-equivalence class of a curve.
-
-    Two non-scalar matrices share a key exactly when one is
-    rho * tB A tB^-1 + mu E for some invertible B, nonzero rho and any mu.
-    All scalar matrices share the distinguished scalar key.
-    """
-
-    scalar: bool
-    key: tuple | None
-
-
-def _orbit(f: UniPoly, m: UniPoly) -> set:
-    """The (characteristic, minimal) coefficient pairs of rho*A + mu*E over
-    all nonzero rho and all mu, for A with polynomials f and m; m is
-    transformed apart only when it differs from f."""
-    q = f.spec.q
-    same = m == f
-    out = set()
-    for rho in range(1, q):
-        for mu in range(q):
-            fk = f.affine_transform(rho, mu).coeffs
-            out.add((fk, fk if same else m.affine_transform(rho, mu).coeffs))
-    return out
-
-
-def _pair_key(orbit: set) -> tuple:
-    return min((len(mk), fk, mk) for fk, mk in orbit)
-
-
-def equiv_key(A: Matrix3) -> EquivKey:
-    if A.is_scalar():
-        return EquivKey(True, None)
-    return EquivKey(False, _pair_key(_orbit(charpoly(A), minpoly(A))))
-
-
-# ---------------------------------------------------------------------------
 # one representative matrix per equivalence class
+
+
+def _orbit(f: UniPoly) -> set:
+    """The coefficient tuples of rho^3 f((t - mu)/rho), the characteristic
+    polynomial of rho*A + mu*E for A with characteristic polynomial f, over
+    all nonzero rho and all mu.  The roots move by r -> rho*r + mu, so the
+    minimal polynomial of rho*A + mu*E is fixed by its characteristic
+    polynomial and A's label, and the orbit of A's (characteristic, minimal)
+    pair has as many members as this set."""
+    q = f.spec.q
+    return {f.affine_transform(rho, mu).coeffs for rho in range(1, q) for mu in range(q)}
 
 
 def _class_size(spec: FieldSpec, tag: str) -> int:
@@ -729,7 +700,6 @@ def _class_size(spec: FieldSpec, tag: str) -> int:
 
 @dataclass(frozen=True)
 class ClassRepresentative:
-    key: EquivKey
     matrix: Matrix3
     tag: str
     orbit_size: int
@@ -741,12 +711,13 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
     Classes are enumerated through (characteristic, minimal) polynomial
     pairs rather than by sweeping all q^9 matrices; the orbit size is the
     similarity-class size times the number of distinct scaled-and-shifted
-    polynomial pairs.  Orbit sizes over all entries sum to q^9 - q.
+    characteristic polynomials (``_orbit``).  Orbit sizes over all entries
+    sum to q^9 - q.
 
-    A cubic is skipped, before it is factored, when it is the
-    characteristic polynomial of a pair in an orbit already found: the
-    orbits of all the labels of a cubic are taken in the same pass, and
-    rho*A + mu*E maps the labels of one cubic onto those of the other.
+    A cubic is skipped, before it is factored, when it lies in the orbit of
+    a cubic already taken: all the labels of a cubic are taken in the same
+    pass, and rho*A + mu*E maps the labels of one cubic onto those of the
+    other.
     """
     q = spec.q
     out = []
@@ -756,11 +727,10 @@ def equivalence_representatives(spec: FieldSpec) -> list[ClassRepresentative]:
         if coeffs in seen:
             continue
         f = UniPoly(spec, coeffs)
-        for label, m in _case_labels(f):
-            orbit = _orbit(f, m)
-            seen.update(fk for fk, _mk in orbit)
-            key = EquivKey(False, _pair_key(orbit))
+        orbit = _orbit(f)
+        seen.update(orbit)
+        for label, _m in _case_labels(f):
             C = _case_canonical(spec, label, f)
             size = _class_size(spec, label.tag) * len(orbit)
-            out.append(ClassRepresentative(key, C, label.tag, size))
+            out.append(ClassRepresentative(C, label.tag, size))
     return out

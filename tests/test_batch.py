@@ -285,7 +285,7 @@ def test_observed_lines_resolve_multiplicities_up_to_two():
     spec = field(3)
     x, y, z = (HomogPoly.variable(spec, i) for i in range(3))
     plane = vf._plane_for(spec)
-    kern = batch._kernel(spec, [x * x * y * z, x * x * x * y, x * y * (x + y + z) * (y + z)], 3)
+    kern = batch._kernel(spec, [x * x * y * z, x * x * x * y, x * y * (x + y + z) * (y + z)])
     index = {l.line_coeffs(): i for i, l in enumerate(plane.lines)}
     double, triple, single = (kern.tables[k][1] for k in range(3))
     assert batch.observed_lines(kern, double) == [(index[1, 0, 0], 2), (index[0, 1, 0], 1), (index[0, 0, 1], 1)]

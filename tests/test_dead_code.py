@@ -40,7 +40,6 @@ ALLOWED = {
     "fillcurve.Matrix3.det": "tests pick invertible matrices for similarity transforms",
     "fillcurve.Matrix3.transpose": "tests build B^T A B^-T to test equivalence invariance",
     "fillcurve.rcf_similarity": "tests check S A S^-1 = C and pin S to the reference construction",
-    "fillcurve.equiv_key": "tests check the complete equivalence key against orbits",
     "gf.FieldSpec.element": "tests build elements from their encodings",
     "gf.FieldSpec.from_coeffs": "tests build extension-field elements from base-field digits",
     "homog.HomogPoly.eval": "tests evaluate at one point as the reference for the plane's value columns",

@@ -547,14 +547,9 @@ def test_scalar_matrix_gets_zero_plan():
     assert not plan.lines and plan.residual is None and plan.concurrency is None
 
 
-def test_equiv_key_scalars():
-    spec = field(3)
-    e = fc.Matrix3.identity(spec)
-    assert fc.equiv_key(e) == fc.equiv_key(e.scale(2))
-    assert fc.equiv_key(e).scalar
-
-
 def test_equiv_key_invariance():
+    # rho * B^T A B^-T + mu E keeps A's case tag and takes A's characteristic
+    # polynomial to a member of its orbit
     rng = random.Random(47)
     for q in (2, 3, 4):
         spec = field(q)
@@ -568,15 +563,18 @@ def test_equiv_key_invariance():
             mu = rng.randrange(q)
             bt = b.transpose()
             other = (bt @ a @ bt.inverse()).scale(rho) + ident.scale(mu)
-            assert fc.equiv_key(a) == fc.equiv_key(other)
+            assert fc.classify(other).tag == fc.classify(a).tag
+            assert fc.charpoly(other).coeffs in fc._orbit(fc.charpoly(a))
 
 
 def test_equiv_key_cross_ratio_orbit():
+    # diag(0, 1, lam) for lam = 2, 3, 4 are one class at q = 5
     spec = field(5)
-    keys = {
-        fc.equiv_key(fc.Matrix3.diagonal(spec, 0, 1, lam)).key for lam in (2, 3, 4)
-    }
-    assert len(keys) == 1
+    a, *others = (fc.Matrix3.diagonal(spec, 0, 1, lam) for lam in (2, 3, 4))
+    orbit = fc._orbit(fc.charpoly(a))
+    for other in others:
+        assert fc.classify(other).tag == fc.classify(a).tag
+        assert fc.charpoly(other).coeffs in orbit
 
 
 MINPOLY_DEGREE = {
@@ -593,19 +591,55 @@ def test_representatives_classify_as_their_tag(q):
         assert fc.minpoly(rep.matrix).degree == MINPOLY_DEGREE[rep.tag]
 
 
-def test_representatives_against_brute_force_q2():
-    spec = field(2)
-    reps = fc.equivalence_representatives(spec)
-    brute: dict = {}
-    for n in range(2**9):
-        a = fc.Matrix3.from_ints(spec, [(n >> i) & 1 for i in range(9)])
-        if a.is_scalar():
-            continue
-        k = fc.equiv_key(a)
-        brute[k] = brute.get(k, 0) + 1
-    assert len(reps) == len(brute)
-    for rep in reps:
-        assert brute[rep.key] == rep.orbit_size
+def _class_moves(q):
+    """Moves on row-major entry tuples over the prime field GF(q) that
+    generate A -> rho*PAP^-1 + mu*E: conjugation by the transvections
+    E + e_ij (and by diag(2, 1, 1) at q = 3, which with them generates
+    GL(3, q)), scaling by a primitive element and adding E."""
+
+    def transvection(i, j):
+        def move(a):
+            m = list(a)
+            for k in range(3):  # row i += row j, then column j -= column i
+                m[3 * i + k] = (m[3 * i + k] + m[3 * j + k]) % q
+            for k in range(3):
+                m[3 * k + j] = (m[3 * k + j] - m[3 * k + i]) % q
+            return tuple(m)
+
+        return move
+
+    moves = [transvection(i, j) for i in range(3) for j in range(3) if i != j]
+    if q == 3:  # at q = 2 both moves below are the identity
+        # diag(2, 1, 1) A diag(2, 1, 1)^-1 doubles row 0 and column 0 off (0, 0)
+        moves.append(lambda a: tuple(x * 2 % 3 if (k < 3) != (k % 3 == 0) else x for k, x in enumerate(a)))
+        # 2 is primitive mod 3
+        moves.append(lambda a: tuple(x * 2 % 3 for x in a))
+    moves.append(lambda a: tuple((x + 1) % q if k % 4 == 0 else x for k, x in enumerate(a)))
+    return moves
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_representative_orbits_are_closures(q):
+    """The closure of each representative under the class moves has its
+    orbit_size members, the closures are disjoint, and together they hold
+    all q^9 - q non-scalar matrices (the moves keep a matrix non-scalar)."""
+    moves = _class_moves(q)
+    covered: set = set()
+    for rep in fc.equivalence_representatives(field(q)):
+        assert not rep.matrix.is_scalar()
+        start = tuple(rep.matrix.to_ints())
+        closure, stack = {start}, [start]
+        while stack:
+            a = stack.pop()
+            for move in moves:
+                b = move(a)
+                if b not in closure:
+                    closure.add(b)
+                    stack.append(b)
+        assert len(closure) == rep.orbit_size
+        assert covered.isdisjoint(closure)
+        covered |= closure
+    assert len(covered) == q**9 - q
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -627,33 +661,34 @@ def test_class_sizes_match_brute_force(q):
         assert counts[(f.coeffs, m.coeffs)] == fc._class_size(spec, rep.tag)
 
 
-# sha256 of repr((matrix.to_ints(), tag, orbit_size, key)) over the list,
-# in order, from the enumeration that factored every monic cubic
+# sha256 of repr((matrix.to_ints(), tag, orbit_size)) over the list, in
+# order, from the enumeration whose orbits held (characteristic, minimal)
+# pairs, one orbit per label
 REPRESENTATIVES_SHA256 = {
-    2: "94b8a2234ee0c5e45412545201efd41609972caa3628fe372129a488b6cc8592",
-    3: "ccc4944b1147573f7e36bdda830fb4aeea2678de261fe54fc590cb82c831e80d",
-    4: "651d85d6b20d584e1d746a4e1dd36065890de08cbaf4515c922da6e65e5fb28a",
-    5: "9e249ff6714f61d5391b6e4231e61553d0c3889f8211230caf00f479265c0d52",
-    7: "199f8fc68135ba2fabf7e81b4d49aec3e1d6ab295d2e1242a8921c22bc3f2080",
-    8: "2cf1608b49f8a1bb3b5235c12b82ca8c20fc07d81f42b47d49c1a85470c2541d",
-    9: "05cb121fb0c047da0c15cd751dce8aa884c716c595779ff4a9c7da19b45d26c8",
-    16: "b59afae496855bfab8d8a3615f670055f1dc6ccf150ddfb466ea0c63264416cd",
+    2: "1e7cce0eba5cd0e7828c63b1cfb6227680cd40283bc824ac74fbb9791261f91d",
+    3: "79f3a42f4760903a680cd520365952e3dc10f4661fb5c40bafc826b2f4fcd239",
+    4: "5c828f0f6e03adb274d3655d7d52dfd407d4ae9e52f06281eb21b772aaefb95a",
+    5: "33bd9c93fc77d471bfd44ec4fc1c529ad7f2c361b012dcdd80a9d1818feebfa3",
+    7: "c7ccfec371ca22040e2b1e77883dc73bbe3a8d111295fda76b3976cac928ea41",
+    8: "1bec79f11adb506e97ec2fef5de3a69fb1d0bdeb4a328e42d76ac8cdc147008b",
+    9: "dfa16208c854c866e9a164fd64f31191b83071a8ea4521f4ad38a71c4a8cfdbf",
+    16: "4f570dbb1a8eea9c52ca4315afac50f413650f2280098e1a8ccee05f90102f5f",
 }
 
 
 @pytest.mark.parametrize("q", sorted(REPRESENTATIVES_SHA256))
 def test_representative_list_is_pinned(q):
-    """The representatives, their order, tags, orbit sizes and keys are
-    those of the enumeration that skips no cubic."""
+    """The representatives, their order, tags and orbit sizes are those of
+    the enumeration that skips no cubic."""
     digest = hashlib.sha256()
     for rep in fc.equivalence_representatives(field_for_order(q)):
-        digest.update(repr((rep.matrix.to_ints(), rep.tag, rep.orbit_size, rep.key)).encode())
+        digest.update(repr((rep.matrix.to_ints(), rep.tag, rep.orbit_size)).encode())
     assert digest.hexdigest() == REPRESENTATIVES_SHA256[q]
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 5))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 27, 32))
 def test_orbit_sizes_partition_nonscalar_matrices(q):
-    spec = field(q)
+    spec = field_for_order(q)
     total = sum(rep.orbit_size for rep in fc.equivalence_representatives(spec))
     assert total == q**9 - q
 
@@ -675,7 +710,10 @@ def _expanded_affine_transform(f, rho, mu):
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
 def test_affine_transform_is_the_expanded_substitution(q):
     # every (characteristic, minimal) pair of the case table, for every
-    # monic cubic at q <= 5 and seeded ones above, under every (rho, mu)
+    # monic cubic at q <= 5 and seeded ones above, under every (rho, mu);
+    # within the orbit of a pair the transformed minimal polynomial is a
+    # function of the transformed characteristic one, so ``_orbit`` may
+    # count characteristic polynomials alone
     spec = field(q)
     if q <= 5:
         cubics = range(q**3)
@@ -687,8 +725,11 @@ def test_affine_transform_is_the_expanded_substitution(q):
         f = UniPoly(spec, base_digits(n, q, 3) + (1,))
         for _label, m in fc._case_labels(f):
             pairs += 1
+            minimal = {}
             for rho in range(1, q):
                 for mu in range(q):
-                    for g in (f, m):
-                        assert g.affine_transform(rho, mu) == _expanded_affine_transform(g, rho, mu)
+                    fk, mk = (g.affine_transform(rho, mu) for g in (f, m))
+                    assert fk == _expanded_affine_transform(f, rho, mu)
+                    assert mk == _expanded_affine_transform(m, rho, mu)
+                    assert minimal.setdefault(fk.coeffs, mk.coeffs) == mk.coeffs
     assert pairs >= len(cubics)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import fillcurve as fc
 from .gf import FieldSpec
-from .homog import HomogPoly, ProjPoint, _combination, _cross, _matvec
+from .homog import HomogPoly, _combination, _cross, _matvec
 from .poly import (
     QUAD_DOUBLE,
     QUAD_IRREDUCIBLE,
@@ -70,14 +70,6 @@ class Matrix23:
         return 2 if any(_cross(*self.rows_int, self.spec)) else 1
 
 
-def quad_form_triple(M: Matrix23) -> tuple[int, int, int]:
-    """Coefficients (A, B, C) of the binary quadratic A s^2 + B st + C t^2
-    attached to the left block of M; characteristic 2 forbids symmetrizing,
-    so the triple is read off asymmetrically."""
-    (a0, a1), (b0, b1) = M.left_block()
-    return a0, M.spec._add[a1][b0], b1
-
-
 @lru_cache(maxsize=None)
 def memo_quad_shape(spec: FieldSpec, a: int, b: int, c: int) -> QuadShape:
     """``quad_shape`` of a s^2 + b st + c t^2 for encodings a, b, c: one
@@ -86,7 +78,11 @@ def memo_quad_shape(spec: FieldSpec, a: int, b: int, c: int) -> QuadShape:
 
 
 def left_quad_shape(M: Matrix23) -> QuadShape:
-    return memo_quad_shape(M.spec, *quad_form_triple(M))
+    """Root shape of the binary quadratic a0 s^2 + (a1 + b0) st + b1 t^2 of
+    the left block of M; characteristic 2 forbids symmetrizing, so the
+    middle coefficient is read off asymmetrically."""
+    (a0, a1, _), (b0, b1, _) = M.rows_int
+    return memo_quad_shape(M.spec, a0, M.spec._add[a1][b0], b1)
 
 
 def _det2(block, spec: FieldSpec) -> int:
@@ -164,49 +160,42 @@ def build_GM(M: Matrix23) -> HomogPoly:
     return _combination(spec, spec.q + 1, zip(M.to_ints(), _gm_basis(spec)))
 
 
-def points_at_infinity(M: Matrix23) -> list[ProjPoint]:
-    """Rational points of the curve of M on the line z = 0.
-
-    These are exactly the projective roots of the left-block quadratic, so
-    there are 2, 1, 0 or q+1 of them.
-    """
-    if M.is_zero():
-        raise ValueError("the zero matrix defines no curve")
-    return [
-        ProjPoint(M.spec, (s, t, M.spec.zero))
-        for s, t in left_quad_shape(M).roots
-    ]
+def points_at_infinity(shape: QuadShape) -> set[tuple]:
+    """Keys of the rational points on z = 0 of a curve whose left-block
+    quadratic has this shape: its 2, 1, 0 or q+1 roots (s:t), which
+    ``quad_shape`` lists normalized, as (s, t, 0)."""
+    return {(s.val, t.val, 0) for s, t in shape.roots}
 
 
 @dataclass(frozen=True)
 class AffineLabel:
     """Classification of a nonzero 2x3 matrix: the case tag, the canonical
-    matrix of its orbit and the witnessing transformation."""
+    matrix of its orbit, the witnessing transformation, and the shape of
+    its left-block quadratic and its rank, which decide the tag."""
 
     tag: str
     canonical: Matrix23
     witness: BTransform
+    shape: QuadShape
+    rank: int
 
 
-def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
-    """Reduce a degenerate matrix to its canonical shape.
+def reduce_to_canonical(M: Matrix23, shape: QuadShape, det: int) -> tuple[Matrix23, BTransform]:
+    """Reduce a degenerate matrix to its canonical shape, given the shape of
+    its left-block quadratic and the determinant det of its left block M'.
 
     Writes the witness (B b; 0 1) down directly and applies it to M once.
-    B has the two roots of the left-block quadratic as columns, a
-    complement and the root for a double root, and is the identity for
-    the zero quadratic.  With lam = 1 the new third column is tB(M'b + m),
-    so when the left block M' is invertible the shift b = -M'^-1 m clears
-    it whatever B is; it is read off the adjugate of M'.  For a singular
-    M', b is B times the shear that clears the third entry of the first
-    row of the image of (B 0; 0 1) against its pivot, and for the zero
-    quadratic B rescales the third column instead.
+    B has the two roots of the quadratic as columns, a complement and the
+    root for a double root, and is the identity for the zero quadratic.
+    With lam = 1 the new third column is tB(M'b + m), so for an invertible
+    M' the shift b = -M'^-1 m, read off the adjugate, clears it whatever B
+    is.  For a singular M', b is B times the shear that clears the third
+    entry of the first row of the image of (B 0; 0 1) against its pivot,
+    and for the zero quadratic B rescales the third column instead.
     """
-    if M.is_zero():
-        raise ValueError("the zero matrix cannot be reduced")
-    spec = M.spec
-    shape = left_quad_shape(M)
     if shape.tag == QUAD_IRREDUCIBLE:
         raise ValueError("an irreducible left-block quadratic has no degenerate canonical form")
+    spec = M.spec
     sub, mul, neg = spec._sub, spec._mul, spec._neg
     (a0, a1, m0), (b0, b1, m1) = M.rows_int
     if shape.tag == QUAD_TWO_DISTINCT:
@@ -218,7 +207,6 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
         block = ((1, s1.val), (0, t1.val)) if t1.val else ((0, s1.val), (1, 0))
     else:  # zero polynomial
         block = ((1, 0), (0, 1))
-    det = _det2(M.left_block(), spec)
     if det:
         inv = mul[spec._inv[det]]
         shift = (inv[sub[mul[a1][m1]][mul[b1][m0]]], inv[sub[mul[b0][m0]][mul[a0][m1]]])
@@ -237,45 +225,55 @@ def reduce_to_canonical(M: Matrix23) -> tuple[Matrix23, BTransform]:
             raise AssertionError(
                 "a zero left-block quadratic with singular left block forces the block itself to vanish"
             )
+        if not (m0 or m1):
+            raise ValueError("the zero matrix cannot be reduced")
         block = ((spec._inv[m0], neg[m1]), (0, m0)) if m0 else ((0, 1), (spec._inv[m1], 0))
         shift = (0, 0)
     witness = BTransform(spec, block, shift, 1)
     return apply_transform(M, witness), witness
 
 
-def affine_tag(M: Matrix23) -> str:
-    """Case tag of a nonzero matrix, from the root shape of the left-block
-    quadratic, the invertibility of the left block and the rank."""
+def _affine_facts(M: Matrix23) -> tuple[str, QuadShape, int, int]:
+    """(tag, left-block quadratic shape, left-block determinant, rank) of a
+    nonzero matrix, each computed once: the tag follows from the other
+    three, and an invertible left block makes the rank 2."""
     if M.is_zero():
         raise ValueError("the zero matrix defines no curve")
     shape = left_quad_shape(M)
-    if shape.tag == QUAD_IRREDUCIBLE:
-        return AFFINE_FILLING
     det = _det2(M.left_block(), M.spec)
-    rank = M.rank()
-    if shape.tag == QUAD_TWO_DISTINCT:
-        return AFFINE_I1 if det else (AFFINE_I2 if rank == 2 else AFFINE_I3)
-    if shape.tag == QUAD_DOUBLE:
-        return AFFINE_II1 if det else (AFFINE_II2 if rank == 2 else AFFINE_II3)
-    if det == 0 and rank == 2:
+    rank = 2 if det else M.rank()
+    if shape.tag == QUAD_IRREDUCIBLE:
+        tag = AFFINE_FILLING
+    elif shape.tag == QUAD_TWO_DISTINCT:
+        tag = AFFINE_I1 if det else (AFFINE_I2 if rank == 2 else AFFINE_I3)
+    elif shape.tag == QUAD_DOUBLE:
+        tag = AFFINE_II1 if det else (AFFINE_II2 if rank == 2 else AFFINE_II3)
+    elif det == 0 and rank == 2:
         raise AssertionError(
             "no matrix has a zero left-block quadratic, singular left block and rank 2"
         )
-    return AFFINE_III1 if det else AFFINE_III3
+    else:
+        tag = AFFINE_III1 if det else AFFINE_III3
+    return tag, shape, det, rank
+
+
+def affine_tag(M: Matrix23) -> str:
+    """Case tag of a nonzero matrix, without the reduction."""
+    return _affine_facts(M)[0]
 
 
 def classify_affine(M: Matrix23) -> AffineLabel:
-    """Tag a nonzero matrix with :func:`affine_tag`, with the canonical
+    """Tag a nonzero matrix as :func:`affine_tag` does, with the canonical
     form and the transformation reaching it.
 
     Matrices with an irreducible left-block quadratic are tagged as
     filling curves, with an identity witness.
     """
-    tag = affine_tag(M)
+    tag, shape, det, rank = _affine_facts(M)
     if tag == AFFINE_FILLING:
-        return AffineLabel(AFFINE_FILLING, M, BTransform.identity(M.spec))
-    canonical, witness = reduce_to_canonical(M)
-    return AffineLabel(tag, canonical, witness)
+        return AffineLabel(tag, M, BTransform.identity(M.spec), shape, rank)
+    canonical, witness = reduce_to_canonical(M, shape, det)
+    return AffineLabel(tag, canonical, witness, shape, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .homog import (
     partials,
     scalar_ratio,
 )
-from .poly import QUAD_IRREDUCIBLE
+from .poly import QUAD_IRREDUCIBLE, QUAD_ZERO
 from .sweep import _check_cycle, _note_failure, _run_ranges
 
 
@@ -771,14 +771,13 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     inf_observed = len(inf_set)
     if inf_observed != plan.infinity_points:
         disc.append(f"{inf_observed} points at infinity, expected {plan.infinity_points}")
-    if {p.key for p in aff.points_at_infinity(M)} != inf_set:
+    if aff.points_at_infinity(label.shape) != inf_set:
         disc.append("points at infinity disagree with the left-block quadratic roots")
 
     # a component of degree >= 2 survives the line sieve iff the matrix
     # has rank 2 and a nonzero left-block quadratic
     has_nonlinear = observed["residual_degree"] >= 2
-    rank2_nonzero_quad = M.rank() == 2 and any(aff.quad_form_triple(M))
-    if has_nonlinear != rank2_nonzero_quad:
+    if has_nonlinear != (label.rank == 2 and label.shape.tag != QUAD_ZERO):
         disc.append("nonlinear component does not follow the rank criterion")
 
     predicted = {

@@ -31,6 +31,11 @@ def matrix(q, vals):
     return aff.Matrix23.from_ints(field(q), vals)
 
 
+def reduce(m):
+    """``reduce_to_canonical`` given the left-block shape and determinant."""
+    return aff.reduce_to_canonical(m, aff.left_quad_shape(m), aff._det2(m.left_block(), m.spec))
+
+
 def test_build_GM_I2_canonical():
     for q in (2, 3, 4):
         spec = field(q)
@@ -178,6 +183,8 @@ def test_classify_examples():
 def test_classify_zero_matrix_rejected():
     with pytest.raises(ValueError):
         aff.classify_affine(matrix(3, [0] * 6))
+    with pytest.raises(ValueError, match="zero matrix"):
+        reduce(matrix(3, [0] * 6))
 
 
 def test_reduce_clears_third_column_when_block_invertible():
@@ -190,7 +197,7 @@ def test_reduce_clears_third_column_when_block_invertible():
                 continue
             if aff.left_quad_shape(m).tag == "irreducible":
                 continue
-            n, t = aff.reduce_to_canonical(m)
+            n, t = reduce(m)
             assert (n.rows_int[0][2], n.rows_int[1][2]) == (0, 0)
             assert aff.apply_transform(m, t).rows_int == n.rows_int
 
@@ -198,7 +205,7 @@ def test_reduce_clears_third_column_when_block_invertible():
 def test_reduce_rank_one_zero_quad_example():
     spec = field(7)
     m = aff.Matrix23.from_ints(spec, [0, 0, 3, 0, 0, 5])
-    n, t = aff.reduce_to_canonical(m)
+    n, t = reduce(m)
     assert n.rows_int == ((0, 0, 1), (0, 0, 0))
     assert aff.apply_transform(m, t).rows_int == n.rows_int
 
@@ -216,7 +223,7 @@ def test_reduce_double_root_rank_two_hits_II2_shape():
 def test_reduce_rejects_irreducible_quadratic():
     spec = field(3)
     with pytest.raises(ValueError):
-        aff.reduce_to_canonical(aff.Matrix23.from_ints(spec, [1, 0, 0, 0, 1, 0]))
+        reduce(aff.Matrix23.from_ints(spec, [1, 0, 0, 0, 1, 0]))
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -277,25 +284,29 @@ def test_II1_canonical_shape():
 
 
 def test_points_at_infinity_counts():
+    # every nonzero matrix at q = 2, 3, a seeded sample at q = 4
     rng = random.Random(11)
     for q in (2, 3, 4):
         spec = field(q)
         plane = _plane_for(spec)
-        for _ in range(40):
-            m = rand_matrix23(spec, rng)
-            pts = aff.points_at_infinity(m)
+        if q <= 3:
+            matrices = [_matrix_at(aff.Matrix23, 6, spec, n) for n in range(1, q**6)]
+        else:
+            matrices = [rand_matrix23(spec, rng) for _ in range(40)]
+        for m in matrices:
+            label = aff.classify_affine(m)
+            pts = aff.points_at_infinity(label.shape)
             g = aff.build_GM(m)
             observed = {
                 plane.points[i].key
                 for i in plane.infinity_idx
                 if g.eval(plane.points[i]).val == 0
             }
-            assert {p.key for p in pts} == observed
-            tag = aff.classify_affine(m).tag
+            assert pts == observed
             expect = {
                 aff.AFFINE_FILLING: 0,
                 aff.AFFINE_I1: 2, aff.AFFINE_I2: 2, aff.AFFINE_I3: 2,
                 aff.AFFINE_II1: 1, aff.AFFINE_II2: 1, aff.AFFINE_II3: 1,
                 aff.AFFINE_III1: q + 1, aff.AFFINE_III3: q + 1,
-            }[tag]
+            }[label.tag]
             assert len(pts) == expect

@@ -898,7 +898,7 @@ def test_witness_law_memo_agrees_with_the_per_matrix_substitution(q):
     borrowed = 0
     for m, label, before in zip(matrices, labels, labels[-1:] + labels[:-1]):
         assert _memo_law(m, label) and _per_matrix_law(m, label)
-        other = aff.AffineLabel(label.tag, label.canonical, before.witness)
+        other = dataclasses.replace(label, witness=before.witness)
         assert _memo_law(m, other) == _per_matrix_law(m, other)
         borrowed += not _memo_law(m, other)
     assert borrowed > 0
@@ -948,6 +948,47 @@ def test_affine_report_flags_a_witness_with_an_altered_shift(monkeypatch):
     ]
 
 
+class _MissesAnAffinePoint(vf._Scanned):
+    def covers_affine(self):
+        return False
+
+
+class _DropsAPointAtInfinity(vf._Scanned):
+    def at_infinity(self):
+        return super().at_infinity()[1:]
+
+
+@pytest.mark.parametrize(
+    "scanned, expected",
+    (
+        (_MissesAnAffinePoint, ["curve misses an affine rational point"]),
+        (
+            _DropsAPointAtInfinity,
+            [
+                "1 points at infinity, expected 2",
+                "points at infinity disagree with the left-block quadratic roots",
+            ],
+        ),
+    ),
+)
+def test_affine_report_flags_a_wrong_observation(scanned, expected):
+    # an I-1 matrix: two points at infinity and a nonlinear residual
+    m = aff.Matrix23.from_ints(field(3), [2, 1, 1, 1, 0, 2])
+    assert aff.classify_affine(m).tag == aff.AFFINE_I1
+    assert vf.affine_report(m).match
+    assert vf.affine_report(m, scanned(aff.build_GM(m))).discrepancies == expected
+
+
+def test_affine_report_flags_a_label_with_a_wrong_rank(monkeypatch):
+    m = aff.Matrix23.from_ints(field(3), [2, 1, 1, 1, 0, 2])
+    real = aff.classify_affine(m)
+    assert real.rank == 2
+    monkeypatch.setattr(aff, "classify_affine", lambda M: dataclasses.replace(real, rank=1))
+    assert vf.affine_report(m).discrepancies == [
+        "nonlinear component does not follow the rank criterion"
+    ]
+
+
 @pytest.mark.parametrize("invertible", (True, False))
 def test_affine_sweep_reports_a_witness_shift_of_the_wrong_sign(monkeypatch, invertible):
     # the mutant negates the shift of the closed-form witness: b = -M'^-1 m
@@ -958,9 +999,9 @@ def test_affine_sweep_reports_a_witness_shift_of_the_wrong_sign(monkeypatch, inv
     spec = field(3)
     real = aff.reduce_to_canonical
 
-    def mutant(M):
-        n, w = real(M)
-        if bool(aff._det2(M.left_block(), spec)) == invertible:
+    def mutant(M, shape, det):
+        n, w = real(M, shape, det)
+        if bool(det) == invertible:
             w = dataclasses.replace(w, shift=tuple(spec._neg[v] for v in w.shift))
             n = aff.apply_transform(M, w)
         return n, w
@@ -1077,21 +1118,45 @@ def test_orbit_reports_at_q4_equal_the_reference():
 
 
 def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):
+    # each report on a degenerate matrix at q = 3 shapes its left-block
+    # quadratic once, takes the rank only for a singular left block and
+    # asks whether the matrix is zero in build_GM, the classification and
+    # that rank alone; over the sweep each quadratic is shaped once
     spec = field(3)
-    shaped = []
-    real = aff.quad_shape
+    shaped, calls = [], []
+    real_shape, real_left = aff.quad_shape, aff.left_quad_shape
+    real_rank, real_zero = aff.Matrix23.rank, aff.Matrix23.is_zero
 
     def counting(s, a, b, c):
         shaped.append((a, b, c))
-        return real(s, a, b, c)
+        return real_shape(s, a, b, c)
+
+    def counted(name, real):
+        def wrapper(M):
+            calls.append((name, M))
+            return real(M)
+        return wrapper
 
     monkeypatch.setattr(aff, "quad_shape", counting)
+    monkeypatch.setattr(aff, "left_quad_shape", counted("left_quad_shape", real_left))
+    monkeypatch.setattr(aff.Matrix23, "rank", counted("rank", real_rank))
+    monkeypatch.setattr(aff.Matrix23, "is_zero", counted("is_zero", real_zero))
     aff.memo_quad_shape.cache_clear()
+    reports = 0
     try:
-        out = vf._affine_report_range(spec, 0, 3**6)
+        for m, obs in batch.degenerate_observations(spec, 0, 3**6):
+            calls.clear()
+            assert vf.affine_report(m, obs).match
+            singular = not aff._det2(m.left_block(), spec)
+            names = [name for name, _M in calls]
+            on_m = [name for name, M in calls if M is m]
+            assert names.count("left_quad_shape") == on_m.count("left_quad_shape") == 1
+            assert names.count("rank") == on_m.count("rank") == singular
+            assert on_m.count("is_zero") == 2 + singular, m.to_ints()
+            reports += 1
     finally:
         aff.memo_quad_shape.cache_clear()
-    assert out["match_failures"] == 0
+    assert reports == 3**6 - 1 - 162  # less the (q - 1)(q^2 - q)/2 * q^3 filling matrices
     assert len(shaped) == len(set(shaped)) <= 3**3
 
 

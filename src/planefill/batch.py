@@ -15,7 +15,9 @@ singular rational points) in place of the line search and the evaluation.
 Each field element takes e lanes, one per base-p digit of its encoding.
 For p = 2 a lane is one bit and addition is XOR; for odd p a lane has a
 guard bit above the digit, and addition is a SWAR add followed by a
-lane-wise subtraction of p where the sum reached p.
+lane-wise subtraction of p where the sum reached p.  Multiplication by a
+field element c is F_p-linear on each element's lanes, so ``Lanes.scale``
+does it with masks, shifts and additions, without unpacking.
 
 Kernels are built lazily, once per field and process, from nine calls of
 ``build_FA`` or six of ``build_GM``; these and the enumeration oracle stay
@@ -51,6 +53,19 @@ class Lanes:
             format(sum(d << (j * w) for j, d in enumerate(base_digits(v, p, e))), f"0{step}b")
             for v in range(spec.q)
         ]
+        # maps[c]: (mask of lane j, shift up, shift down, d) for each nonzero
+        # entry d in row i, column j of the F_p-linear map of c on the digits
+        lane = "1" * w
+        masks = [int(("0" * w * (e - 1 - j) + lane + "0" * w * j) * size, 2) for j in range(e)]
+        self.maps = [
+            [
+                (masks[j], max(i - j, 0) * w, max(j - i, 0) * w, d)
+                for j in range(e)
+                for i, d in enumerate(base_digits(spec._mul[c][p**j], p, e))
+                if d
+            ]
+            for c in range(spec.q)
+        ]
         if p == 2:
             self.add = operator.xor
             return
@@ -64,6 +79,26 @@ class Lanes:
             return s - (((s + bias) & guard) >> (w - 1)) * p
 
         self.add = add
+
+    def times(self, packed: int, d: int) -> int:
+        """d times every lane, for d in [0, p): double-and-add on ``add``."""
+        add, out = self.add, 0
+        while True:
+            if d & 1:
+                out = add(out, packed)
+            d >>= 1
+            if not d:
+                return out
+            packed = add(packed, packed)
+
+    def scale(self, packed: int, c: int) -> int:
+        """c times every element, with no unpacking: the F_p-linear map of
+        c on each element's e lanes, lane j moved to lane i by a shift and
+        multiplied by its entry (on a prime field, ``times`` c)."""
+        add, times, out = self.add, self.times, 0
+        for mask, up, down, d in self.maps[c]:
+            out = add(out, times(((packed & mask) << up) >> down, d))
+        return out
 
     def pack(self, values) -> int:
         """The packed int, read at once from its binary digits, element 0
@@ -533,14 +568,3 @@ def observe(kern: Kernel, packed: int) -> Observation:
         observed_lines(kern, packed), zeros, zeros.bit_count(),
         kern.singular.count_zero(packed), kern, packed,
     )
-
-
-def degenerate_observations(spec: FieldSpec, lo: int, hi: int):
-    """The nonzero 2x3 matrices among lo, ..., hi-1 whose left-block
-    quadratic is reducible, in counting order, each with the ``observe``
-    of its packed G_M: yields (Matrix23, observation)."""
-    kern = affine_kernel(spec)
-    for entries, s, irreducible in affine_images(spec, lo, hi):
-        if not irreducible:
-            yield aff.Matrix23(spec, (tuple(entries[:3]), tuple(entries[3:]))), observe(kern, s)
-

@@ -733,7 +733,9 @@ def witness_frame(t: aff.BTransform) -> _Frame:
     return _Frame(rows, tuple(_point_images(rows, spec)))
 
 
-def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
+def affine_report(
+    M: aff.Matrix23, obs=None, seen: _Observed | None = None
+) -> DecompositionReport:
     """Oracle audit of the curve of a nonzero 2x3 matrix.
 
     Checks the canonical reduction round trip, the substitution law for
@@ -741,11 +743,13 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
     at infinity by two routes, affine coverage, and the rank-2 criterion
     for a nonlinear component.  ``obs`` observes the curve if already
     observed, as for ``_Observed``; without it the curve is evaluated at
-    every point.
+    every point.  ``seen`` is the ``_Observed`` curve of M if already
+    observed, as shared by the matrices cM of one curve; with it G_M is
+    not built.  The classification, the witness check, the transport and
+    every comparison are M's own.
     """
     spec = M.spec
     plane = _plane_for(spec)
-    g_m = aff.build_GM(M)
     label = aff.classify_affine(M)
     disc: list[str] = []
 
@@ -762,9 +766,11 @@ def affine_report(M: aff.Matrix23, obs=None) -> DecompositionReport:
             disc.append("substituting the witness does not give the canonical equation")
 
     pred = _transport(plan, witness_frame(label.witness), spec)
-    if obs is None:
-        obs = _Scanned(g_m)
-    observed = _compare(_Observed(g_m, obs), pred, disc)
+    if seen is None:
+        g_m = aff.build_GM(M)
+        seen = _Observed(g_m, _Scanned(g_m) if obs is None else obs)
+    obs = seen.obs
+    observed = _compare(seen, pred, disc)
     if not obs.covers_affine():
         disc.append("curve misses an affine rational point")
     inf_set = {plane.points[plane.infinity_idx[b]].key for b in obs.at_infinity()}
@@ -993,12 +999,58 @@ def sweep_affine_filling(spec: FieldSpec, jobs: int = 1) -> dict:
     return _run_ranges(batch.affine_fill_range, spec, spec.q**6, jobs)
 
 
-def _affine_report_range(spec: FieldSpec, lo: int, hi: int) -> dict:
-    """Reports for the degenerate nonzero 2x3 matrices among lo, ..., hi-1,
-    each dividing its curve by the lines read off the packed kernel of
-    planefill.batch."""
+def _scaling_orbits(spec: FieldSpec, lo: int, hi: int):
+    """The orbits cM, c != 0, of the degenerate matrices M among lo, ...,
+    hi-1 whose most significant nonzero entry is 1, with hi <= 2 q^5 so
+    that these are all the representatives, each the member of its orbit
+    with the smallest counting index: M by M in counting order, then c in
+    encoding order.
+
+    G_cM = c G_M is the curve of M, so a member whose packed image on
+    ``batch.affine_kernel``, summed from the tables, is c times M's
+    (``Lanes.scale``) shares M's ``_Observed`` of G_M; one whose image
+    differs, which takes a wrong kernel entry, is observed on its own
+    image.  The left-block quadratic of cM is c times M's, so the orbit is
+    degenerate when M is.  Yields (counting index, Matrix23, observed)."""
     from . import batch
 
+    q = spec.q
+    if not 0 <= lo <= hi <= 2 * q**5:
+        raise ValueError(f"orbit representatives lie in [0, {2 * q**5})")
+    kern = batch.affine_kernel(spec)
+    scale, mul = kern.lanes.scale, spec._mul
+    weights = [q**k for k in range(6)]
+
+    def matrix(entries) -> aff.Matrix23:
+        return aff.Matrix23(spec, (tuple(entries[:3]), tuple(entries[3:])))
+
+    def observed(m: aff.Matrix23, packed: int) -> _Observed:
+        return _Observed(aff.build_GM(m), batch.observe(kern, packed))
+
+    for entries, packed, irreducible in batch.affine_images(spec, lo, hi):
+        if irreducible or next(v for v in reversed(entries) if v) != 1:
+            continue
+        rep = matrix(entries)
+        seen = observed(rep, packed)
+        yield sum(v * w for v, w in zip(entries, weights)), rep, seen
+        for c in range(2, q):
+            member = [mul[c][v] for v in entries]
+            m = matrix(member)
+            image = kern.image(m)
+            n = sum(v * w for v, w in zip(member, weights))
+            yield n, m, seen if image == scale(packed, c) else observed(m, image)
+
+
+def _affine_report_range(spec: FieldSpec, lo: int, hi: int) -> dict:
+    """Reports for the degenerate nonzero 2x3 matrices in the scaling
+    orbits of ``_scaling_orbits`` over the representatives among lo, ...,
+    hi-1 (hi <= 2 q^5): each member reports against its orbit's
+    observation, divided by the lines read off the packed kernel of
+    planefill.batch, with its own classification, witness check,
+    transport and comparisons.  A failure carries its matrix's counting
+    index, so that the first discrepancy is the one of the smallest index.
+    The labels are met in counting order of their first matrix, which is
+    a representative, since the label of cM is M's."""
     counters = {
         "checked": 0,
         "match_failures": 0,
@@ -1007,23 +1059,26 @@ def _affine_report_range(spec: FieldSpec, lo: int, hi: int) -> dict:
         "labels": {},
         "first_discrepancy": None,
     }
-    for m, obs in batch.degenerate_observations(spec, lo, hi):
-        r = affine_report(m, obs)
+    for n, m, seen in _scaling_orbits(spec, lo, hi):
+        r = affine_report(m, seen=seen)
         counters["checked"] += 1
         counters["labels"][r.case] = counters["labels"].get(r.case, 0) + 1
         if not r.match:
             _note_failure(
                 counters, "match_failures",
-                f"matrix {m.to_ints()} ({r.case}): {r.discrepancies[0]}",
+                f"matrix {m.to_ints()} ({r.case}): {r.discrepancies[0]}", n,
             )
-        _audit_residual_bound(counters, r)
+        _audit_residual_bound(counters, r, n)
     return counters
 
 
 def sweep_affine_reports(spec: FieldSpec, jobs: int = 1) -> dict:
     """Oracle reports for every nonzero degenerate 2x3 matrix, plus the
-    residual point-count audits."""
-    return _run_ranges(_affine_report_range, spec, spec.q**6, jobs)
+    residual point-count audits; the chunks split the range [0, 2 q^5)
+    of the scaling-orbit representatives of ``_scaling_orbits``, each
+    curve observed once per orbit cM, and every degenerate matrix among
+    the q^6 - 1 nonzero ones is reported and counted."""
+    return _run_ranges(_affine_report_range, spec, 2 * spec.q**5, jobs)
 
 
 def sweep_missing_point_images(spec: FieldSpec, samples: int = 200) -> dict:

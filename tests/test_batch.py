@@ -143,30 +143,79 @@ def test_affine_kernel_matches_the_oracle(q):
         assert kern.infinity.count_zero(image) == sum(not vals[i] for i in plane.infinity_idx)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_packed_lines_with_multiplicity_match_the_line_search(q):
-    spec = field(q)
-    if q <= 3:
-        pairs = list(batch.degenerate_observations(spec, 0, q**6))
-        degenerate = [
-            m.to_ints() for m in _affine_matrices(q)
-            if aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
-        ]
-        assert [m.to_ints() for m, _obs in pairs] == degenerate
-    else:
-        pairs = []
-        for m in _affine_matrices(q):
-            n = _counting_index(m)
-            pairs += batch.degenerate_observations(spec, n, n + 1)
-    assert pairs
-    for m, obs in pairs:
-        # no line of the affine family divides with multiplicity 3
-        assert obs.lines == _line_search(aff.build_GM(m)), m.to_ints()
-
-
 def _counting_index(m):
     q = m.spec.q
     return sum(v * q**k for k, v in enumerate(m.to_ints()))
+
+
+def _degenerate_indices(q):
+    """The counting indices of every degenerate nonzero 2x3 matrix."""
+    spec = field(q)
+    return [
+        n for n in range(1, q**6)
+        if aff.left_quad_shape(vf._matrix_at(aff.Matrix23, 6, spec, n)).tag != QUAD_IRREDUCIBLE
+    ]
+
+
+def _scaling_orbit(m):
+    """What ``_scaling_orbits`` yields for the orbit cM of m alone, found
+    from its representative: m divided by its most significant nonzero
+    entry."""
+    spec = m.spec
+    entries = m.to_ints()
+    top = next(v for v in reversed(entries) if v)
+    n = _counting_index(aff.Matrix23.from_ints(spec, [spec.div(v, top) for v in entries]))
+    return list(vf._scaling_orbits(spec, n, n + 1))
+
+
+def _affine_orbits(q):
+    """Every orbit of ``_scaling_orbits`` at q <= 3, the orbits of the
+    sampled matrices above, each member with its observation; a sampled
+    matrix lies in its orbit exactly when it is degenerate."""
+    if q <= 3:
+        return list(vf._scaling_orbits(field(q), 0, 2 * q**5))
+    orbits = []
+    for m in _affine_matrices(q):
+        orbit = _scaling_orbit(m)
+        degenerate = aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
+        assert (_counting_index(m) in [n for n, _m, _seen in orbit]) == degenerate
+        orbits += orbit
+    return orbits
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_packed_lines_with_multiplicity_match_the_line_search(q):
+    orbits = _affine_orbits(q)
+    assert orbits
+    for _n, m, seen in orbits:
+        # no line of the affine family divides with multiplicity 3
+        assert seen.obs.lines == _line_search(aff.build_GM(m)), m.to_ints()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_scaling_orbits_yield_each_degenerate_matrix_once(q):
+    # each orbit starts with its representative, whose most significant
+    # nonzero entry is 1 and whose counting index is the orbit's smallest,
+    # and its members cM, c = 2, ..., q-1, share its observation
+    spec = field(q)
+    yields = list(vf._scaling_orbits(spec, 0, 2 * q**5))
+    assert sorted(n for n, _m, _seen in yields) == _degenerate_indices(q)
+    for orbit in _chunks(yields, q - 1):
+        (n, rep, seen), *members = orbit
+        entries = rep.to_ints()
+        assert next(v for v in reversed(entries) if v) == 1
+        assert [m.to_ints() for _n, m, _seen in orbit] == [
+            [spec._mul[c][v] for v in entries] for c in range(1, q)
+        ]
+        assert all(k == _counting_index(m) for k, m, _seen in orbit)
+        assert n == min(k for k, _m, _seen in orbit)
+        assert all(shared is seen for _k, _m, shared in members)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2 * 3**5 + 1), (-1, 5), (7, 5), (0, 3**6)])
+def test_affine_report_range_refuses_a_range_beyond_the_representatives(lo, hi):
+    with pytest.raises(ValueError, match="orbit representatives"):
+        vf._affine_report_range(field(3), lo, hi)
 
 
 @pytest.mark.parametrize("family", ["projective", "affine"])
@@ -212,7 +261,13 @@ def _scanned_residuals(spec, family, lo, hi):
         )
         build = fc.build_FA
     else:
-        observations, build = batch.degenerate_observations(spec, lo, hi), aff.build_GM
+        kern = batch.affine_kernel(spec)
+        observations = (
+            (aff.Matrix23.from_ints(spec, entries), batch.observe(kern, s))
+            for entries, s, irreducible in batch.affine_images(spec, lo, hi)
+            if not irreducible
+        )
+        build = aff.build_GM
     for m, obs in observations:
         if obs is None or obs.lines is None:
             continue
@@ -245,30 +300,29 @@ def test_residual_scan_matches_the_oracle(family, q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_reports_with_the_observation_equal_the_reference(q):
-    # each matrix reported against the observation shared by its orbit
-    # R + mu E, where R = A - a22 E; at q = 4 the orbits of the sampled
-    # matrices, and the sampled matrices among them
+    # each matrix reported against the observation shared by its orbit:
+    # R + mu E, where R = A - a22 E, and cM; at q = 4 the orbits of the
+    # sampled matrices, and the sampled matrices among them
     spec = field(q)
     if q <= 3:
         projective = sorted(vf._shift_orbits(spec, 0, q**8))
-        affine = list(batch.degenerate_observations(spec, 0, q**6))
         assert [a.to_ints() for _n, a, _seen in projective] == [a.to_ints() for a in _matrices(q)]
     else:
-        projective, affine = [], []
+        projective = []
         for a in _matrices(q):
             rep = a - fc.Matrix3.identity(spec).scale(a.rows_int[2][2])
             orbit = list(vf._shift_orbits(spec, _counting_index(rep), _counting_index(rep) + 1))
             assert _counting_index(a) in [n for n, _a, _seen in orbit]
             projective += orbit
-        for m in _affine_matrices(q):
-            affine += batch.degenerate_observations(spec, _counting_index(m), _counting_index(m) + 1)
+    affine = _affine_orbits(q)
     assert affine
     for n, a, seen in projective:
         assert n == _counting_index(a)
         assert (seen is None) == a.is_scalar(), a.to_ints()
         assert vf.decomposition_report(a, seen).to_json() == vf.decomposition_report(a).to_json(), a.to_ints()
-    for m, obs in affine:
-        assert vf.affine_report(m, obs).to_json() == vf.affine_report(m).to_json(), m.to_ints()
+    for n, m, seen in affine:
+        assert n == _counting_index(m)
+        assert vf.affine_report(m, seen=seen).to_json() == vf.affine_report(m).to_json(), m.to_ints()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -389,6 +443,21 @@ def test_packed_add_is_lane_wise_field_addition(operands):
     assert lanes.unpack(lanes.add(ab, lanes.pack(c))) == [
         add[add[x][y]][z] for x, y, z in zip(a, b, c)
     ]
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(values=st.lists(st.integers(0, 8), min_size=1, max_size=40))
+def test_packed_scale_is_lane_wise_field_multiplication(q, values):
+    # on a packed sum, as the walk's images are, for every c
+    spec = field(q)
+    a = [v % q for v in values]
+    b = a[::-1]
+    lanes = batch.Lanes(spec, len(a))
+    add, mul = spec._add, spec._mul
+    packed = lanes.add(lanes.pack(a), lanes.pack(b))
+    for c in range(q):
+        assert lanes.unpack(lanes.scale(packed, c)) == [mul[c][add[x][y]] for x, y in zip(a, b)]
 
 
 def _digit_pack(lanes, values):
@@ -686,21 +755,95 @@ def test_affine_report_sweep_reports_a_wrong_affine_value(monkeypatch):
     assert out["pass"] is False
 
 
+def _failing_reports(spec, kern):
+    """The degenerate matrices in counting order whose report fails when
+    each is observed on its own packed image: the per-matrix path."""
+    return [
+        m.to_ints() for m in _affine_matrices(spec.q)
+        if aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
+        and not vf.affine_report(m, batch.observe(kern, kern.image(m))).match
+    ]
+
+
+def test_affine_report_sweep_observes_a_member_with_a_wrong_image_alone(monkeypatch):
+    # tables[2][2] misses an affine point, so the image of 2R is no longer
+    # twice R's when one of R and 2R has a2 = 2: that member is observed on
+    # its own image, and the sweep fails the matrices the per-matrix path does
+    spec = field(3)
+    q = spec.q
+    kern = batch.affine_kernel(spec)
+    first, _count = kern.sections["points"]
+    point = vf._plane_for(spec).affine_idx[0]
+    _corrupt(monkeypatch, kern, 2, 2, [first + 4 * point])
+    alone, failing = 0, []
+    for n, m, seen in vf._scaling_orbits(spec, 0, 2 * q**5):
+        entries = m.to_ints()
+        c = next(v for v in reversed(entries) if v)
+        if c == 1:
+            rep_seen, rep_image = seen, kern.image(m)
+            assert seen.obs.packed == rep_image
+        else:
+            own = kern.image(m) != kern.lanes.scale(rep_image, c)
+            assert own == ((entries[2] == 2) != (spec._mul[c][entries[2]] == 2)), entries
+            assert (seen is not rep_seen) == own, entries
+            if own:
+                assert seen.obs.packed == kern.image(m)
+                alone += 1
+        if not vf.affine_report(m, seen=seen).match:
+            failing.append((n, entries))
+    reference = _failing_reports(spec, kern)
+    assert alone > 0
+    assert [entries for _n, entries in sorted(failing)] == reference
+    assert reference == [
+        m.to_ints() for m in _affine_matrices(q)
+        if m.to_ints()[2] == 2 and aff.left_quad_shape(m).tag != QUAD_IRREDUCIBLE
+    ]
+    out = vf.sweep_affine_reports(spec)
+    assert out["match_failures"] == len(reference)
+    assert out["first_discrepancy"].startswith(f"matrix {reference[0]} (")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_affine_report_sweep_names_the_first_failing_matrix_in_counting_order(monkeypatch, jobs):
+    # tables[1][2] is off by 1 at the point (1:2:0) at infinity, so a
+    # matrix with a1 = 2 fails when that moves the point on or off its
+    # curve; the first such matrix in counting order, [1, 2, 0, ...], is
+    # twice the representative [2, 1, 0, ...], and the walk reaches it
+    # after [2, 2, 0, ...], twice the earlier representative [1, 1, 0, ...],
+    # which fails too
+    spec = field(3)
+    kern = batch.affine_kernel(spec)
+    first, _count = kern.sections["points"]
+    plane = vf._plane_for(spec)
+    point = plane.infinity_idx[2]
+    assert plane.points[point].key == (1, 2, 0)
+    _corrupt(monkeypatch, kern, 1, 2, [first + 4 * point])
+    failing = _failing_reports(spec, kern)
+    earliest, earlier = [1, 2, 0, 0, 0, 0], [2, 2, 0, 0, 0, 0]
+    assert failing[0] == earliest and earlier in failing
+    walk = [m.to_ints() for _n, m, _seen in vf._scaling_orbits(spec, 0, 2 * 3**5)]
+    assert walk.index(earlier) < walk.index(earliest)
+    out = vf.sweep_affine_reports(spec, jobs)
+    assert out["match_failures"] == len(failing)
+    assert out["first_discrepancy"].startswith(f"matrix {earliest} (")
+    assert out["pass"] is False
+
+
 @pytest.mark.parametrize("family, term", [("affine", ((3, 0, 0), 1)), ("projective", ((1, 0, 3), 2))])
 def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term):
     # 1 is added to the df/dx lane at one point of the memo entry of one
     # term: a residual holding that term changes its singular count exactly
-    # when f, df/dy and df/dz vanish there and df/dx is 0 or -1; all affine
-    # matrices at q = 3, and the orbits R + mu E of the first 729 projective
-    # ones, which share R's residual, in counting order
+    # when f, df/dy and df/dz vanish there and df/dx is 0 or -1; at q = 3,
+    # the orbits R + mu E of the first 729 projective matrices and the
+    # orbits cR of every affine representative R, whose members share R's
+    # residual, in counting order
     spec = field(3)
-    hi = 3**6
     plane = vf._plane_for(spec)
     point = 12
-    kern, sweep = (
-        (batch.affine_kernel(spec), vf._affine_report_range)
+    kern, sweep, hi = (
+        (batch.affine_kernel(spec), vf._affine_report_range, 2 * 3**5)
         if family == "affine"
-        else (batch.cycle_kernel(spec), vf._case_range)
+        else (batch.cycle_kernel(spec), vf._case_range, 3**6)
     )
     jet = batch._point_jets(plane, HomogPoly._raw(spec, sum(term[0]), dict([term])))
     jet[4 * point + 1] = spec._add[jet[4 * point + 1]][1]
@@ -714,6 +857,17 @@ def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term
     if family == "projective":
         identity = fc.Matrix3.identity(spec)
         failing = sorted((r + identity.scale(mu) for r in failing for mu in range(3)), key=_counting_index)
+    else:
+        # the representatives R are the matrices whose last nonzero entry is 1
+        mul = spec._mul
+        failing = sorted(
+            (
+                aff.Matrix23.from_ints(spec, [mul[c][v] for v in r.to_ints()])
+                for r in failing if next(v for v in reversed(r.to_ints()) if v) == 1
+                for c in (1, 2)
+            ),
+            key=_counting_index,
+        )
     failing = [m.to_ints() for m in failing]
     out = sweep(spec, 0, hi)
     assert out["match_failures"] == len(failing) > 0

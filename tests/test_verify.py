@@ -786,7 +786,7 @@ def _assert_every_criterion_decided(tally):
 def test_value_criterion_agrees_with_substitution_on_every_report(checked_residuals, q):
     spec = field(q)
     proj = vf._case_range(spec, 0, q**8)
-    affine = vf._affine_report_range(spec, 0, q**6)
+    affine = vf._affine_report_range(spec, 0, 2 * q**5)
     assert proj["checked"] == q**9
     assert proj["match_failures"] == affine["match_failures"] == 0
     _assert_every_criterion_decided(checked_residuals)
@@ -808,8 +808,11 @@ def test_value_criterion_agrees_with_substitution_on_seeded_reports(checked_resi
             assert vf.affine_report(m).match
     lo = rng.randrange(q**8 - 300)
     assert vf._case_range(spec, lo, lo + 300)["match_failures"] == 0
-    lo = rng.randrange(q**6 - 800)
-    assert vf._affine_report_range(spec, lo, lo + 800)["match_failures"] == 0
+    # a slice of the 2 q^5 orbit representatives, of about 800 matrices
+    width = 800 // (q - 1)
+    lo = rng.randrange(2 * q**5 - width)
+    affine = vf._affine_report_range(spec, lo, lo + width)
+    assert affine["checked"] > 0 and affine["match_failures"] == 0
     _assert_every_criterion_decided(checked_residuals)
 
 
@@ -840,7 +843,7 @@ def test_report_sweeps_never_expand_a_residual(monkeypatch):
     # once, the report sweeps compose no polynomial with a substitution
     spec = field(3)
     vf._case_range(spec, 0, 1)
-    vf._affine_report_range(spec, 0, 3**6)
+    vf._affine_report_range(spec, 0, 2 * 3**5)
     calls = []
     real = linear_substitute
 
@@ -852,7 +855,7 @@ def test_report_sweeps_never_expand_a_residual(monkeypatch):
         if hasattr(module, "linear_substitute"):
             monkeypatch.setattr(module, "linear_substitute", counting)
     proj = vf._case_range(spec, 0, 3**8)
-    affine = vf._affine_report_range(spec, 0, 3**6)
+    affine = vf._affine_report_range(spec, 0, 2 * 3**5)
     assert proj["checked"] == 3**9 and affine["checked"] > 0
     assert proj["match_failures"] == affine["match_failures"] == 0
     assert calls == []
@@ -923,7 +926,7 @@ def test_affine_sweep_reports_a_wrong_substitution(monkeypatch, fresh_witness_me
         return _perturbed(out) if f == unit else out
 
     monkeypatch.setattr(vf, "linear_substitute", perturbed)
-    out = vf._affine_report_range(spec, 0, 3**6)
+    out = vf._affine_report_range(spec, 0, 2 * 3**5)
     # every witness fails the law, so every report does
     assert out["match_failures"] == out["checked"] > 0
     assert out["first_discrepancy"].endswith(
@@ -1007,7 +1010,7 @@ def test_affine_sweep_reports_a_witness_shift_of_the_wrong_sign(monkeypatch, inv
         return n, w
 
     monkeypatch.setattr(aff, "reduce_to_canonical", mutant)
-    out = vf._affine_report_range(spec, 0, 3**6)
+    out = vf._affine_report_range(spec, 0, 2 * 3**5)
     assert out["match_failures"] > 0
     assert out["first_discrepancy"].split(": ", 1)[1].startswith("lines differ")
 
@@ -1060,7 +1063,7 @@ def test_affine_sweep_reports_a_moved_point_image(monkeypatch):
     k, lam = frame.points[-1]
     moved = next(j for j, v in enumerate(eq_vals) if v != eq_vals[k])
     _corrupt_frame(monkeypatch, label.witness, points=(*frame.points[:-1], (moved, lam)))
-    out = vf._affine_report_range(spec, 0, 3**6)
+    out = vf._affine_report_range(spec, 0, 2 * 3**5)
     assert out["match_failures"] > 0
     assert out["first_discrepancy"] == (
         f"matrix {m.to_ints()} ({label.tag}): "
@@ -1144,7 +1147,11 @@ def test_affine_reports_shape_each_left_block_quadratic_once(monkeypatch):
     aff.memo_quad_shape.cache_clear()
     reports = 0
     try:
-        for m, obs in batch.degenerate_observations(spec, 0, 3**6):
+        kern = batch.affine_kernel(spec)
+        for entries, packed, irreducible in batch.affine_images(spec, 0, 3**6):
+            if irreducible:
+                continue
+            m, obs = aff.Matrix23.from_ints(spec, entries), batch.observe(kern, packed)
             calls.clear()
             assert vf.affine_report(m, obs).match
             singular = not aff._det2(m.left_block(), spec)

@@ -233,6 +233,25 @@ def reduce_to_canonical(M: Matrix23, shape: QuadShape, det: int) -> tuple[Matrix
     return apply_transform(M, witness), witness
 
 
+def _scale_label(label: AffineLabel, c: int, facts) -> AffineLabel | None:
+    """The label of cM, c != 0, from the label of M and the
+    ``_affine_facts`` (tag, shape, det, rank) of cM itself.
+
+    The quadratic of cM is c times M's, with the same roots, and the
+    reduction reads M otherwise through ratios of its entries and the
+    determinant's vanishing, so cM takes M's witness, which
+    ``apply_transform`` carries to c times M's canonical matrix.  None for
+    III-3, whose witness rescales the third column by its entries, and
+    for a tag other than M's."""
+    tag, shape, _det, rank = facts
+    if tag == AFFINE_III3 or tag != label.tag:
+        return None
+    n = label.canonical
+    crow = n.spec._mul[c]
+    canonical = Matrix23(n.spec, tuple(tuple(crow[v] for v in row) for row in n.rows_int))
+    return AffineLabel(tag, canonical, label.witness, shape, rank)
+
+
 def _affine_facts(M: Matrix23) -> tuple[str, QuadShape, int, int]:
     """(tag, left-block quadratic shape, left-block determinant, rank) of a
     nonzero matrix, each computed once: the tag follows from the other

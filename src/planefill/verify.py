@@ -301,24 +301,9 @@ class DecompositionReport:
 
 
 def _serialize_lines(pairs):
-    return sorted([list(c), m] for c, m in pairs)
-
-
-def _pencil_structure(forms, spec: FieldSpec):
-    """(point, count) for the point lying on the most of the given lines."""
-    coeffs = [f.line_coeffs() for f in forms]
-    candidates = []
-    for i in range(min(3, len(coeffs))):
-        for j in range(i + 1, min(3, len(coeffs))):
-            c = _cross(coeffs[i], coeffs[j], spec)
-            if any(c):
-                candidates.append(ProjPoint(spec, c).key)
-    best, best_n = None, -1
-    for cand in dict.fromkeys(candidates):
-        n = _matvec(coeffs, cand, spec).count(0)
-        if n > best_n:
-            best, best_n = cand, n
-    return best, best_n
+    """(line coefficients, multiplicity) pairs, sorted already, as fresh
+    JSON lists."""
+    return [[list(c), m] for c, m in pairs]
 
 
 class _Frame(NamedTuple):
@@ -335,7 +320,7 @@ class _Prediction(NamedTuple):
     transported, the residual equation composed with the frame's
     substitution holds up to a scalar."""
 
-    lines: list  # (normalized line coefficients, multiplicity)
+    lines: list  # sorted (normalized line coefficients, multiplicity)
     residual: fc.ResidualSpec | None
     concurrency: str | None
     frame: _Frame = _Frame(None)
@@ -371,15 +356,16 @@ def _point_images(rows, spec: FieldSpec) -> list:
 def _transport(plan, frame: _Frame, spec: FieldSpec) -> _Prediction:
     """Carry the lines and concurrency of a canonical plan through the
     frame's substitution; a line's coefficient row c becomes c*rows,
-    normalized like a point.  The residual keeps its canonical equation,
-    with the frame beside it for ``transported_multiple``."""
+    normalized like a point, and the lines are sorted.  The residual keeps
+    its canonical equation, with the frame beside it for
+    ``transported_multiple``."""
     plane = _plane_for(spec)
     scalings = plane.scalings()
     images = _matmul([l.line_coeffs() for l, _m in plan.lines], frame.rows, spec)
     return _Prediction(
-        lines=[
+        lines=sorted(
             (plane.line_coeffs[scalings[c][0]], m) for c, (_l, m) in zip(images, plan.lines)
-        ],
+        ),
         residual=plan.residual,
         concurrency=plan.concurrency,
         frame=frame,
@@ -556,7 +542,7 @@ class _Observed:
         self.forms = [l for l, _ in comps.lines]
         self.lines = sorted([(l.line_coeffs(), mult) for l, mult in comps.lines])
         meet = concurrency_check(self.forms) if len(self.forms) >= 2 else None
-        self.concurrent = list(meet.key) if meet else None
+        self.concurrent = meet.key if meet else None
         # the residual's values (None when it is f), points and singular points
         self._values = self.points = self.singular = None
         if comps.residual_degree == f.degree:
@@ -568,6 +554,35 @@ class _Observed:
         """The residual's values at the rational points."""
         return self.obs.values() if self._values is None else self._values
 
+    @cached_property
+    def pencil(self) -> tuple:
+        """(point, count) for the point lying on the most of the lines."""
+        spec = self.f.spec
+        coeffs = [f.line_coeffs() for f in self.forms]
+        candidates = []
+        for i in range(min(3, len(coeffs))):
+            for j in range(i + 1, min(3, len(coeffs))):
+                c = _cross(coeffs[i], coeffs[j], spec)
+                if any(c):
+                    candidates.append(ProjPoint(spec, c).key)
+        best, best_n = None, -1
+        for cand in dict.fromkeys(candidates):
+            n = _matvec(coeffs, cand, spec).count(0)
+            if n > best_n:
+                best, best_n = cand, n
+        return best, best_n
+
+    @cached_property
+    def affine_covered(self) -> bool:
+        """Whether the curve passes through every affine rational point."""
+        return self.obs.covers_affine()
+
+    @cached_property
+    def infinity_keys(self) -> frozenset:
+        """The keys of the curve's rational points on z = 0."""
+        plane = _plane_for(self.f.spec)
+        return frozenset(plane.points[plane.infinity_idx[b]].key for b in self.obs.at_infinity())
+
 
 def _compare(seen: _Observed, pred: _Prediction, disc: list) -> dict:
     """The comparison step of the audit: the observed curve against one
@@ -578,7 +593,7 @@ def _compare(seen: _Observed, pred: _Prediction, disc: list) -> dict:
     share."""
     disc += seen.disc
     comps = seen.comps
-    if seen.lines != sorted(pred.lines):
+    if seen.lines != pred.lines:
         disc.append(
             f"lines differ: observed {_serialize_lines(seen.lines)}, predicted {_serialize_lines(pred.lines)}"
         )
@@ -609,7 +624,7 @@ def _compare(seen: _Observed, pred: _Prediction, disc: list) -> dict:
     elif pred.concurrency == fc.CONCURRENT_ALL and concurrent_point is None:
         disc.append("lines were predicted to be concurrent but are not")
     elif pred.concurrency == fc.CONCURRENT_ALL_BUT_ONE:
-        point, through = _pencil_structure(seen.forms, seen.f.spec)
+        point, through = seen.pencil
         if point is None or through != len(seen.forms) - 1:
             disc.append(
                 f"expected all lines but one through a common point, widest pencil has {through}"
@@ -620,7 +635,7 @@ def _compare(seen: _Observed, pred: _Prediction, disc: list) -> dict:
         "residual_degree": comps.residual_degree,
         "residual_points": residual_points,
         "singular_points": singular_count,
-        "concurrent": concurrent_point,
+        "concurrent": None if concurrent_point is None else list(concurrent_point),
     }
 
 
@@ -709,19 +724,23 @@ def decomposition_report(
 
 
 @lru_cache(maxsize=None)
+def _unit_curves(spec: FieldSpec) -> tuple:
+    """(E, G_E) for the six 2x3 matrix units E, row-major, once per field."""
+    units = (aff.Matrix23.from_ints(spec, [int(i == k) for i in range(6)]) for k in range(6))
+    return tuple((unit, aff.build_GM(unit)) for unit in units)
+
+
+@lru_cache(maxsize=None)
 def witness_law_holds(t: aff.BTransform) -> bool:
     """Whether G_M composed with t is G of ``apply_transform(M, t)`` for
     every M.  M -> G_M, M -> apply_transform(M, t) and f -> f composed
     with t are all GF(q)-linear, so the six matrix units decide it; the
     memo checks each distinct witness once per process."""
-    spec = t.spec
     rows = t.matrix_rows()
-    for k in range(6):
-        unit = aff.Matrix23.from_ints(spec, [int(i == k) for i in range(6)])
-        image = aff.build_GM(aff.apply_transform(unit, t))
-        if linear_substitute(aff.build_GM(unit), rows) != image:
-            return False
-    return True
+    return all(
+        linear_substitute(curve, rows) == aff.build_GM(aff.apply_transform(unit, t))
+        for unit, curve in _unit_curves(t.spec)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -733,8 +752,34 @@ def witness_frame(t: aff.BTransform) -> _Frame:
     return _Frame(rows, tuple(_point_images(rows, spec)))
 
 
+class _ScalingOrbit:
+    """The label and prediction of the scaling orbit cM, c != 0, of a
+    representative M, which M's own report, the orbit's first, fills in.
+
+    The reduction to the canonical form is linear in M, so a member whose
+    label ``aff._scale_label`` derives from M's takes M's witness, to c
+    times M's canonical matrix.  With M's tag it takes M's prediction, the
+    lines of M's canonical plan sorted and transported through M's frame;
+    only its residual comes from its own canonical plan."""
+
+    def __init__(self, rep: aff.Matrix23):
+        # the representative's most significant nonzero entry is 1, so a
+        # member cM holds c there
+        self.top = max(k for k, v in enumerate(rep.to_ints()) if v)
+        self.label = self.pred = None
+
+    def label_of(self, M: aff.Matrix23) -> aff.AffineLabel | None:
+        """M's label derived from the representative's, or None when M is
+        to classify itself: M is the representative, or ``_scale_label``
+        derives no label."""
+        if self.label is None:
+            return None
+        c = M.rows_int[self.top // 3][self.top % 3]
+        return aff._scale_label(self.label, c, aff._affine_facts(M))
+
+
 def affine_report(
-    M: aff.Matrix23, obs=None, seen: _Observed | None = None
+    M: aff.Matrix23, obs=None, seen: _Observed | None = None, orbit: _ScalingOrbit | None = None
 ) -> DecompositionReport:
     """Oracle audit of the curve of a nonzero 2x3 matrix.
 
@@ -745,12 +790,15 @@ def affine_report(
     observed, as for ``_Observed``; without it the curve is evaluated at
     every point.  ``seen`` is the ``_Observed`` curve of M if already
     observed, as shared by the matrices cM of one curve; with it G_M is
-    not built.  The classification, the witness check, the transport and
-    every comparison are M's own.
+    not built.  ``orbit``, the ``_ScalingOrbit`` that holds M, gives M's
+    label and prediction derived from its representative's; without it,
+    or when it derives none, M is classified and its plan transported on
+    its own.  The facts that decide the tag, the witness check, the
+    residual and every comparison are M's own.
     """
     spec = M.spec
-    plane = _plane_for(spec)
-    label = aff.classify_affine(M)
+    derived = None if orbit is None else orbit.label_of(M)
+    label = aff.classify_affine(M) if derived is None else derived
     disc: list[str] = []
 
     plan = aff.predicted_decomposition(label)
@@ -765,19 +813,23 @@ def affine_report(
         if not (reproduces and witness_law_holds(label.witness)):
             disc.append("substituting the witness does not give the canonical equation")
 
-    pred = _transport(plan, witness_frame(label.witness), spec)
+    if derived is None:
+        pred = _transport(plan, witness_frame(label.witness), spec)
+        if orbit is not None and orbit.label is None:
+            orbit.label, orbit.pred = label, pred
+    else:
+        # the plan's lines, concurrency and residual kind follow the tag
+        pred = orbit.pred._replace(residual=plan.residual)
     if seen is None:
         g_m = aff.build_GM(M)
         seen = _Observed(g_m, _Scanned(g_m) if obs is None else obs)
-    obs = seen.obs
     observed = _compare(seen, pred, disc)
-    if not obs.covers_affine():
+    if not seen.affine_covered:
         disc.append("curve misses an affine rational point")
-    inf_set = {plane.points[plane.infinity_idx[b]].key for b in obs.at_infinity()}
-    inf_observed = len(inf_set)
+    inf_observed = len(seen.infinity_keys)
     if inf_observed != plan.infinity_points:
         disc.append(f"{inf_observed} points at infinity, expected {plan.infinity_points}")
-    if aff.points_at_infinity(label.shape) != inf_set:
+    if aff.points_at_infinity(label.shape) != seen.infinity_keys:
         disc.append("points at infinity disagree with the left-block quadratic roots")
 
     # a component of degree >= 2 survives the line sieve iff the matrix
@@ -797,7 +849,7 @@ def affine_report(
         **pred.to_json(),
         "infinity_points": plan.infinity_points,
     }
-    observed.update(curve_points=obs.points, infinity_points=inf_observed)
+    observed.update(curve_points=seen.obs.points, infinity_points=inf_observed)
     return DecompositionReport(
         spec.q, "affine", M.to_ints(), label.tag, None, None,
         predicted, observed, not disc, disc,
@@ -1041,16 +1093,25 @@ def _scaling_orbits(spec: FieldSpec, lo: int, hi: int):
             yield n, m, seen if image == scale(packed, c) else observed(m, image)
 
 
+def _affine_orbit_reports(spec: FieldSpec, lo: int, hi: int):
+    """(counting index, Matrix23, report) for the degenerate matrices in
+    the scaling orbits of ``_scaling_orbits`` over the representatives
+    among lo, ..., hi-1 (hi <= 2 q^5): each audits the observation of its
+    orbit's curve, divided by the lines read off the packed kernel of
+    planefill.batch, and takes its label and prediction from the orbit's
+    ``_ScalingOrbit``, which the representative's report fills."""
+    for n, m, seen in _scaling_orbits(spec, lo, hi):
+        if next(v for v in reversed(m.to_ints()) if v) == 1:
+            orbit = _ScalingOrbit(m)
+        yield n, m, affine_report(m, seen=seen, orbit=orbit)
+
+
 def _affine_report_range(spec: FieldSpec, lo: int, hi: int) -> dict:
-    """Reports for the degenerate nonzero 2x3 matrices in the scaling
-    orbits of ``_scaling_orbits`` over the representatives among lo, ...,
-    hi-1 (hi <= 2 q^5): each member reports against its orbit's
-    observation, divided by the lines read off the packed kernel of
-    planefill.batch, with its own classification, witness check,
-    transport and comparisons.  A failure carries its matrix's counting
-    index, so that the first discrepancy is the one of the smallest index.
-    The labels are met in counting order of their first matrix, which is
-    a representative, since the label of cM is M's."""
+    """The counters of the affine reports of ``_affine_orbit_reports``.
+    A failure carries its matrix's counting index, so that the first
+    discrepancy is the one of the smallest index.  The labels are met in
+    counting order of their first matrix, which is a representative,
+    since the label of cM is M's."""
     counters = {
         "checked": 0,
         "match_failures": 0,
@@ -1059,8 +1120,7 @@ def _affine_report_range(spec: FieldSpec, lo: int, hi: int) -> dict:
         "labels": {},
         "first_discrepancy": None,
     }
-    for n, m, seen in _scaling_orbits(spec, lo, hi):
-        r = affine_report(m, seen=seen)
+    for n, m, r in _affine_orbit_reports(spec, lo, hi):
         counters["checked"] += 1
         counters["labels"][r.case] = counters["labels"].get(r.case, 0) + 1
         if not r.match:

@@ -271,6 +271,58 @@ def test_every_degenerate_witness_is_pinned(q):
         h.update(repr((n, label.tag, label.canonical.to_ints(), w.block, w.shift, w.lam)).encode())
     assert h.hexdigest() == WITNESS_DIGESTS[q]
 
+
+def _top(m):
+    """The most significant nonzero entry of m."""
+    return next(v for v in reversed(m.to_ints()) if v)
+
+
+def _representatives(q):
+    """The degenerate nonzero matrices whose most significant nonzero
+    entry is 1, each the representative of its orbit cM: all of them at
+    q <= 5, 300 seeded ones above."""
+    spec = field(q)
+    if q <= 5:
+        reps = (_matrix_at(aff.Matrix23, 6, spec, n) for n in range(1, 2 * q**5))
+        reps = (m for m in reps if _top(m) == 1)
+    else:
+        rng = random.Random(20261022 + q)
+        reps = (rand_matrix23(spec, rng) for _ in itertools.count())
+        reps = (aff.Matrix23.from_ints(spec, [spec.div(v, _top(m)) for v in m.to_ints()]) for m in reps)
+    reps = (m for m in reps if aff.affine_tag(m) != aff.AFFINE_FILLING)
+    return list(reps) if q <= 5 else list(itertools.islice(reps, 300))
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9))
+def test_scaled_label_is_the_classification_of_the_multiple(q):
+    # every degenerate orbit at q <= 5, seeded orbits above: cM takes M's
+    # witness to c times M's canonical matrix, except in III-3
+    spec = field(q)
+    derived, tags = 0, set()
+    for m in _representatives(q):
+        label = aff.classify_affine(m)
+        for c in range(2, q):
+            cm = aff.Matrix23.from_ints(spec, [spec._mul[c][v] for v in m.to_ints()])
+            scaled = aff._scale_label(label, c, aff._affine_facts(cm))
+            if label.tag == aff.AFFINE_III3:
+                assert scaled is None
+            else:
+                assert scaled == aff.classify_affine(cm), (m.to_ints(), c)
+                derived += 1
+            tags.add(label.tag)
+    assert derived > 0
+    assert {aff.AFFINE_I1, aff.AFFINE_I2, aff.AFFINE_II1, aff.AFFINE_II2} <= tags
+
+
+def test_scaled_label_refuses_another_tag():
+    m = matrix(3, [2, 1, 1, 1, 0, 2])
+    label = aff.classify_affine(m)
+    assert label.tag == aff.AFFINE_I1
+    other = aff._affine_facts(matrix(3, [0, 0, 1, 1, 0, 0]))
+    assert other[0] == aff.AFFINE_I2
+    assert aff._scale_label(label, 2, other) is None
+
+
 def test_II1_canonical_shape():
     spec = field(5)
     # double root with invertible block: g = (s+t)^2 -> a0=1, a1+b0=2, b1=1

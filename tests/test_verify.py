@@ -1082,6 +1082,125 @@ def test_affine_reports_at_q3_are_pinned():
     )
 
 
+def test_affine_sweep_reports_at_q3_are_pinned():
+    # every degenerate matrix in counting order, as the sweep reports it:
+    # on its orbit's observation, with the label and prediction of each
+    # member derived from its representative's; the digest is the
+    # reference path's
+    spec = field(3)
+    reports = sorted(
+        (n, json.dumps(r.to_json(), sort_keys=True)) for n, _m, r in vf._affine_orbit_reports(spec, 0, 2 * 3**5)
+    )
+    assert [n for n, _text in reports] == [
+        sum(v * 3**k for k, v in enumerate(m.to_ints())) for m in _degenerate_samples(spec)
+    ]
+    text = "".join(text for _n, text in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6751a64cbe0d8374ad52b4e3e7e9fb21e0d11c0a2765875f058f1b74bdcb7ccc"
+    )
+
+
+def _sampled_orbit_reports(q, orbits=300):
+    """What ``_affine_orbit_reports`` yields for every orbit at q = 3, for
+    the given number of seeded orbits above."""
+    spec = field(q)
+    if q <= 3:
+        return list(vf._affine_orbit_reports(spec, 0, 2 * q**5))
+    out, starts = [], random.Random(20261022 + q).sample(range(2 * q**5), 2 * q**5)
+    for n in starts:
+        reports = list(vf._affine_orbit_reports(spec, n, n + 1))
+        out += reports
+        orbits -= bool(reports)
+        if not orbits:
+            return out
+    raise AssertionError("too few orbits")
+
+
+def _lists(value):
+    """Every list within a report's value, itself included."""
+    if isinstance(value, dict):
+        return [v for part in value.values() for v in _lists(part)]
+    if isinstance(value, list):
+        return [value, *(v for part in value for v in _lists(part))]
+    return []
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7))
+def test_affine_orbit_reports_equal_the_reference(q):
+    # each member's report, with its label and prediction derived from its
+    # representative's, against its own reference report; no two reports
+    # share a list
+    reports = _sampled_orbit_reports(q)
+    for _n, m, r in reports:
+        assert r.to_json() == vf.affine_report(m).to_json(), m.to_ints()
+    lists = [id(v) for _n, _m, r in reports for part in (r.predicted, r.observed) for v in _lists(part)]
+    assert len(lists) == len(set(lists))
+    tags = {r.case for _n, _m, r in reports}
+    assert len(reports) > 300 and {aff.AFFINE_I1, aff.AFFINE_I2, aff.AFFINE_II1} <= tags
+
+
+def test_affine_sweep_reduces_each_representative_and_III3_member(monkeypatch):
+    # at q = 5 the 2,656 representatives and the 18 III-3 members, which
+    # classify themselves, reach the reduction; 7,950 members take it from
+    # their representative
+    spec = field(5)
+    calls = []
+    real = aff.reduce_to_canonical
+
+    def counting(M, shape, det):
+        calls.append(M)
+        return real(M, shape, det)
+
+    monkeypatch.setattr(aff, "reduce_to_canonical", counting)
+    out = vf._affine_report_range(spec, 0, 2 * 5**5)
+    assert out["checked"] == 10624 and out["match_failures"] == 0
+    assert len(calls) == 2674
+    members = [m for m in calls if next(v for v in reversed(m.to_ints()) if v) != 1]
+    assert len(members) == 18
+    assert all(aff.affine_tag(m) == aff.AFFINE_III3 for m in members)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_affine_sweep_reports_a_scaled_canonical_matrix_off_by_one_entry(monkeypatch, jobs):
+    # every derived I-2 label gets its canonical matrix's first entry
+    # raised by 1: exactly the I-2 members, which take their label from the
+    # representative, fail its reproduce check, and the first discrepancy
+    # is the one of the smallest counting index, [0, 0, 1, 2, 0, 0], which
+    # the walk meets after [0, 0, 2, 2, 0, 0]
+    spec = field(3)
+    real = aff._scale_label
+
+    def off_by_one(label, c, facts):
+        scaled = real(label, c, facts)
+        if scaled is None or scaled.tag != aff.AFFINE_I2:
+            return scaled
+        (a, *rest), row = scaled.canonical.rows_int
+        return dataclasses.replace(
+            scaled, canonical=aff.Matrix23(spec, ((spec._add[a][1], *rest), row))
+        )
+
+    monkeypatch.setattr(aff, "_scale_label", off_by_one)
+    reports = list(vf._affine_orbit_reports(spec, 0, 2 * 3**5))
+    failing = [(n, m) for n, m, r in reports if not r.match]
+    assert {n for n, _m in failing} == {
+        n for n, m, _r in reports
+        if next(v for v in reversed(m.to_ints()) if v) != 1 and aff.affine_tag(m) == aff.AFFINE_I2
+    }
+    assert all(
+        r.discrepancies[0] == "witness transform does not reproduce the canonical matrix"
+        for _n, _m, r in reports if not r.match
+    )
+    earliest = min(failing, key=lambda f: f[0])[1]
+    assert [failing[0][1].to_ints(), earliest.to_ints()] == [[0, 0, 2, 2, 0, 0], [0, 0, 1, 2, 0, 0]]
+    out = vf.sweep_affine_reports(spec, jobs)
+    assert out["match_failures"] == len(failing)
+    assert out["first_discrepancy"] == (
+        f"matrix {earliest.to_ints()} (I-2): "
+        "witness transform does not reproduce the canonical matrix"
+    )
+    assert out["pass"] is False
+
+
 PROJECTIVE_REPORT_DIGESTS = {
     2: "025a07d24aae9e9d6d4ea2805583f0a9461fbf451c71a22086c43f9bc6c8d46c",
     3: "4deb5cefb65b7102c66ff417ee0d272928649cf38cae7ff4e64f0935fdf60dcc",

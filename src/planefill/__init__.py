@@ -19,7 +19,7 @@ from .fillcurve import (
     predicted_decomposition,
     rcf_similarity,
 )
-from .gf import FieldElement, FieldSpec, field_for_order, make_field
+from .gf import FieldSpec, field_for_order, make_field
 from .homog import HomogPoly, ProjPoint, linear_substitute, partials
 from .poly import UniPoly, cubic_shape, divrem, quad_shape, roots
 from .verify import (

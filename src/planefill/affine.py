@@ -164,7 +164,7 @@ def points_at_infinity(shape: QuadShape) -> set[tuple]:
     """Keys of the rational points on z = 0 of a curve whose left-block
     quadratic has this shape: its 2, 1, 0 or q+1 roots (s:t), which
     ``quad_shape`` lists normalized, as (s, t, 0)."""
-    return {(s.val, t.val, 0) for s, t in shape.roots}
+    return {(s, t, 0) for s, t in shape.roots}
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,11 @@ def reduce_to_canonical(M: Matrix23, shape: QuadShape, det: int) -> tuple[Matrix
     (a0, a1, m0), (b0, b1, m1) = M.rows_int
     if shape.tag == QUAD_TWO_DISTINCT:
         (s1, t1), (s2, t2) = shape.roots
-        block = ((s1.val, s2.val), (t1.val, t2.val))
+        block = ((s1, s2), (t1, t2))
     elif shape.tag == QUAD_DOUBLE:
         # (comp | root), comp the first of (1, 0), (0, 1) off the root's line
         (s1, t1) = shape.roots[0]
-        block = ((1, s1.val), (0, t1.val)) if t1.val else ((0, s1.val), (1, 0))
+        block = ((1, s1), (0, t1)) if t1 else ((0, s1), (1, 0))
     else:  # zero polynomial
         block = ((1, 0), (0, 1))
     if det:

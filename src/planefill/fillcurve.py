@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
-from .gf import FieldElement, FieldSpec, _coerce
+from .gf import FieldSpec, _coerce
 from .homog import (
     HomogPoly,
     _combination,
@@ -74,10 +74,6 @@ class Matrix3:
         return cls(spec, (tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])))
 
     @classmethod
-    def identity(cls, spec: FieldSpec) -> "Matrix3":
-        return cls(spec, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    @classmethod
     def diagonal(cls, spec: FieldSpec, a, b, c) -> "Matrix3":
         av, bv, cv = (_coerce(spec, v) for v in (a, b, c))
         return cls(spec, ((av, 0, 0), (0, bv, 0), (0, 0, cv)))
@@ -85,41 +81,8 @@ class Matrix3:
     def to_ints(self) -> list[int]:
         return [v for row in self.rows_int for v in row]
 
-    def det(self) -> FieldElement:
-        return self.spec._elems[_mat3_det(self.rows_int, self.spec)]
-
-    def transpose(self) -> "Matrix3":
-        return Matrix3(self.spec, _transpose(self.rows_int))
-
     def inverse(self) -> "Matrix3":
         return Matrix3(self.spec, _mat3_inv(self.rows_int, self.spec))
-
-    def __matmul__(self, other: "Matrix3") -> "Matrix3":
-        if other.spec != self.spec:
-            raise ValueError("matrices over different fields")
-        return Matrix3(self.spec, _matmul(self.rows_int, other.rows_int, self.spec))
-
-    def __add__(self, other: "Matrix3") -> "Matrix3":
-        if other.spec != self.spec:
-            raise ValueError("matrices over different fields")
-        add = self.spec._add
-        return Matrix3(
-            self.spec,
-            tuple(
-                tuple(add[a][b] for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows_int, other.rows_int)
-            ),
-        )
-
-    def __sub__(self, other: "Matrix3") -> "Matrix3":
-        return self + other.scale(self.spec._neg[1])
-
-    def scale(self, c) -> "Matrix3":
-        cv = _coerce(self.spec, c)
-        mul = self.spec._mul[cv]
-        return Matrix3(
-            self.spec, tuple(tuple(mul[v] for v in row) for row in self.rows_int)
-        )
 
     def is_scalar(self) -> bool:
         r = self.rows_int
@@ -171,7 +134,7 @@ class CaseLabel:
     """
 
     tag: str
-    roots: tuple[FieldElement, ...]
+    roots: tuple[int, ...]
     quad: UniPoly | None = None
 
 
@@ -240,10 +203,10 @@ def _repeated_root_degree(A: Matrix3, label: CaseLabel) -> int:
     scalar; otherwise 3."""
     spec = A.spec
     rows = A.rows_int
-    alpha = label.roots[0].val
+    alpha = label.roots[0]
     if label.tag == CASE_4_1 and A.is_scalar():
         return 1
-    other = label.roots[1].val if label.tag == CASE_3_1 else alpha
+    other = label.roots[1] if label.tag == CASE_3_1 else alpha
     n = _matmul(_shifted(rows, alpha, spec), _shifted(rows, other, spec), spec)
     return 3 if any(map(any, n)) else 2
 
@@ -259,7 +222,7 @@ def _case_and_minpoly(A: Matrix3):
     mdeg = _repeated_root_degree(A, labels[0][0])
     if mdeg == 1:
         roots = labels[0][0].roots
-        return CaseLabel(CASE_4_3, roots), UniPoly(A.spec, (A.spec._neg[roots[0].val], 1)), f
+        return CaseLabel(CASE_4_3, roots), UniPoly(A.spec, (A.spec._neg[roots[0]], 1)), f
     return next((label, m, f) for label, m in labels if m.degree == mdeg)
 
 
@@ -362,20 +325,20 @@ def _case_canonical(spec: FieldSpec, label: CaseLabel, f: UniPoly) -> Matrix3:
     if label.tag == CASE_NONSINGULAR:
         return _companion(f)
     if label.tag == CASE_1:
-        alpha = label.roots[0].val
+        alpha = label.roots[0]
         g = label.quad
         a, b = spec._neg[g.coeffs[0]], spec._neg[g.coeffs[1]]
         return Matrix3(spec, ((0, a, 0), (1, b, 0), (0, 0, alpha)))
     if label.tag == CASE_2:
-        a1, a2, a3 = (r.val for r in label.roots)
+        a1, a2, a3 = label.roots
         return Matrix3.diagonal(spec, a1, a2, a3)
     if label.tag == CASE_3_1:
-        alpha, beta = label.roots[0].val, label.roots[1].val
+        alpha, beta = label.roots
         return Matrix3(spec, ((alpha, 1, 0), (0, alpha, 0), (0, 0, beta)))
     if label.tag == CASE_3_2:
-        alpha, beta = label.roots[0].val, label.roots[1].val
+        alpha, beta = label.roots
         return Matrix3.diagonal(spec, alpha, alpha, beta)
-    alpha = label.roots[0].val
+    alpha = label.roots[0]
     if label.tag == CASE_4_1:
         return Matrix3(spec, ((alpha, 1, 0), (0, alpha, 1), (0, 0, alpha)))
     if label.tag == CASE_4_2:
@@ -407,29 +370,29 @@ def _basis(A: Matrix3, label: CaseLabel) -> tuple:
         g_a = _shifted(_matmul(rows, _shifted(rows, neg[g1], spec), spec), neg[g0], spec)
         v1 = _first(_kernel_vectors(g_a, spec))
         v2 = image(rows, v1)
-        v3 = eigvec(label.roots[0].val)
+        v3 = eigvec(label.roots[0])
     elif label.tag == CASE_2:
-        v1, v2, v3 = (eigvec(r.val) for r in label.roots)
+        v1, v2, v3 = (eigvec(r) for r in label.roots)
     elif label.tag == CASE_3_1:
-        alpha, beta = label.roots[0].val, label.roots[1].val
+        alpha, beta = label.roots
         n = _shifted(rows, alpha, spec)
         v2 = _first(_kernel_vectors(_matmul(n, n, spec), spec), lambda v: any(image(n, v)))
         v1 = image(n, v2)
         v3 = eigvec(beta)
     elif label.tag == CASE_3_2:
-        alpha, beta = label.roots[0].val, label.roots[1].val
+        alpha, beta = label.roots
         kern = _kernel_vectors(_shifted(rows, alpha, spec), spec)
         v1 = _first(kern)
         v2 = _first(kern, lambda v: any(_cross(v1, v, spec)))
         v3 = eigvec(beta)
     elif label.tag == CASE_4_1:
-        n = _shifted(rows, label.roots[0].val, spec)
+        n = _shifted(rows, label.roots[0], spec)
         n2 = _matmul(n, n, spec)
         v3 = _first(_kernel_vectors((), spec), lambda v: any(image(n2, v)))
         v2 = image(n, v3)
         v1 = image(n, v2)
     else:  # CASE_4_2
-        n = _shifted(rows, label.roots[0].val, spec)
+        n = _shifted(rows, label.roots[0], spec)
         v2 = _first(_kernel_vectors((), spec), lambda v: any(image(n, v)))
         v1 = image(n, v2)
         v3 = _first(_kernel_vectors(n, spec), lambda v: any(_cross(v1, v, spec)))
@@ -451,8 +414,8 @@ def _shift_basis(basis: tuple, label: CaseLabel, shifted: CaseLabel, mu: int, sp
     if shifted.tag != label.tag or label.tag == CASE_NONSINGULAR:
         return None
     add = spec._add
-    roots = [add[r.val][mu] for r in label.roots]
-    got = [r.val for r in shifted.roots]
+    roots = [add[r][mu] for r in label.roots]
+    got = list(shifted.roots)
     if label.tag == CASE_2:
         if sorted(got) != sorted(roots):
             return None
@@ -477,8 +440,6 @@ def rcf_similarity(A: Matrix3) -> tuple[Matrix3, Matrix3]:
     """
     spec = A.spec
     label, _mp, f = _case_and_minpoly(A)
-    if label.tag == CASE_4_3:
-        return A, Matrix3.identity(spec)
     s_inv = Matrix3(spec, _transpose(_basis(A, label)))
     return _case_canonical(spec, label, f), s_inv.inverse()
 
@@ -591,7 +552,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
         return DecompositionPlan((), None, None)
 
     if label.tag == CASE_1:
-        alpha = label.roots[0].val
+        alpha = label.roots[0]
         g = label.quad
         a, b = neg[g.coeffs[0]], neg[g.coeffs[1]]
         eq = HomogPoly(
@@ -611,7 +572,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
         return DecompositionPlan(((z, 1),), residual, None)
 
     if label.tag == CASE_2:
-        a1, a2, a3 = (r.val for r in label.roots)
+        a1, a2, a3 = label.roots
         eq = HomogPoly(
             spec,
             q - 1,
@@ -625,7 +586,7 @@ def canonical_plan(spec: FieldSpec, label: CaseLabel) -> DecompositionPlan:
         return DecompositionPlan(((x, 1), (y, 1), (z, 1)), residual, NOT_CONCURRENT)
 
     if label.tag == CASE_3_1:
-        beta_p = spec._sub[label.roots[1].val][label.roots[0].val]
+        beta_p = spec._sub[label.roots[1]][label.roots[0]]
         eq = HomogPoly(
             spec,
             q,

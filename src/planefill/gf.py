@@ -96,73 +96,6 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class FieldElement:
-    """An element of GF(p^e), identified by its integer encoding."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec: "FieldSpec", val: int):
-        self.spec = spec
-        self.val = val
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Polynomial-basis coordinates, low degree first."""
-        return self.spec.coeffs_of(self.val)
-
-    def is_zero(self) -> bool:
-        return self.val == 0
-
-    def _other(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise ValueError(f"expected a FieldElement, got {other!r}")
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise ValueError("operands belong to different fields")
-        return other.val
-
-    def __add__(self, other):
-        return self.spec._elems[self.spec._add[self.val][self._other(other)]]
-
-    def __sub__(self, other):
-        return self.spec._elems[self.spec._sub[self.val][self._other(other)]]
-
-    def __mul__(self, other):
-        return self.spec._elems[self.spec._mul[self.val][self._other(other)]]
-
-    def __truediv__(self, other):
-        v = self._other(other)
-        if v == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return self.spec._elems[self.spec._mul[self.val][self.spec._inv[v]]]
-
-    def __neg__(self):
-        return self.spec._elems[self.spec._neg[self.val]]
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent; use inverse() explicitly")
-        return self.spec._elems[self.spec.pow_int(self.val, n)]
-
-    def inverse(self) -> "FieldElement":
-        if self.val == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.spec._elems[self.spec._inv[self.val]]
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.val == other.val and self.spec == other.spec
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.e, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return str(self.val)
-
-
 class FieldSpec:
     """Construction data and operation tables for one field GF(p^e).
 
@@ -173,7 +106,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "e", "q", "modulus",
-        "_add", "_sub", "_mul", "_neg", "_inv", "_powmod", "_elems",
+        "_add", "_sub", "_mul", "_neg", "_inv", "_powmod",
     )
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -182,7 +115,6 @@ class FieldSpec:
         self.q = p**e
         self.modulus = modulus
         self._build_tables()
-        self._elems = tuple(FieldElement(self, v) for v in range(self.q))
 
     # table construction -----------------------------------------------
 
@@ -266,32 +198,6 @@ class FieldSpec:
             return 0
         return self._powmod[a][n % (self.q - 1)]
 
-    # element access ------------------------------------------------------
-
-    def element(self, val: int) -> FieldElement:
-        if not 0 <= val < self.q:
-            raise ValueError(f"encoding {val} out of range for GF({self.q})")
-        return self._elems[val]
-
-    def from_coeffs(self, coeffs) -> FieldElement:
-        if len(coeffs) > self.e:
-            raise ValueError("too many coordinates")
-        return self._elems[self._val_of(list(coeffs) + [0] * (self.e - len(coeffs)))]
-
-    @property
-    def zero(self) -> FieldElement:
-        return self._elems[0]
-
-    @property
-    def one(self) -> FieldElement:
-        return self._elems[1]
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        return self._elems
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -312,11 +218,7 @@ class FieldSpec:
 
 
 def _coerce(spec: "FieldSpec", c) -> int:
-    """Integer encoding of c, which may be a FieldElement or an encoding."""
-    if isinstance(c, FieldElement):
-        if c.spec != spec:
-            raise ValueError("element from a different field")
-        return c.val
+    """c as an integer encoding, checked to be in range."""
     v = int(c)
     if not 0 <= v < spec.q:
         raise ValueError(f"encoding {v} out of range for GF({spec.q})")

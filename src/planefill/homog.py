@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FieldElement, FieldSpec, _coerce
+from .gf import FieldSpec, _coerce
 
 
 class ProjPoint:
@@ -71,10 +71,6 @@ class HomogPoly:
         return out
 
     @classmethod
-    def zero(cls, spec: FieldSpec, degree: int) -> "HomogPoly":
-        return cls._raw(spec, degree, {})
-
-    @classmethod
     def variable(cls, spec: FieldSpec, index: int) -> "HomogPoly":
         key = [0, 0, 0]
         key[index] = 1
@@ -125,9 +121,7 @@ class HomogPoly:
     def __neg__(self) -> "HomogPoly":
         return self.scaled(self.spec._neg[1])
 
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scaled(other)
+    def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         spec = self._same(other)
         return HomogPoly._raw(
             spec, self.degree + other.degree, _dict_mul(self.terms, other.terms, spec)
@@ -141,7 +135,7 @@ class HomogPoly:
             out = out * self
         return out
 
-    def eval(self, point) -> FieldElement:
+    def eval(self, point) -> int:
         """Value at a projective point (or raw coordinate triple)."""
         spec = self.spec
         if isinstance(point, ProjPoint):
@@ -156,7 +150,7 @@ class HomogPoly:
             v = mul[powf(a, i)][powf(b, j)]
             v = mul[v][powf(c, k)]
             acc = add[acc][mul[v][cf]]
-        return spec._elems[acc]
+        return acc
 
     def to_list(self) -> list[list[int]]:
         """Serialized terms [i, j, k, coeff], graded-lex leading term first."""
@@ -192,7 +186,7 @@ def scalar_ratio(f: HomogPoly, g: HomogPoly):
     if f.spec != g.spec or f.degree != g.degree:
         return None
     if f.is_zero() or g.is_zero():
-        return f.spec.one if f.is_zero() and g.is_zero() else None
+        return 1 if f.is_zero() and g.is_zero() else None
     if f.terms.keys() != g.terms.keys():
         return None
     spec = f.spec
@@ -202,7 +196,7 @@ def scalar_ratio(f: HomogPoly, g: HomogPoly):
     for k, v in g.terms.items():
         if f.terms[k] != mul[v]:
             return None
-    return spec._elems[c]
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ and ``degree None`` (a real sentinel, never -1 arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
-from .gf import FieldElement, FieldSpec, _coerce
+from .gf import FieldSpec, _coerce
 
 CUBIC_IRREDUCIBLE = "irreducible"
 CUBIC_LINEAR_TIMES_QUADRATIC = "linear_times_irreducible_quadratic"
@@ -47,10 +46,6 @@ class UniPoly:
         return out
 
     @classmethod
-    def zero(cls, spec: FieldSpec) -> "UniPoly":
-        return cls(spec, ())
-
-    @classmethod
     def from_roots(cls, spec: FieldSpec, roots) -> "UniPoly":
         out = cls(spec, (1,))
         for r in roots:
@@ -79,21 +74,10 @@ class UniPoly:
             acc = spec._add[spec._mul[acc][x]][c]
         return acc
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        spec = self._same(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return UniPoly(spec, [spec._add[x][y] for x, y in pairs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(self.spec, [self.spec._neg[c] for c in self.coeffs])
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         spec = self._same(other)
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(spec)
+            return UniPoly._raw(spec, ())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         add, mul = spec._add, spec._mul
         for i, a in enumerate(self.coeffs):
@@ -103,11 +87,6 @@ class UniPoly:
                     if b:
                         out[i + j] = add[out[i + j]][row[b]]
         return UniPoly(spec, out)
-
-    def scale(self, c) -> "UniPoly":
-        cv = _coerce(self.spec, c)
-        mul = self.spec._mul[cv]
-        return UniPoly(self.spec, [mul[x] for x in self.coeffs])
 
     def affine_transform(self, rho: int, mu: int) -> "UniPoly":
         """rho^deg * f((t - mu)/rho) for the encodings rho and mu; keeps
@@ -182,7 +161,7 @@ def divrem(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(spec, quot), UniPoly(spec, r)
 
 
-def roots(f: UniPoly) -> list[FieldElement]:
+def roots(f: UniPoly) -> list[int]:
     """GF(q)-roots with multiplicity, ascending by encoding.
 
     Multiplicities come from repeated exact division by t - root, which is
@@ -196,7 +175,7 @@ def roots(f: UniPoly) -> list[FieldElement]:
     for v in range(spec.q):
         while not cur.is_zero() and cur.degree >= 1 and cur.eval_int(v) == 0:
             cur = divrem(cur, UniPoly(spec, (spec.neg(v), 1)))[0]
-            out.append(spec._elems[v])
+            out.append(v)
     return out
 
 
@@ -205,7 +184,7 @@ class CubicShape:
     """Factor shape of a monic cubic over GF(q)."""
 
     tag: str
-    roots: tuple[FieldElement, ...]
+    roots: tuple[int, ...]
     quad: UniPoly | None = None
 
 
@@ -219,28 +198,22 @@ def cubic_shape(f: UniPoly) -> CubicShape:
     if not rs:
         return CubicShape(CUBIC_IRREDUCIBLE, ())
     if len(rs) == 1:
-        quad = divrem(f, UniPoly(f.spec, (f.spec.neg(rs[0].val), 1)))[0]
+        quad = divrem(f, UniPoly(f.spec, (f.spec.neg(rs[0]), 1)))[0]
         return CubicShape(CUBIC_LINEAR_TIMES_QUADRATIC, (rs[0],), quad)
     assert len(rs) == 3, "a cubic with two roots counted with multiplicity cannot exist"
-    vals = [r.val for r in rs]
-    if len(set(vals)) == 3:
+    if len(set(rs)) == 3:
         return CubicShape(CUBIC_THREE_DISTINCT, tuple(rs))
-    if len(set(vals)) == 1:
+    if len(set(rs)) == 1:
         return CubicShape(CUBIC_TRIPLE, tuple(rs))
     # sort the double root in front
-    double = next(v for v in vals if vals.count(v) == 2)
-    simple = next(v for v in vals if vals.count(v) == 1)
-    spec = f.spec
-    return CubicShape(
-        CUBIC_DOUBLE_PLUS_SIMPLE,
-        (spec._elems[double], spec._elems[double], spec._elems[simple]),
-    )
+    double = next(v for v in rs if rs.count(v) == 2)
+    simple = next(v for v in rs if rs.count(v) == 1)
+    return CubicShape(CUBIC_DOUBLE_PLUS_SIMPLE, (double, double, simple))
 
 
-def enumerate_P1(spec: FieldSpec) -> list[tuple[FieldElement, FieldElement]]:
+def enumerate_P1(spec: FieldSpec) -> list[tuple[int, int]]:
     """The q+1 points of the projective line, (1:t) first, then (0:1)."""
-    one = spec.one
-    return [(one, t) for t in spec.elements()] + [(spec.zero, one)]
+    return [(1, t) for t in range(spec.q)] + [(0, 1)]
 
 
 @dataclass(frozen=True)
@@ -248,7 +221,7 @@ class QuadShape:
     """Projective root structure of a binary quadratic A s^2 + B st + C t^2."""
 
     tag: str
-    roots: tuple[tuple[FieldElement, FieldElement], ...]
+    roots: tuple[tuple[int, int], ...]
 
 
 def quad_shape(spec: FieldSpec, a, b, c) -> QuadShape:
@@ -264,10 +237,9 @@ def quad_shape(spec: FieldSpec, a, b, c) -> QuadShape:
     mul, add = spec._mul, spec._add
     found = []
     for s, t in pts:
-        sv, tv = s.val, t.val
-        v = mul[av][mul[sv][sv]]
-        v = add[v][mul[bv][mul[sv][tv]]]
-        v = add[v][mul[cv][mul[tv][tv]]]
+        v = mul[av][mul[s][s]]
+        v = add[v][mul[bv][mul[s][t]]]
+        v = add[v][mul[cv][mul[t][t]]]
         if v == 0:
             found.append((s, t))
     if not found:

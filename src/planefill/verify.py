@@ -19,7 +19,6 @@ from .gf import FieldSpec, base_digits, field_for_order
 from .homog import (
     HomogPoly,
     ProjPoint,
-    _Plane,
     _cross,
     _mat3_inv,
     _matmul,

@@ -1,9 +1,9 @@
 """Helpers shared across the test modules."""
 
 from planefill.affine import BTransform, Matrix23
-from planefill.fillcurve import Matrix3
+from planefill.fillcurve import Matrix3, _shifted
 from planefill.gf import make_field
-from planefill.homog import HomogPoly, _matmul, _plane_for
+from planefill.homog import HomogPoly, _mat3_det, _matmul, _plane_for, _transpose
 from planefill.verify import _divide_out
 
 FIELD_ARGS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
@@ -20,8 +20,28 @@ def rand_matrix3(spec, rng):
 def rand_invertible3(spec, rng):
     while True:
         a = rand_matrix3(spec, rng)
-        if a.det().val:
+        if _mat3_det(a.rows_int, spec):
             return a
+
+
+def product(*matrices):
+    """The product of 3x3 matrices over one field, left to right."""
+    first, *rest = matrices
+    rows = first.rows_int
+    for m in rest:
+        rows = _matmul(rows, m.rows_int, first.spec)
+    return Matrix3(first.spec, rows)
+
+
+def plus_scalar(a, mu):
+    """A + mu E for an encoding mu."""
+    return Matrix3(a.spec, _shifted(a.rows_int, a.spec._neg[mu], a.spec))
+
+
+def equivalent(a, b, rho, mu):
+    """rho * B^t A B^-t + mu E for an invertible B and rho != 0."""
+    bt = Matrix3(a.spec, _transpose(b.rows_int))
+    return plus_scalar(product(bt, a, bt.inverse(), Matrix3.diagonal(a.spec, rho, rho, rho)), mu)
 
 
 def rand_matrix23(spec, rng, nonzero=True):

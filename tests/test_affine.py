@@ -72,7 +72,7 @@ def test_build_GM_is_its_defining_product(q):
         rng = random.Random(53)
         matrices = [rand_matrix23(spec, rng) for _ in range(300)]
     for m in matrices:
-        expected = HomogPoly.zero(spec, q + 1)
+        expected = HomogPoly(spec, q + 1)
         for p, row in zip(left, m.rows_int):
             expected = expected + p * HomogPoly.linear_form(spec, row)
         assert aff.build_GM(m) == expected
@@ -88,7 +88,7 @@ def test_filling_curve_is_exactly_the_affine_plane():
     spec = field(q)
     m = aff.Matrix23.from_ints(spec, [1, 0, 0, 0, 1, 0])  # s^2 + t^2, irreducible
     g = aff.build_GM(m)
-    on = [pt for pt in _plane_for(spec).points if g.eval(pt).val == 0]
+    on = [pt for pt in _plane_for(spec).points if g.eval(pt) == 0]
     assert len(on) == q * q
     assert all(pt.key[2] for pt in on)
 
@@ -352,7 +352,7 @@ def test_points_at_infinity_counts():
             observed = {
                 plane.points[i].key
                 for i in plane.infinity_idx
-                if g.eval(plane.points[i]).val == 0
+                if g.eval(plane.points[i]) == 0
             }
             assert pts == observed
             expect = {

@@ -24,7 +24,7 @@ from planefill import verify as vf
 from planefill.gf import base_digits
 from planefill.homog import HomogPoly, linear_substitute, partials
 from planefill.poly import QUAD_IRREDUCIBLE, QUAD_TWO_DISTINCT, quad_shape
-from support import divide_by_every_line, field, rand_matrix3, rand_matrix23
+from support import divide_by_every_line, field, plus_scalar, rand_matrix3, rand_matrix23
 
 SAMPLES = {4: 400, 5: 200, 9: 40}
 
@@ -310,7 +310,7 @@ def test_reports_with_the_observation_equal_the_reference(q):
     else:
         projective = []
         for a in _matrices(q):
-            rep = a - fc.Matrix3.identity(spec).scale(a.rows_int[2][2])
+            rep = plus_scalar(a, spec._neg[a.rows_int[2][2]])
             orbit = list(vf._shift_orbits(spec, _counting_index(rep), _counting_index(rep) + 1))
             assert _counting_index(a) in [n for n, _a, _seen in orbit]
             projective += orbit
@@ -855,8 +855,7 @@ def test_report_sweeps_report_a_corrupted_residual_jet(monkeypatch, family, term
         if residual.terms.get(monomial) == c and not (f or fy or fz) and fx in (0, spec._neg[1]):
             failing.append(m)
     if family == "projective":
-        identity = fc.Matrix3.identity(spec)
-        failing = sorted((r + identity.scale(mu) for r in failing for mu in range(3)), key=_counting_index)
+        failing = sorted((plus_scalar(r, mu) for r in failing for mu in range(3)), key=_counting_index)
     else:
         # the representatives R are the matrices whose last nonzero entry is 1
         mul = spec._mul

@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -46,7 +47,7 @@ def test_divrem_cubic_by_quadratic():
 
 def test_divrem_zero_divisor():
     with pytest.raises(ZeroDivisionError):
-        divrem(poly(3, (1, 1)), UniPoly.zero(field(3)))
+        divrem(poly(3, (1, 1)), poly(3, ()))
 
 
 def test_divrem_reconstruction_random():
@@ -59,12 +60,13 @@ def test_divrem_reconstruction_random():
             if g.is_zero():
                 continue
             quot, rem = divrem(f, g)
-            assert quot * g + rem == f
+            pairs = zip_longest((quot * g).coeffs, rem.coeffs, fillvalue=0)
+            assert UniPoly(spec, [spec._add[x][y] for x, y in pairs]) == f
             assert rem.is_zero() or rem.degree < g.degree
 
 
 def test_degree_sentinel():
-    assert UniPoly.zero(field(3)).degree is None
+    assert poly(3, ()).degree is None
     assert poly(3, (1,)).degree == 0
 
 
@@ -72,7 +74,7 @@ def test_roots_examples():
     assert roots(poly(2, (1, 1, 1))) == []
     spec5 = field(5)
     f = UniPoly.from_roots(spec5, (1, 1, 2))
-    assert [r.val for r in roots(f)] == [1, 1, 2]
+    assert roots(f) == [1, 1, 2]
     assert roots(poly(3, (1, 0, 1))) == []
 
 
@@ -86,7 +88,7 @@ def test_roots_multiplicity_division_invariant():
                 continue
             rest = f
             for r in roots(f):
-                rest = divrem(rest, UniPoly(spec, (spec.neg(r.val), 1)))[0]
+                rest = divrem(rest, UniPoly(spec, (spec.neg(r), 1)))[0]
             assert rest.is_zero() is False
             assert all(rest.eval_int(v) for v in range(q)) or rest.degree == 0
 
@@ -96,7 +98,7 @@ def test_cubic_shape_examples():
     f = UniPoly(spec3, (2, 1)) * UniPoly(spec3, (1, 0, 1))  # (t-1)(t^2+1)
     shape = cubic_shape(f)
     assert shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC
-    assert [r.val for r in shape.roots] == [1]
+    assert shape.roots == (1,)
     assert shape.quad == UniPoly(spec3, (1, 0, 1))
 
     spec7 = field(7)
@@ -105,7 +107,7 @@ def test_cubic_shape_examples():
 
     shape = cubic_shape(poly(5, (0, 0, 0, 1)))
     assert shape.tag == CUBIC_TRIPLE
-    assert [r.val for r in shape.roots] == [0, 0, 0]
+    assert shape.roots == (0, 0, 0)
 
 
 def test_cubic_shape_requires_monic_cubic():
@@ -126,12 +128,12 @@ def test_cubic_shape_exhaustive_cross_check(q):
         if shape.tag == CUBIC_LINEAR_TIMES_QUADRATIC:
             assert len(rs) == 1 and all(shape.quad.eval_int(v) for v in range(q))
         if shape.tag == CUBIC_THREE_DISTINCT:
-            assert len({r.val for r in rs}) == 3
+            assert len(set(rs)) == 3
         if shape.tag == CUBIC_DOUBLE_PLUS_SIMPLE:
-            assert len(rs) == 3 and len({r.val for r in rs}) == 2
+            assert len(rs) == 3 and len(set(rs)) == 2
             assert shape.roots[0] == shape.roots[1] != shape.roots[2]
         if shape.tag == CUBIC_TRIPLE:
-            assert len({r.val for r in rs}) == 1
+            assert len(set(rs)) == 1
 
 
 def test_quad_shape_antidiagonal_block():
@@ -139,7 +141,7 @@ def test_quad_shape_antidiagonal_block():
     # left block [[0, a1], [b0, 0]] gives (a1+b0) st
     shape = quad_shape(spec, 0, 3, 0)
     assert shape.tag == QUAD_TWO_DISTINCT
-    assert [(s.val, t.val) for s, t in shape.roots] == [(1, 0), (0, 1)]
+    assert shape.roots == ((1, 0), (0, 1))
 
 
 def test_quad_shape_zero_polynomial():
@@ -166,9 +168,7 @@ def test_quad_shape_root_counts(q):
 
 
 def test_enumerate_P1():
-    pts = enumerate_P1(field(4))
-    assert len(pts) == 5
-    assert pts[0][0].val == 1 and pts[-1] == (field(4).zero, field(4).one)
+    assert enumerate_P1(field(4)) == [(1, 0), (1, 1), (1, 2), (1, 3), (0, 1)]
 
 
 def test_affine_transform_keeps_monic():
@@ -177,6 +177,6 @@ def test_affine_transform_keeps_monic():
     g = f.affine_transform(3, 2)
     assert g.is_monic() and g.degree == 3
     # roots move by alpha -> rho*alpha + mu
-    assert sorted(r.val for r in roots(g)) == sorted(
+    assert sorted(roots(g)) == sorted(
         (3 * a + 2) % 5 for a in (1, 2, 4)
     )
